@@ -10,12 +10,13 @@ evolution over a BNF strategy language, or sampled at random on the
 same budget, and compared against fixed-shape baselines with front
 quality indicators and non-parametric statistics.
 
-The hot evaluation kernel has a compiled extension and a pure NumPy
-fallback chosen at import; set MUTREDUCE_PURE=1 to force the fallback.
-``mutreduce.KERNEL_BACKEND`` names the active one.
+The hot evaluation kernel (first-killer test selection and kill
+counting) is one NumPy kernel over the sparse killer lists of the cache
+index; its memory is O(nnz), the number of recorded kills, never
+O(tests x mutants). ``mutreduce.KERNEL_BACKEND`` names it in run
+provenance.
 """
 
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .analysis import (A12Result, StatReport, a12, compare_experiment,
                        hypervolume, igd, kruskal_wallis, reference_front)
 from .baselines import (BASELINE_KINDS, BaselineSpec, baseline_front,
@@ -36,6 +37,10 @@ from .strategy import (ReductionRun, Strategy, StrategyParseError, execute,
                        parse_strategy, strategy_from_chromosome)
 
 __version__ = "0.1.0"
+
+# Name of the one kill kernel; benchmark provenance records it beside
+# golden digests, which were recorded under this name.
+KERNEL_BACKEND = "pure"
 
 __all__ = [
     "A12Result", "BASELINE_KINDS", "BaselineSpec", "CacheError", "CacheIndex",

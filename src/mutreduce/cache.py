@@ -21,8 +21,12 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .index import CacheIndex
 
 
 class CacheError(ValueError):
@@ -99,6 +103,8 @@ class MutationCache:
     mutants: tuple[MutantRecord, ...]
     total_cost: float = field(init=False, compare=False)
     killable_count: int = field(init=False, compare=False)
+    # The numeric view, stored by index.build_index on first use.
+    _index: CacheIndex | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "operators", tuple(self.operators))

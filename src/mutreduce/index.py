@@ -10,15 +10,19 @@ Index conventions (load-bearing, do not reorder):
   lowest-index killer is its first killer under the test priority.
 
 Killer lists per mutant (CSR: killer_indptr / killer_tests) are sorted by
-test index, and the transpose (test_indptr / test_mutants) gives the
-mutants each test kills. Both the compiled and the pure kernel consume
-these arrays and must return identical results.
+test index. Two per-mutant views derived from them serve the kill kernel:
+first_killer (each mutant's lowest-index killer, n_tests for a mutant no
+test kills) and killable_starts (the CSR offset of each killable mutant's
+row). The index and the kernel's temporaries grow with the mutants and the
+kill nonzeros: memory is O(mutants + nnz), never O(tests x mutants).
+
+The index is built once per cache and cached on the (immutable) cache
+object, so it lives exactly as long as the cache does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -36,8 +40,8 @@ class CacheIndex:
     mutant_operator: np.ndarray
     killer_indptr: np.ndarray
     killer_tests: np.ndarray
-    test_indptr: np.ndarray
-    test_mutants: np.ndarray
+    first_killer: np.ndarray
+    killable_starts: np.ndarray
     op_indptr: np.ndarray
     op_mutants: np.ndarray
     op_index: dict[str, int] = field(repr=False)
@@ -64,14 +68,6 @@ class CacheIndex:
     def killable_count(self) -> int:
         return self.cache.killable_count
 
-    @cached_property
-    def kill_matrix(self) -> np.ndarray:
-        """Dense bool matrix [test, mutant]; used by the pure kernel and oracles."""
-        matrix = np.zeros((self.n_tests, self.n_mutants), dtype=bool)
-        for m in range(self.n_mutants):
-            matrix[self.killer_tests[self.killer_indptr[m]:self.killer_indptr[m + 1]], m] = True
-        return matrix
-
     def mutants_of_operators(self, ops: np.ndarray) -> np.ndarray:
         """Sorted mutant indices generated by the given operator indices."""
         if ops.size == 0:
@@ -80,20 +76,16 @@ class CacheIndex:
         return np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.int32)
 
 
-_memo: dict[int, CacheIndex] = {}
-
-
 def build_index(cache: MutationCache) -> CacheIndex:
     """Build (or reuse) the numeric view of a cache.
 
-    Memoized by object identity: the cache is immutable and the index holds
-    a reference to it, so an identity hit can never be stale.
+    The first build is stored on the cache itself: the cache is immutable,
+    so the stored index can never be stale, and it is freed with the cache.
     """
     if isinstance(cache, CacheIndex):
         return cache
-    memoized = _memo.get(id(cache))
-    if memoized is not None and memoized.cache is cache:
-        return memoized
+    if cache._index is not None:
+        return cache._index
 
     ops = sorted(cache.operators, key=lambda o: o.id)
     tests = sorted(cache.tests, key=lambda t: t.priority_rank)
@@ -117,19 +109,10 @@ def build_index(cache: MutationCache) -> CacheIndex:
     killer_tests = (np.concatenate(killer_chunks) if killer_chunks
                     else np.empty(0, dtype=np.int32)).astype(np.int32, copy=False)
 
-    # Transpose: mutants per test, ascending mutant index within each test.
-    n_t = len(tests)
-    counts = np.zeros(n_t, dtype=np.int64)
-    for t in killer_tests:
-        counts[t] += 1
-    test_indptr = np.zeros(n_t + 1, dtype=np.int64)
-    np.cumsum(counts, out=test_indptr[1:])
-    test_mutants = np.empty(killer_tests.size, dtype=np.int32)
-    cursor = test_indptr[:-1].copy()
-    for m in range(n_m):
-        for t in killer_tests[killer_indptr[m]:killer_indptr[m + 1]]:
-            test_mutants[cursor[t]] = m
-            cursor[t] += 1
+    killable = killer_indptr[1:] > killer_indptr[:-1]
+    killable_starts = killer_indptr[:-1][killable]
+    first_killer = np.full(n_m, len(tests), dtype=np.int32)
+    first_killer[killable] = killer_tests[killable_starts]
 
     # Mutants per operator, ascending mutant index within each operator.
     mutant_operator = np.fromiter(
@@ -157,13 +140,13 @@ def build_index(cache: MutationCache) -> CacheIndex:
         mutant_operator=mutant_operator,
         killer_indptr=killer_indptr,
         killer_tests=killer_tests,
-        test_indptr=test_indptr,
-        test_mutants=test_mutants,
+        first_killer=first_killer,
+        killable_starts=killable_starts,
         op_indptr=op_indptr,
         op_mutants=op_mutants,
         op_index=op_index,
         test_index=test_index,
         mutant_index=mutant_index,
     )
-    _memo[id(cache)] = index
+    object.__setattr__(cache, "_index", index)
     return index

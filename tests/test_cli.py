@@ -48,7 +48,7 @@ def test_cache_inspect_summarizes(cache_file, capsys):
     assert "mutants per operator:" in out
 
 
-def test_cache_convert_from_kill_matrix(tmp_path, capsys):
+def test_cache_convert_from_kill_matrix_csv(tmp_path, capsys):
     matrix = tmp_path / "matrix.csv"
     matrix.write_text("mutant_id,operator_id,exec_cost,killed_by\n"
                       "m1,opA,1.5,t2;t1\n"

@@ -1,17 +1,13 @@
-import importlib
+import gc
+import tracemalloc
+import weakref
+from dataclasses import replace
 
 import numpy as np
-import pytest
 
 from mutreduce import _kernels
-from mutreduce._kernels import pure
-from mutreduce.cache import synth_cache
+from mutreduce.cache import MutationCache, synth_cache
 from mutreduce.index import build_index
-
-try:
-    _core = importlib.import_module("mutreduce._kernels._core")
-except ImportError:
-    _core = None
 
 
 def brute_force(index, mprime):
@@ -42,50 +38,28 @@ def random_subsets(index, count, seed):
     return subsets
 
 
+def without_killers(cache):
+    """The same cache with every mutant unkillable (synth_cache needs kill_density > 0)."""
+    return MutationCache(operators=cache.operators, tests=cache.tests,
+                         mutants=tuple(replace(m, killers=()) for m in cache.mutants))
+
+
 def test_dispatcher_matches_brute_force():
-    index = build_index(synth_cache(5, 150, 40, seed=13, kill_density=0.7,
-                                    redundancy=0.4))
-    for subset in random_subsets(index, 40, seed=5):
-        selected, killed = _kernels.select_and_count(index, subset)
-        expected_tests, expected_killed = brute_force(index, subset)
-        assert selected.tolist() == expected_tests
-        assert killed == expected_killed
-
-
-def test_pure_kernel_matches_brute_force():
-    index = build_index(synth_cache(3, 60, 15, seed=29, kill_density=0.5))
-    for subset in random_subsets(index, 25, seed=8):
-        selected, killed = pure.select_and_count(
-            subset, index.killer_indptr, index.killer_tests,
-            index.kill_matrix)
-        expected_tests, expected_killed = brute_force(index, subset)
-        assert selected.tolist() == expected_tests
-        assert killed == expected_killed
-
-
-@pytest.mark.skipif(_core is None, reason="compiled kernel not built")
-def test_compiled_and_pure_agree():
-    index = build_index(synth_cache(6, 300, 60, seed=41, kill_density=0.8,
-                                    redundancy=0.6))
-    for subset in random_subsets(index, 60, seed=11):
-        compiled = _core.select_and_count(
-            subset, index.killer_indptr, index.killer_tests,
-            index.test_indptr, index.test_mutants,
-            index.n_tests, index.n_mutants)
-        fallback = pure.select_and_count(
-            subset, index.killer_indptr, index.killer_tests,
-            index.kill_matrix)
-        assert compiled[0].tolist() == fallback[0].tolist()
-        assert compiled[1] == fallback[1]
-
-
-def test_backend_is_reported():
-    import os
-    assert _kernels.BACKEND in ("compiled", "pure")
-    if os.environ.get("MUTREDUCE_PURE"):
-        assert _kernels.BACKEND == "pure"
-    elif _core is not None:
-        assert _kernels.BACKEND == "compiled"
+    caches = [
+        synth_cache(5, 150, 40, seed=13, kill_density=0.7, redundancy=0.4),
+        # Low density leaves many unkillable mutants, in runs and at both ends.
+        synth_cache(4, 120, 30, seed=7, kill_density=0.2),
+        without_killers(synth_cache(3, 50, 10, seed=3)),
+    ]
+    assert caches[1].killable_count < len(caches[1].mutants)
+    assert caches[2].killable_count == 0
+    for cache in caches:
+        index = build_index(cache)
+        for subset in random_subsets(index, 40, seed=5):
+            selected, killed = _kernels.select_and_count(index, subset)
+            expected_tests, expected_killed = brute_force(index, subset)
+            assert selected.tolist() == expected_tests
+            assert killed == expected_killed
 
 
 def test_empty_selection():
@@ -94,3 +68,28 @@ def test_empty_selection():
         index, np.empty(0, dtype=np.int32))
     assert selected.size == 0
     assert killed == 0
+
+
+def test_kernel_memory_grows_with_kills_not_tests_times_mutants():
+    index = build_index(synth_cache(10, 20_000, 2_000, seed=17))
+    everything = np.arange(index.n_mutants, dtype=np.int32)
+    tracemalloc.start()
+    try:
+        selected, killed = _kernels.select_and_count(index, everything)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert killed == index.killable_count
+    assert selected.size > 0
+    # A dense tests x mutants bool matrix alone would be 40 MB.
+    assert peak < index.n_tests * index.n_mutants // 20
+
+
+def test_index_is_freed_with_its_cache():
+    cache = synth_cache(3, 40, 8, seed=2)
+    index = build_index(cache)
+    assert build_index(cache) is index
+    cache_ref = weakref.ref(cache)
+    del cache, index
+    gc.collect()
+    assert cache_ref() is None
