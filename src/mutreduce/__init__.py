@@ -19,8 +19,7 @@ provenance.
 
 from .analysis import (A12Result, StatReport, a12, compare_experiment,
                        hypervolume, igd, kruskal_wallis, reference_front)
-from .baselines import (BASELINE_KINDS, BaselineSpec, baseline_front,
-                        evaluate_baseline, run_baseline)
+from .baselines import BASELINE_KINDS, BaselineSpec, baseline_front
 from .cache import (CacheError, MutantRecord, MutationCache, OperatorRecord,
                     TestRecord, dumps_cache, global_score, load_cache,
                     loads_cache, operator_yields, read_kill_matrix_csv,
@@ -50,11 +49,10 @@ __all__ = [
     "ObjectivePair", "OperatorRecord", "ReductionRun", "SearchConfig",
     "SearchResult", "StatReport", "Strategy", "StrategyParseError",
     "TestRecord", "a12", "baseline_front", "build_index", "compare_experiment",
-    "default_grammar", "dumps_cache", "evaluate", "evaluate_baseline",
-    "execute", "global_score", "hypervolume", "igd", "kruskal_wallis",
-    "load_cache", "loads_cache", "map_chromosome", "operator_yields",
-    "parse_grammar", "parse_strategy", "random_chromosome",
-    "read_kill_matrix_csv", "reference_front", "run_baseline",
+    "default_grammar", "dumps_cache", "evaluate", "execute", "global_score",
+    "hypervolume", "igd", "kruskal_wallis", "load_cache", "loads_cache",
+    "map_chromosome", "operator_yields", "parse_grammar", "parse_strategy",
+    "random_chromosome", "read_kill_matrix_csv", "reference_front",
     "run_evolution", "run_random_search", "save_cache", "score_objective",
     "select_tests", "strategy_from_chromosome", "synth_cache",
     "time_objective",

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.stats import chi2, rankdata
+
+from .pareto import nondominated
 
 Point = tuple[float, float]
 
@@ -33,22 +34,14 @@ def _as_points(front: Iterable) -> list[Point]:
     return points
 
 
-def _dominates(a: Point, b: Point) -> bool:
-    return (a[0] <= b[0] and a[1] >= b[1]) and (a[0] < b[0] or a[1] > b[1])
-
-
 def reference_front(fronts: Iterable[Iterable]) -> list[Point]:
     """Non-dominated subset of the union of the given fronts.
 
     Points are (time, score) with time minimized and score maximized.
     Duplicates collapse; the result is sorted by ascending time.
     """
-    pool = sorted({p for front in fronts for p in _as_points(front)})
-    result = []
-    for candidate in pool:
-        if not any(_dominates(other, candidate) for other in pool):
-            result.append(candidate)
-    return result
+    pool = [p for front in fronts for p in _as_points(front)]
+    return nondominated(pool, key=lambda point: point)
 
 
 # ===== Normalization =====
@@ -133,6 +126,10 @@ def kruskal_wallis(groups: Sequence[Sequence[float]]) -> tuple[float, float]:
 
     All observations identical is a defined boundary: H = 0, p = 1.
     """
+    # Imported here: scipy.stats costs about a second to import, and only
+    # report needs it.
+    from scipy.stats import chi2, rankdata
+
     if len(groups) < 2:
         raise ValueError("need at least two groups")
     sizes = [len(g) for g in groups]

@@ -1,34 +1,40 @@
 """Conventional reduction strategies the evolved ones are compared against.
 
-Three families, each swept over its customary parameter range:
+Each baseline is a strategy run on the same VM and evaluator as an
+evolved one. Three families, each swept over its customary parameter
+range:
 
-* RMS (random mutant sampling): generate everything, keep a random
+* RMS p% (random mutant sampling): generate everything, keep a random
   percentage of the mutants. Every operator pays its generation cost.
-* ROS (random operator selection): execute a random percentage of the
+  ``Execute Operators 100% → Retain Mutants random p%``
+* ROS p% (random operator selection): execute a random percentage of the
   operators and keep all their mutants. Only the chosen operators pay.
-* SM (selective mutation): drop the n highest-yield operators (ties by
-  ascending id), execute the rest, keep all their mutants. Deterministic,
-  so its front is identical whatever the seed.
+  ``Execute Operators p%``
+* SM n (selective mutation): drop the n highest-yield operators (ties by
+  ascending id), execute the rest, keep all their mutants.
+  ``Discard Operators highest-yield n → Execute Operators 100%``. Its
+  first step is a VM-only node the grammar never emits; it draws nothing,
+  so the SM front is identical whatever the seed.
 
-Sampling counts round half away from zero, like every percentage in the
-package. Each swept parameter value is evaluated with the same
-repetition-averaging as an evolved strategy, and the front returned is
-the non-dominated subset of the sweep.
+Each swept parameter value is evaluated with the same repetition
+averaging as an evolved strategy, and the front returned is the
+non-dominated subset of the sweep. Front rows keep the ``Baseline ...``
+text of describe(), which parse() reads back.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
 
-from . import _kernels
 from .cache import MutationCache
 from .index import CacheIndex, build_index
+from .objectives import evaluate_indexed
+from .pareto import nondominated
 from .search import EvaluatedStrategy, Front
-from .strategy import ReductionRun
+from .strategy import Strategy, parse_strategy
 
 RMS_SWEEP = tuple(range(10, 100, 10))
 ROS_SWEEP = tuple(range(10, 100, 10))
@@ -76,78 +82,16 @@ class BaselineSpec:
             pass
         raise ValueError(f"unparseable baseline text {text!r}")
 
-
-def _percentage_count(percent: int, size: int) -> int:
-    return (percent * size + 50) // 100
-
-
-def _run_indexed(spec: BaselineSpec, index: CacheIndex,
-                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, float]:
-    n_ops = index.n_operators
-    all_ops = np.arange(n_ops, dtype=np.int32)
-    if spec.kind == "RMS":
-        executed = all_ops
-        all_mutants = np.arange(index.n_mutants, dtype=np.int32)
-        k = _percentage_count(spec.percentage, index.n_mutants)
-        if k >= index.n_mutants:
-            mutants = all_mutants
-        elif k == 0:
-            mutants = all_mutants[:0]
+    def strategy(self) -> Strategy:
+        """The reduction this baseline performs, as a strategy for the VM."""
+        if self.kind == "RMS":
+            text = f"Execute Operators 100% → Retain Mutants random {self.percentage}%"
+        elif self.kind == "ROS":
+            text = f"Execute Operators {self.percentage}%"
         else:
-            mutants = np.sort(rng.choice(all_mutants, size=k, replace=False))
-    elif spec.kind == "ROS":
-        k = _percentage_count(spec.percentage, n_ops)
-        if k >= n_ops:
-            executed = all_ops
-        elif k == 0:
-            executed = all_ops[:0]
-        else:
-            executed = np.sort(rng.choice(all_ops, size=k, replace=False))
-        mutants = index.mutants_of_operators(executed)
-    else:  # SM
-        yields = np.diff(index.op_indptr)
-        # Highest yield first; ties by ascending operator id. Index order is
-        # cache order, which need not be id order, so sort on the ids.
-        order = np.lexsort((np.array(index.op_ids), -yields))
-        excluded = order[:min(spec.exclusions, n_ops)]
-        executed = np.sort(np.setdiff1d(all_ops, excluded, assume_unique=True))
-        mutants = index.mutants_of_operators(executed)
-    cost = 0.0
-    if executed.size:
-        cost += float(index.op_generation_cost[executed].sum())
-    if mutants.size:
-        cost += float(index.mutant_exec_cost[mutants].sum())
-    return executed, mutants, cost
-
-
-def run_baseline(spec: BaselineSpec, cache: MutationCache | CacheIndex,
-                 rng: np.random.Generator) -> ReductionRun:
-    """One reduction by a conventional strategy (rng is unused for SM)."""
-    index = build_index(cache)
-    executed, mutants, cost = _run_indexed(spec, index, rng)
-    return ReductionRun(
-        operator_ids=tuple(index.op_ids[o] for o in executed),
-        mutant_ids=tuple(index.mutant_ids[m] for m in mutants),
-        strategy_cost=cost,
-    )
-
-
-def evaluate_baseline(spec: BaselineSpec, cache: MutationCache | CacheIndex,
-                      n: int, rng: np.random.Generator) -> tuple[float, float]:
-    """Repetition-averaged objectives, mirroring objectives.evaluate."""
-    index = build_index(cache)
-    substreams = rng.spawn(n)
-    costs = []
-    killed_total = 0
-    for sub in substreams:
-        _, mutants, cost = _run_indexed(spec, index, sub)
-        costs.append(cost)
-        _, killed = _kernels.select_and_count(index, mutants)
-        killed_total += killed
-    time = math.fsum(costs) / math.fsum([index.total_cost] * n)
-    score = (killed_total / (n * index.killable_count)
-             if index.killable_count else 0.0)
-    return time, score
+            text = (f"Discard Operators highest-yield {self.exclusions}"
+                    " → Execute Operators 100%")
+        return parse_strategy(text)
 
 
 def sweep(kind: Kind) -> tuple[BaselineSpec, ...]:
@@ -174,17 +118,9 @@ def baseline_front(kind: Kind, cache: MutationCache | CacheIndex, seed: int,
         parameter = spec.exclusions if spec.kind == "SM" else spec.percentage
         eval_seed = int(np.random.SeedSequence(
             entropy=(int(seed), 3, parameter)).generate_state(1, np.uint64)[0])
-        time, score = evaluate_baseline(
-            spec, index, repetitions, np.random.default_rng(eval_seed))
+        pair = evaluate_indexed(spec.strategy(), index, repetitions,
+                                np.random.default_rng(eval_seed))
         entries.append(EvaluatedStrategy(
-            time=time, score=score, eval_seed=eval_seed, text=spec.describe()))
-    keep: list[EvaluatedStrategy] = []
-    for entry in sorted(entries, key=lambda e: (e.time, e.score, e.text)):
-        point = (entry.time, entry.score)
-        if any((other.time <= entry.time and other.score >= entry.score
-                and (other.time, other.score) != point) for other in entries):
-            continue
-        if any((k.time, k.score) == point for k in keep):
-            continue
-        keep.append(entry)
-    return keep
+            time=pair.time, score=pair.score, eval_seed=eval_seed,
+            text=spec.describe()))
+    return nondominated(entries, key=lambda entry: entry.text)

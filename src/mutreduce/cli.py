@@ -345,6 +345,8 @@ def baselines_command(cache_path: Path, kinds: str, seed: int, runs: int,
             f"--kinds must name a subset of {','.join(BASELINE_KINDS)}")
     if runs < 1:
         raise click.UsageError("--runs must be >= 1")
+    if repetitions < 1:
+        raise click.UsageError("--repetitions must be >= 1")
     data = load_cache(cache_path)
     seeds = list(range(seed, seed + runs))
     outputs: dict[str, str] = {}
@@ -390,6 +392,8 @@ def evaluate_command(front_path: Path, cache_path: Path, repetitions: int,
     this reproduces time and score exactly; on a different cache it
     measures how the strategies transfer. Row order is preserved.
     """
+    if repetitions < 1:
+        raise click.UsageError("--repetitions must be >= 1")
     rows = runio.read_front_csv(front_path)
     data = load_cache(cache_path)
     front = runio.reevaluated_front(rows, data, repetitions)

@@ -99,17 +99,17 @@ def build_index(cache: MutationCache) -> CacheIndex:
     mutant_index = {m: i for i, m in enumerate(mutant_ids)}
 
     n_m = len(mutants)
+    killer_counts = np.fromiter((len(m.killers) for m in mutants),
+                                dtype=np.int64, count=n_m)
     killer_indptr = np.zeros(n_m + 1, dtype=np.int64)
-    killer_chunks = []
-    for i, m in enumerate(mutants):
-        killers = np.sort(np.fromiter(
-            (test_index[k] for k in m.killers), dtype=np.int32, count=len(m.killers)))
-        killer_chunks.append(killers)
-        killer_indptr[i + 1] = killer_indptr[i] + killers.size
-    killer_tests = (np.concatenate(killer_chunks) if killer_chunks
-                    else np.empty(0, dtype=np.int32)).astype(np.int32, copy=False)
+    np.cumsum(killer_counts, out=killer_indptr[1:])
+    unsorted_tests = np.fromiter(
+        (test_index[k] for m in mutants for k in m.killers),
+        dtype=np.int32, count=int(killer_indptr[-1]))
+    rows = np.repeat(np.arange(n_m), killer_counts)
+    killer_tests = unsorted_tests[np.lexsort((unsorted_tests, rows))]
 
-    killable = killer_indptr[1:] > killer_indptr[:-1]
+    killable = killer_counts > 0
     killable_starts = killer_indptr[:-1][killable]
     first_killer = np.full(n_m, len(tests), dtype=np.int32)
     first_killer[killable] = killer_tests[killable_starts]
@@ -117,18 +117,9 @@ def build_index(cache: MutationCache) -> CacheIndex:
     # Mutants per operator, ascending mutant index within each operator.
     mutant_operator = np.fromiter(
         (op_index[m.operator_id] for m in mutants), dtype=np.int32, count=n_m)
-    n_o = len(ops)
-    op_counts = np.zeros(n_o, dtype=np.int64)
-    for o in mutant_operator:
-        op_counts[o] += 1
-    op_indptr = np.zeros(n_o + 1, dtype=np.int64)
-    np.cumsum(op_counts, out=op_indptr[1:])
-    op_mutants = np.empty(n_m, dtype=np.int32)
-    cursor = op_indptr[:-1].copy()
-    for m in range(n_m):
-        o = mutant_operator[m]
-        op_mutants[cursor[o]] = m
-        cursor[o] += 1
+    op_indptr = np.zeros(len(ops) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(mutant_operator, minlength=len(ops)), out=op_indptr[1:])
+    op_mutants = np.argsort(mutant_operator, kind="stable").astype(np.int32)
 
     index = CacheIndex(
         cache=cache,

@@ -27,8 +27,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import baselines as baselines_mod
 from . import objectives
+from .baselines import BaselineSpec
 from .cache import MutationCache
 from .genome import Chromosome
 from .search import EvaluatedStrategy, Front, GenerationStat
@@ -121,12 +121,12 @@ def reevaluate_row(row: FrontRow, cache: MutationCache,
     objectives exactly (same seed, same repetition streams); on another
     cache it measures how the strategy transfers.
     """
-    rng = np.random.default_rng(row.seed)
     if row.strategy_text.startswith("Baseline "):
-        spec = baselines_mod.BaselineSpec.parse(row.strategy_text)
-        return baselines_mod.evaluate_baseline(spec, cache, repetitions, rng)
-    strategy = parse_strategy(row.strategy_text)
-    pair = objectives.evaluate(strategy, cache, repetitions, rng=rng)
+        strategy = BaselineSpec.parse(row.strategy_text).strategy()
+    else:
+        strategy = parse_strategy(row.strategy_text)
+    pair = objectives.evaluate(strategy, cache, repetitions,
+                               rng=np.random.default_rng(row.seed))
     return pair.time, pair.score
 
 

@@ -30,7 +30,8 @@ from .cache import MutationCache
 from .genome import Chromosome, GeneBounds, LengthLimits
 from .grammar import Grammar
 from .index import CacheIndex, build_index
-from .objectives import ObjectivePair, evaluate_indexed
+from .objectives import evaluate_indexed
+from .pareto import nondominated, sort_fronts
 from .strategy import Strategy, render, strategy_from_tokens
 
 
@@ -118,34 +119,7 @@ class SearchResult:
     evaluations: int
 
 
-# ===== Pareto machinery =====
-
-def dominates(a: ObjectivePair, b: ObjectivePair) -> bool:
-    """True if a is no worse on both objectives and better on at least one
-    (time minimized, score maximized). Equal points never dominate."""
-    return (a.time <= b.time and a.score >= b.score) and (
-        a.time < b.time or a.score > b.score)
-
-
-def _sort_fronts(times: np.ndarray, scores: np.ndarray) -> list[np.ndarray]:
-    n = times.size
-    if n == 0:
-        return []
-    t_le = times[:, None] <= times[None, :]
-    s_ge = scores[:, None] >= scores[None, :]
-    strict = (times[:, None] < times[None, :]) | (scores[:, None] > scores[None, :])
-    dom = t_le & s_ge & strict  # dom[i, j]: i dominates j
-    dominated_by = dom.sum(axis=0)
-    fronts: list[np.ndarray] = []
-    remaining = np.ones(n, dtype=bool)
-    while remaining.any():
-        current = remaining & (dominated_by == 0)
-        members = np.flatnonzero(current)
-        fronts.append(members)
-        remaining[members] = False
-        dominated_by = dominated_by - dom[members].sum(axis=0)
-    return fronts
-
+# ===== Ranking and crowding =====
 
 def fast_nondominated_sort(pairs: Sequence) -> list[list[int]]:
     """Partition points into fronts: rank 0 is non-dominated, rank k+1 is
@@ -154,7 +128,7 @@ def fast_nondominated_sort(pairs: Sequence) -> list[list[int]]:
                      dtype=np.float64)
     scores = np.array([p.score if hasattr(p, "score") else p[1] for p in pairs],
                       dtype=np.float64)
-    return [front.tolist() for front in _sort_fronts(times, scores)]
+    return [front.tolist() for front in sort_fronts(times, scores)]
 
 
 def _crowding(times: np.ndarray, scores: np.ndarray) -> np.ndarray:
@@ -241,7 +215,7 @@ def _assign_fronts(individuals: list[_Individual]) -> list[np.ndarray]:
     """
     times = np.array([ind.time for ind in individuals])
     scores = np.array([ind.score for ind in individuals])
-    fronts = _sort_fronts(times, scores)
+    fronts = sort_fronts(times, scores)
     for rank, front in enumerate(fronts):
         crowd = _crowding(times[front], scores[front])
         by_pair: dict[tuple[float, float], list[int]] = {}
@@ -302,25 +276,16 @@ def _population_stat(generation: int, evaluations: int,
     )
 
 
+def _chromosome_key(ind: _Individual) -> str:
+    return ind.chromosome.serialize()
+
+
 def _final_front(individuals: list[_Individual]) -> Front:
     members = [ind for ind in individuals if ind.rank == 0 and not ind.failed]
-    members.sort(key=lambda ind: (ind.time, ind.score, ind.chromosome.serialize()))
-    front: Front = []
-    seen: set[tuple[float, float]] = set()
-    for ind in members:
-        point = (ind.time, ind.score)
-        if point in seen:
-            continue
-        seen.add(point)
-        front.append(EvaluatedStrategy(
-            time=ind.time,
-            score=ind.score,
-            eval_seed=ind.eval_seed,
-            text=ind.text,
-            chromosome=ind.chromosome,
-            strategy=ind.strategy,
-        ))
-    return front
+    return [EvaluatedStrategy(time=ind.time, score=ind.score,
+                              eval_seed=ind.eval_seed, text=ind.text,
+                              chromosome=ind.chromosome, strategy=ind.strategy)
+            for ind in nondominated(members, key=_chromosome_key)]
 
 
 # ===== Search drivers =====
@@ -406,7 +371,7 @@ def run_random_search(config: SearchConfig, grammar: Grammar,
         _evaluate_population(individuals, index, config.repetitions)
         evaluations += config.population_size
         candidates = archive + [ind for ind in individuals if not ind.failed]
-        archive = _nondominated_unique(candidates)
+        archive = nondominated(candidates, key=_chromosome_key)
         stats.append(GenerationStat(
             generation=block,
             evaluations=evaluations,
@@ -420,20 +385,3 @@ def run_random_search(config: SearchConfig, grammar: Grammar,
     return SearchResult(front=_final_front(archive),
                         generations=stats, evaluations=evaluations)
 
-
-def _nondominated_unique(candidates: list[_Individual]) -> list[_Individual]:
-    if not candidates:
-        return []
-    times = np.array([ind.time for ind in candidates])
-    scores = np.array([ind.score for ind in candidates])
-    fronts = _sort_fronts(times, scores)
-    members = sorted((candidates[i] for i in fronts[0]),
-                     key=lambda ind: (ind.time, ind.score, ind.chromosome.serialize()))
-    unique: list[_Individual] = []
-    seen: set[tuple[float, float]] = set()
-    for ind in members:
-        point = (ind.time, ind.score)
-        if point not in seen:
-            seen.add(point)
-            unique.append(ind)
-    return unique

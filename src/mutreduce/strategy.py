@@ -6,7 +6,9 @@ from the pool into the executed set and adds their mutants to the mutant
 pool. Operator-level and mutant-level retain/discard steps shrink the
 pools; a group pipeline partitions the mutant pool by operator, reorders
 or drops groups, samples each remaining group, and flattens the result
-back into the pool.
+back into the pool. DiscardHighestYield drops the operators with the
+most mutants; the grammar never emits it, it exists so the selective
+mutation baseline runs on this VM like any other strategy.
 
 Pools are canonical sorted index arrays. All random selection draws from
 the supplied generator; selecting the whole pool or nothing draws nothing.
@@ -73,6 +75,21 @@ class DiscardOperators:
 
     def render(self) -> str:
         return f"Discard Operators {self.selection.render()}"
+
+
+@dataclass(frozen=True)
+class DiscardHighestYield:
+    """Drop the ``count`` operators with the most mutants from the pool,
+    ties by ascending operator index (ascending id). Draws nothing."""
+
+    count: int
+
+    def __post_init__(self) -> None:
+        if self.count < 0:
+            raise ValueError("operator count must be >= 0")
+
+    def render(self) -> str:
+        return f"Discard Operators highest-yield {self.count}"
 
 
 @dataclass(frozen=True)
@@ -145,7 +162,7 @@ class GroupPipeline:
 
 Operation = Union[
     RetainOperators, DiscardOperators, ExecuteOperators,
-    RetainMutants, DiscardMutants, GroupPipeline,
+    RetainMutants, DiscardMutants, GroupPipeline, DiscardHighestYield,
 ]
 
 
@@ -256,6 +273,10 @@ def execute_indexed(
             mutant_pool = _setdiff(mutant_pool, dropped)
         elif isinstance(node, GroupPipeline):
             mutant_pool = _run_group_pipeline(node, mutant_pool, index, rng)
+        elif isinstance(node, DiscardHighestYield):
+            yields = np.diff(index.op_indptr)[op_pool]
+            dropped = op_pool[np.argsort(-yields, kind="stable")[:node.count]]
+            op_pool = _setdiff(op_pool, dropped)
         else:
             raise TypeError(f"unknown strategy node {node!r}")
     cost = 0.0
@@ -386,6 +407,7 @@ def strategy_from_chromosome(chromosome, grammar, max_wraps: int | None = None):
 _PHRASE_PATTERNS: list[tuple[re.Pattern[str], str]] = [
     (re.compile(r"^(Retain|Discard) (Operators|Mutants) random (\d+)(%?)$"), "pool"),
     (re.compile(r"^Execute Operators (\d+)(%?)$"), "execute"),
+    (re.compile(r"^Discard Operators highest-yield (\d+)$"), "yield"),
     (re.compile(r"^Group Mutants by Operator$"), "group"),
     (re.compile(r"^Order Groups by Size (ascending|descending)$"), "order"),
     (re.compile(r"^(Retain|Discard) Groups (first|last) (\d+)$"), "take"),
@@ -417,7 +439,7 @@ def parse_strategy(text: str) -> Strategy:
         in_group = group is not None
         if kind in ("order", "take", "sample") and not in_group:
             raise StrategyParseError(f"{phrase!r} outside a group pipeline")
-        if kind in ("pool", "execute", "group") and in_group:
+        if kind in ("pool", "execute", "yield", "group") and in_group:
             raise StrategyParseError(f"group pipeline not closed before {phrase!r}")
         if kind == "pool":
             verb, target, number, percent = m.groups()
@@ -431,6 +453,8 @@ def parse_strategy(text: str) -> Strategy:
             nodes.append(table[(verb, target)](selection))
         elif kind == "execute":
             nodes.append(ExecuteOperators(_selection_from_match(*m.groups())))
+        elif kind == "yield":
+            nodes.append(DiscardHighestYield(int(m.group(1))))
         elif kind == "group":
             group = []
         elif kind == "order":

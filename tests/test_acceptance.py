@@ -19,8 +19,7 @@ import pytest
 
 from mutreduce.analysis import (a12, compare_experiment, hypervolume, igd,
                                 kruskal_wallis, kruskal_wallis_permutation)
-from mutreduce.baselines import (BaselineSpec, baseline_front,
-                                 evaluate_baseline, sweep)
+from mutreduce.baselines import BaselineSpec, baseline_front, sweep
 from mutreduce.cache import (MutantRecord, MutationCache, OperatorRecord,
                              TestRecord, dumps_cache, global_score,
                              reroll_killers, synth_cache)
@@ -29,7 +28,7 @@ from mutreduce.genome import (Chromosome, MAX_WRAPS, MappingStatus, crossover,
                               duplicate, map_chromosome, mutate, prune,
                               random_chromosome)
 from mutreduce.grammar import parse_grammar
-from mutreduce.objectives import score_objective, time_objective
+from mutreduce.objectives import evaluate, score_objective, time_objective
 from mutreduce.runio import FrontRow, reevaluate_row, write_front_csv
 from mutreduce.search import (SearchConfig, fast_nondominated_sort,
                               run_evolution, run_random_search)
@@ -269,9 +268,10 @@ def test_criterion_07_baseline_comparison_report_shape(
                     parameter = (spec.exclusions if kind == "SM"
                                  else spec.percentage)
                     assert parameter in grids[kind]
-                    replay = evaluate_baseline(
-                        spec, cache, 5, np.random.default_rng(member.eval_seed))
-                    assert replay == (member.time, member.score)
+                    replay = evaluate(
+                        spec.strategy(), cache, 5,
+                        rng=np.random.default_rng(member.eval_seed))
+                    assert (replay.time, replay.score) == (member.time, member.score)
                 write_front_csv(kind_dir / f"front_{seed}.csv", front)
 
         sm_fronts = [[(m.time, m.score, m.text)

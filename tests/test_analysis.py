@@ -1,4 +1,5 @@
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from mutreduce.analysis import (A12_THRESHOLDS, Normalizer, a12,
                                 kruskal_wallis, kruskal_wallis_permutation,
                                 reference_front)
 from mutreduce.objectives import ObjectivePair
+from mutreduce.pareto import nondominated
 
 
 def peel_reference(fronts):
@@ -46,6 +48,23 @@ def test_reference_front_matches_brute_force_peel():
                    for _ in range(rng.integers(1, 8))]
                   for _ in range(4)]
         assert reference_front(fronts) == peel_reference(fronts)
+    # The sweep under it, on a 6 x 6 grid (equal times and equal scores
+    # throughout) with every other point repeated, keyed by shuffled labels.
+    Item = namedtuple("Item", "time score label")
+    for _ in range(200):
+        n = int(rng.integers(1, 40))
+        points = [(int(rng.integers(0, 6)) / 5, int(rng.integers(0, 6)) / 5)
+                  for _ in range(n)]
+        points += points[::2]
+        labels = rng.permutation(len(points)).tolist()
+        items = [Item(t, s, label) for (t, s), label in zip(points, labels)]
+        front = nondominated(items, key=lambda item: item.label)
+        assert [(m.time, m.score) for m in front] == peel_reference([points])
+        for member in front:
+            assert member.label == min(
+                item.label for item in items
+                if (item.time, item.score) == (member.time, member.score))
+        assert reference_front([points]) == peel_reference([points])
 
 
 # ===== normalization =====

@@ -1,15 +1,17 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from mutreduce.baselines import (BASELINE_KINDS, BaselineSpec, RMS_SWEEP,
-                                 ROS_SWEEP, SM_SWEEP, baseline_front,
-                                 evaluate_baseline, run_baseline, sweep)
+                                 ROS_SWEEP, SM_SWEEP, baseline_front, sweep)
 from mutreduce.cache import (MutantRecord, MutationCache, OperatorRecord,
                              TestRecord, synth_cache)
-from mutreduce.objectives import ObjectivePair, select_tests
-from mutreduce.search import dominates
+from mutreduce.objectives import ObjectivePair, evaluate, select_tests
+from mutreduce.pareto import dominates
+from mutreduce.runio import front_csv_text
+from mutreduce.strategy import execute, render
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +56,17 @@ def test_describe_parse_round_trip(spec, text):
     assert BaselineSpec.parse(text) == spec
 
 
+@pytest.mark.parametrize("spec,text", [
+    (BaselineSpec(kind="RMS", percentage=30),
+     "Execute Operators 100% → Retain Mutants random 30%"),
+    (BaselineSpec(kind="ROS", percentage=90), "Execute Operators 90%"),
+    (BaselineSpec(kind="SM", exclusions=2),
+     "Discard Operators highest-yield 2 → Execute Operators 100%"),
+])
+def test_spec_strategy_text(spec, text):
+    assert render(spec.strategy()) == text
+
+
 def test_parse_rejects_garbage():
     with pytest.raises(ValueError):
         BaselineSpec.parse("Baseline SM random 10%")
@@ -65,14 +78,14 @@ def test_parse_rejects_garbage():
 
 def test_rms_keeps_exact_count(bench_cache):
     spec = BaselineSpec(kind="RMS", percentage=10)
-    run = run_baseline(spec, bench_cache, np.random.default_rng(0))
+    run = execute(spec.strategy(), bench_cache, np.random.default_rng(0))
     assert len(run.mutant_ids) == 10
     assert len(run.operator_ids) == 6  # RMS executes every operator
 
 
 def test_rms_pays_all_generation_costs(bench_cache):
     spec = BaselineSpec(kind="RMS", percentage=10)
-    run = run_baseline(spec, bench_cache, np.random.default_rng(1))
+    run = execute(spec.strategy(), bench_cache, np.random.default_rng(1))
     generation = sum(op.generation_cost for op in bench_cache.operators)
     cost_of = {m.id: m.exec_cost for m in bench_cache.mutants}
     expected = generation + sum(cost_of[m] for m in run.mutant_ids)
@@ -81,14 +94,14 @@ def test_rms_pays_all_generation_costs(bench_cache):
 
 def test_ros_full_percentage_is_identity(bench_cache):
     spec = BaselineSpec(kind="ROS", percentage=100)
-    run = run_baseline(spec, bench_cache, np.random.default_rng(0))
+    run = execute(spec.strategy(), bench_cache, np.random.default_rng(0))
     assert run.mutant_ids == tuple(m.id for m in bench_cache.mutants)
     assert run.strategy_cost == pytest.approx(bench_cache.total_cost, rel=1e-12)
 
 
 def test_ros_keeps_whole_operators(bench_cache):
     spec = BaselineSpec(kind="ROS", percentage=50)
-    run = run_baseline(spec, bench_cache, np.random.default_rng(5))
+    run = execute(spec.strategy(), bench_cache, np.random.default_rng(5))
     assert len(run.operator_ids) == 3  # (50 * 6 + 50) // 100
     owner = {m.id: m.operator_id for m in bench_cache.mutants}
     expected = {m.id for m in bench_cache.mutants
@@ -99,25 +112,29 @@ def test_ros_keeps_whole_operators(bench_cache):
 def test_sm_excludes_highest_yield_with_id_tie_break():
     cache = yields_cache()
     spec = BaselineSpec(kind="SM", exclusions=2)
-    run = run_baseline(spec, cache, np.random.default_rng(0))
+    run = execute(spec.strategy(), cache, np.random.default_rng(0))
     # A and C tie at 5; both outrank B, so both go.
     assert run.operator_ids == ("B",)
     assert len(run.mutant_ids) == 3
     assert all(m.startswith("B") for m in run.mutant_ids)
+    # Excluding one of the tied pair drops the lower id.
+    run = execute(BaselineSpec(kind="SM", exclusions=1).strategy(), cache,
+                  np.random.default_rng(0))
+    assert run.operator_ids == ("B", "C")
 
 
 def test_sm_is_deterministic_whatever_the_seed():
     cache = yields_cache()
     spec = BaselineSpec(kind="SM", exclusions=1)
-    runs = [run_baseline(spec, cache, np.random.default_rng(seed))
+    runs = [execute(spec.strategy(), cache, np.random.default_rng(seed))
             for seed in range(5)]
     assert all(r == runs[0] for r in runs)
 
 
 def test_sm_can_exclude_everything():
     cache = yields_cache()
-    run = run_baseline(BaselineSpec(kind="SM", exclusions=99), cache,
-                       np.random.default_rng(0))
+    run = execute(BaselineSpec(kind="SM", exclusions=99).strategy(), cache,
+                  np.random.default_rng(0))
     assert run.operator_ids == ()
     assert run.mutant_ids == ()
     assert run.strategy_cost == 0.0
@@ -182,14 +199,15 @@ def test_rms_fronts_vary_but_counts_hold(bench_cache):
 def test_evaluate_baseline_matches_external_aggregation(bench_cache):
     spec = BaselineSpec(kind="RMS", percentage=40)
     seed = 777
-    time, score = evaluate_baseline(spec, bench_cache, 5,
-                                    np.random.default_rng(seed))
+    pair = evaluate(spec.strategy(), bench_cache, 5,
+                    rng=np.random.default_rng(seed))
+    time, score = pair.time, pair.score
 
     substreams = np.random.default_rng(seed).spawn(5)
     costs = []
     kills = 0
     for sub in substreams:
-        run = run_baseline(spec, bench_cache, sub)
+        run = execute(spec.strategy(), bench_cache, sub)
         costs.append(run.strategy_cost)
         kills += select_tests(run.mutant_ids, bench_cache).killed_mutants
     killable = sum(1 for m in bench_cache.mutants if m.killers)
@@ -206,11 +224,36 @@ def test_rms_means_are_monotone_in_percentage(bench_cache):
         spec = BaselineSpec(kind="RMS", percentage=p)
         times, scores = [], []
         for seed in range(30):
-            t, s = evaluate_baseline(spec, bench_cache, 3,
-                                     np.random.default_rng(seed))
-            times.append(t)
-            scores.append(s)
+            pair = evaluate(spec.strategy(), bench_cache, 3,
+                            rng=np.random.default_rng(seed))
+            times.append(pair.time)
+            scores.append(pair.score)
         mean_time.append(np.mean(times))
         mean_score.append(np.mean(scores))
     assert all(a <= b + 1e-12 for a, b in zip(mean_time, mean_time[1:]))
     assert all(a <= b + 1e-9 for a, b in zip(mean_score, mean_score[1:]))
+
+
+# ===== byte identity =====
+
+# SHA-256 of front_csv_text(baseline_front(kind, bench_cache, seed)),
+# recorded when baselines still had their own evaluator. Running them as
+# strategies on the VM must not change a byte.
+PINNED_FRONT_DIGESTS = {
+    ("RMS", 1): "93751efe8583b8f727343be4e5ecb064545279f8df20455c3764e9e3c2a0e2f0",
+    ("RMS", 2): "b8f5e56c54b95747d4722e5c3c3535eda3c21b5ab3624b76af71115c3d545fd9",
+    ("RMS", 3): "4111a427eb952347d30b0c735a43e77bdb4251b57c3eef1645f817776269cdf1",
+    ("ROS", 1): "36673f0640436089199cd163c15392843190760de30a7933c7cfa627cf30f026",
+    ("ROS", 2): "03f46612ccefed745d08a9d221d0d95b209d9ca49808d4601d788d851cca76c5",
+    ("ROS", 3): "3b35222d4c9d6196cad92a3584e1f3ff7a2351ba67d001ce18002558b8487e60",
+    ("SM", 1): "1df432f7792eb86588f8d06149492c6f69954e87c23ca49da76252dcaf20e1e0",
+    ("SM", 2): "d0507eefac938d0c30f41d1cdf1ac112961b33970c474e68b3febe3f167b6443",
+    ("SM", 3): "e0e63173e9815a252e5e8e0045ec81d1dbf8d87fecd360fcf0a489b6faa3caaf",
+}
+
+
+@pytest.mark.parametrize("kind,seed", sorted(PINNED_FRONT_DIGESTS))
+def test_front_bytes_match_pinned_digest(bench_cache, kind, seed):
+    text = front_csv_text(baseline_front(kind, bench_cache, seed))
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == PINNED_FRONT_DIGESTS[(kind, seed)]

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from mutreduce.cache import dumps_cache, load_cache, synth_cache
@@ -234,6 +239,20 @@ def test_baselines_kind_subset_and_validation(cache_file, tmp_path):
                  "--out", str(tmp_path / "bad")]) == 2
 
 
+@pytest.mark.parametrize("repetitions", ["0", "-1"])
+def test_bad_repetitions_is_a_usage_error(cache_file, tmp_path, repetitions):
+    assert main(["baselines", "--cache", str(cache_file), "--kinds", "SM",
+                 "--repetitions", repetitions,
+                 "--out", str(tmp_path / "bad")]) == 2
+    assert not (tmp_path / "bad").exists()
+    out_dir = tmp_path / "base"
+    assert main(["baselines", "--cache", str(cache_file), "--kinds", "SM",
+                 "--repetitions", "1", "--out", str(out_dir)]) == 0
+    assert main(["evaluate", "--front", str(out_dir / "sm" / "front_1.csv"),
+                 "--cache", str(cache_file), "--repetitions", repetitions,
+                 "--out", str(tmp_path / "replay.csv")]) == 2
+
+
 # ===== evaluate =====
 
 def test_evaluate_replays_train_front_exactly(cache_file, tmp_path):
@@ -352,3 +371,15 @@ def test_internal_errors_exit_three(monkeypatch, tmp_path):
     monkeypatch.setattr(cli_mod, "synth_cache", boom)
     assert main(["cache", "synth", "--operators", "2", "--mutants", "5",
                  "--tests", "2", "--out", str(tmp_path / "c.json")]) == 3
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """scipy.stats takes about a second to import and only report needs it."""
+    import mutreduce
+
+    package_root = str(Path(mutreduce.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": package_root}
+    probe = "import sys, mutreduce.cli; print('scipy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"

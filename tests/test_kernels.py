@@ -93,3 +93,44 @@ def test_index_is_freed_with_its_cache():
     del cache, index
     gc.collect()
     assert cache_ref() is None
+
+
+def per_mutant_index(cache):
+    """The index arrays built one mutant at a time, straight from the contract."""
+    op_ids = sorted(op.id for op in cache.operators)
+    test_ids = [t.id for t in sorted(cache.tests, key=lambda t: t.priority_rank)]
+    mutants = sorted(cache.mutants, key=lambda m: m.id)
+    test_index = {t: i for i, t in enumerate(test_ids)}
+    arrays = {"killer_indptr": [0], "killer_tests": [], "first_killer": [],
+              "killable_starts": [], "op_indptr": [0], "op_mutants": [],
+              "mutant_operator": [op_ids.index(m.operator_id) for m in mutants]}
+    for m in mutants:
+        row = sorted(test_index[k] for k in m.killers)
+        if row:
+            arrays["killable_starts"].append(len(arrays["killer_tests"]))
+        arrays["first_killer"].append(row[0] if row else len(test_ids))
+        arrays["killer_tests"].extend(row)
+        arrays["killer_indptr"].append(len(arrays["killer_tests"]))
+    for op in op_ids:
+        arrays["op_mutants"].extend(
+            i for i, m in enumerate(mutants) if m.operator_id == op)
+        arrays["op_indptr"].append(len(arrays["op_mutants"]))
+    return arrays
+
+
+def test_index_matches_per_mutant_build():
+    base = synth_cache(6, 300, 40, seed=29, kill_density=0.3, redundancy=0.5)
+    n_tests = len(base.tests)
+    # Reversed priorities (killer lists now run against them) and records
+    # out of id order, so every sort in build_index has work to do.
+    scrambled = MutationCache(
+        operators=base.operators[::-1],
+        tests=tuple(replace(t, priority_rank=n_tests - 1 - t.priority_rank)
+                    for t in base.tests),
+        mutants=base.mutants[::-1])
+    for cache in (base, scrambled, without_killers(synth_cache(3, 50, 10, seed=3))):
+        index = build_index(cache)
+        for name, expected in per_mutant_index(cache).items():
+            assert getattr(index, name).tolist() == expected, name
+        assert index.killer_tests.dtype == index.op_mutants.dtype == np.int32
+        assert index.killer_indptr.dtype == index.op_indptr.dtype == np.int64

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mutreduce.baselines import BaselineSpec, evaluate_baseline
+from mutreduce.baselines import BaselineSpec
 from mutreduce.genome import Chromosome
 from mutreduce.objectives import evaluate
 from mutreduce.runio import (FRONT_COLUMNS, FrontRow, atomic_write_text,
@@ -88,7 +88,8 @@ def test_reevaluate_strategy_row_replays_exactly(tiny_cache):
 
 def test_reevaluate_baseline_row_replays_exactly(tiny_cache):
     spec = BaselineSpec(kind="ROS", percentage=50)
-    expected = evaluate_baseline(spec, tiny_cache, 5, np.random.default_rng(9))
+    pair = evaluate(spec.strategy(), tiny_cache, 5, rng=np.random.default_rng(9))
+    expected = (pair.time, pair.score)
     row = FrontRow(seed=9, chromosome="", strategy_text=spec.describe(),
                    time=expected[0], score=expected[1])
     assert reevaluate_row(row, tiny_cache) == expected

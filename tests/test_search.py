@@ -4,7 +4,8 @@ import pytest
 from mutreduce.cache import synth_cache
 from mutreduce.genome import random_chromosome
 from mutreduce.objectives import ObjectivePair, evaluate
-from mutreduce.search import (SearchConfig, crowding_distance, dominates,
+from mutreduce.pareto import dominates
+from mutreduce.search import (SearchConfig, crowding_distance,
                               fast_nondominated_sort, run_evolution,
                               run_random_search)
 from mutreduce.strategy import strategy_from_chromosome

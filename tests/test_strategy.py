@@ -4,7 +4,9 @@ import pytest
 from mutreduce.cache import (MutantRecord, MutationCache, OperatorRecord,
                              TestRecord)
 from mutreduce.genome import Chromosome, random_chromosome
-from mutreduce.strategy import (DiscardMutants, DiscardOperators,
+from mutreduce.grammar import DEFAULT_GRAMMAR_TEXT
+from mutreduce.strategy import (DiscardHighestYield, DiscardMutants,
+                                DiscardOperators,
                                 ExecuteOperators, GroupPipeline,
                                 OrderGroupsBySize, RetainMutants,
                                 RetainOperators, Selection, Strategy,
@@ -237,6 +239,28 @@ def test_discard_then_retain_shrinks_both_pools():
         1 for m in cache.mutants if m.operator_id in run.operator_ids)
     assert len(run.mutant_ids) == total_from_executed - (
         total_from_executed * 50 + 50) // 100
+
+
+def test_discard_highest_yield_drops_largest_without_drawing():
+    cache = five_operator_cache()
+    sizes = {"opA": 30, "opB": 20, "opC": 12, "opD": 8, "opE": 5}
+    text = ("Retain Operators random 80% → Discard Operators highest-yield 2 → "
+            "Execute Operators 100%")
+    strategy = parse_strategy(text)
+    assert strategy.nodes[1] == DiscardHighestYield(2)
+    assert render(strategy) == text
+    assert "highest-yield" not in DEFAULT_GRAMMAR_TEXT
+    for seed in range(6):
+        retained = execute(Strategy((RetainOperators(pct(80)),
+                                     ExecuteOperators(pct(100)))),
+                           cache, np.random.default_rng(seed)).operator_ids
+        expected = sorted(sorted(retained, key=lambda op: -sizes[op])[2:])
+        rng = np.random.default_rng(seed)
+        assert execute(strategy, cache, rng).operator_ids == tuple(expected)
+        # Only the Retain step drew: the stream continues where it would.
+        after_retain = np.random.default_rng(seed)
+        execute(Strategy(strategy.nodes[:1]), cache, after_retain)
+        assert rng.random() == after_retain.random()
 
 
 def test_six_step_showcase_matches_hand_simulation():
