@@ -30,8 +30,8 @@ import click
 from . import __version__, runio
 from .analysis import INDICATORS, StatReport, compare_experiment
 from .baselines import BASELINE_KINDS, baseline_front
-from .cache import (dumps_cache, global_score, load_cache, operator_yields,
-                    read_kill_matrix_csv, synth_cache)
+from .cache import (MutationCache, dumps_cache, global_score, load_cache,
+                    operator_yields, read_kill_matrix_csv, synth_cache)
 from .grammar import DEFAULT_GRAMMAR_TEXT, parse_grammar
 from .search import SearchConfig, run_evolution, run_random_search
 
@@ -151,15 +151,18 @@ def cache_convert(matrix_path: Path, out_path: Path) -> None:
 
 # ===== train =====
 
-def _train_task(task: tuple) -> tuple[int, str, str]:
+def _train_task(task: tuple, data: MutationCache | None = None) -> tuple[int, str, str]:
     """One training run; returns (seed, front csv text, run log csv text).
 
-    Module-level and fed plain data so it can cross a process boundary.
-    The texts are rendered here so parallel and sequential runs go
-    through the identical serialization path.
+    Module-level and fed plain data so it can cross a process boundary;
+    a worker loads the cache from the task's path, the sequential path
+    passes the cache it already loaded. The texts are rendered here so
+    parallel and sequential runs go through the identical serialization
+    path.
     """
     algorithm, config_values, grammar_text, cache_path = task
-    data = load_cache(cache_path)
+    if data is None:
+        data = load_cache(cache_path)
     grammar = parse_grammar(grammar_text)
     config = SearchConfig.from_dict(config_values)
     driver = run_evolution if algorithm == "ge" else run_random_search
@@ -169,13 +172,13 @@ def _train_task(task: tuple) -> tuple[int, str, str]:
 
 
 def _run_training(algorithm: str, config_values: dict, grammar_text: str,
-                  cache_file: Path, seeds: list[int], jobs: int,
-                  out_dir: Path) -> dict[str, str]:
+                  cache_file: Path, data: MutationCache, seeds: list[int],
+                  jobs: int, out_dir: Path) -> dict[str, str]:
     out_dir.mkdir(parents=True, exist_ok=True)
     tasks = [(algorithm, {**config_values, "seed": s}, grammar_text, str(cache_file))
              for s in seeds]
     if jobs == 1 or len(tasks) == 1:
-        results = [_train_task(task) for task in tasks]
+        results = [_train_task(task, data) for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             results = list(pool.map(_train_task, tasks))
@@ -292,14 +295,15 @@ def train(cache_path: Path | None, algorithm: str | None,
             {**file_values, "seed": seeds[0]}).as_dict()
         del config_values["seed"]
 
-    # Validate everything once up front; workers revalidate cheaply.
+    # Validate everything once up front; workers revalidate cheaply, and
+    # the sequential path trains on the cache loaded here.
     parse_grammar(grammar_text)
     SearchConfig.from_dict({**config_values, "seed": seeds[0]})
-    load_cache(cache_file)
+    data = load_cache(cache_file)
     cache_sha = runio.sha256_file(cache_file)
 
     outputs = _run_training(algorithm, config_values, grammar_text,
-                            cache_file, seeds, jobs, out_dir)
+                            cache_file, data, seeds, jobs, out_dir)
     runio.write_manifest(out_dir / "manifest.json", {
         "tool": "mutreduce",
         "version": __version__,

@@ -43,7 +43,6 @@ class CacheIndex:
     first_killer: np.ndarray
     killable_starts: np.ndarray
     op_indptr: np.ndarray
-    op_mutants: np.ndarray
     op_index: dict[str, int] = field(repr=False)
     test_index: dict[str, int] = field(repr=False)
     mutant_index: dict[str, int] = field(repr=False)
@@ -70,10 +69,9 @@ class CacheIndex:
 
     def mutants_of_operators(self, ops: np.ndarray) -> np.ndarray:
         """Sorted mutant indices generated by the given operator indices."""
-        if ops.size == 0:
-            return np.empty(0, dtype=np.int32)
-        parts = [self.op_mutants[self.op_indptr[o]:self.op_indptr[o + 1]] for o in ops]
-        return np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.int32)
+        chosen = np.zeros(self.n_operators, dtype=bool)
+        chosen[ops] = True
+        return chosen.take(self.mutant_operator).nonzero()[0].astype(np.int32)
 
 
 def build_index(cache: MutationCache) -> CacheIndex:
@@ -114,12 +112,11 @@ def build_index(cache: MutationCache) -> CacheIndex:
     first_killer = np.full(n_m, len(tests), dtype=np.int32)
     first_killer[killable] = killer_tests[killable_starts]
 
-    # Mutants per operator, ascending mutant index within each operator.
+    # Each mutant's operator, and the mutant count per operator as offsets.
     mutant_operator = np.fromiter(
         (op_index[m.operator_id] for m in mutants), dtype=np.int32, count=n_m)
     op_indptr = np.zeros(len(ops) + 1, dtype=np.int64)
     np.cumsum(np.bincount(mutant_operator, minlength=len(ops)), out=op_indptr[1:])
-    op_mutants = np.argsort(mutant_operator, kind="stable").astype(np.int32)
 
     index = CacheIndex(
         cache=cache,
@@ -134,7 +131,6 @@ def build_index(cache: MutationCache) -> CacheIndex:
         first_killer=first_killer,
         killable_starts=killable_starts,
         op_indptr=op_indptr,
-        op_mutants=op_mutants,
         op_index=op_index,
         test_index=test_index,
         mutant_index=mutant_index,

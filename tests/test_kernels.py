@@ -102,7 +102,7 @@ def per_mutant_index(cache):
     mutants = sorted(cache.mutants, key=lambda m: m.id)
     test_index = {t: i for i, t in enumerate(test_ids)}
     arrays = {"killer_indptr": [0], "killer_tests": [], "first_killer": [],
-              "killable_starts": [], "op_indptr": [0], "op_mutants": [],
+              "killable_starts": [], "op_indptr": [0],
               "mutant_operator": [op_ids.index(m.operator_id) for m in mutants]}
     for m in mutants:
         row = sorted(test_index[k] for k in m.killers)
@@ -112,9 +112,8 @@ def per_mutant_index(cache):
         arrays["killer_tests"].extend(row)
         arrays["killer_indptr"].append(len(arrays["killer_tests"]))
     for op in op_ids:
-        arrays["op_mutants"].extend(
-            i for i, m in enumerate(mutants) if m.operator_id == op)
-        arrays["op_indptr"].append(len(arrays["op_mutants"]))
+        count = sum(1 for m in mutants if m.operator_id == op)
+        arrays["op_indptr"].append(arrays["op_indptr"][-1] + count)
     return arrays
 
 
@@ -132,5 +131,5 @@ def test_index_matches_per_mutant_build():
         index = build_index(cache)
         for name, expected in per_mutant_index(cache).items():
             assert getattr(index, name).tolist() == expected, name
-        assert index.killer_tests.dtype == index.op_mutants.dtype == np.int32
+        assert index.killer_tests.dtype == index.mutant_operator.dtype == np.int32
         assert index.killer_indptr.dtype == index.op_indptr.dtype == np.int64

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from mutreduce.cache import synth_cache
 from mutreduce.genome import random_chromosome
 from mutreduce.objectives import ObjectivePair, evaluate
 from mutreduce.pareto import dominates
+from mutreduce.runio import front_csv_text, runlog_csv_text
 from mutreduce.search import (SearchConfig, crowding_distance,
                               fast_nondominated_sort, run_evolution,
                               run_random_search)
@@ -273,3 +276,32 @@ def test_search_results_carry_strategy_text(search_cache, grammar):
         assert member.text
         assert render(parse_strategy(member.text)) == member.text
         assert render(member.strategy) == member.text
+
+
+# ===== byte identity =====
+
+# SHA-256 of front_csv_text(result.front) + runlog_csv_text(result.generations)
+# on the README cache at population 20 and 400 evaluations, recorded before
+# the strategy VM moved to position masks. Any change to the sequence of
+# random draws, to pool contents or to costs changes these bytes.
+PINNED_TRAINING_DIGESTS = {
+    ("ge", 1): "27f4568b591469bf5def34bd6fc7486b92e3135dd8f13b8fe859bc4e862efe70",
+    ("ge", 2): "fe845a5e51505bafb568b8fa07a775f96a44dae664b2ac769ddcd554e6a356ac",
+    ("random", 1): "d6acd07f5ca3b0e351d0738e55ac89dcd3d5dd9175641537c8d7a3a92a7767b4",
+    ("random", 2): "21c3c60cbcad42a9d00159cb9463131e0fbc3c2ca9e2424b40f8e350d060144a",
+}
+
+
+@pytest.fixture(scope="module")
+def readme_cache():
+    return synth_cache(8, 600, 120, seed=101, kill_density=0.9)
+
+
+@pytest.mark.parametrize("algorithm,seed", sorted(PINNED_TRAINING_DIGESTS))
+def test_training_bytes_match_pinned_digest(readme_cache, grammar, algorithm, seed):
+    driver = run_evolution if algorithm == "ge" else run_random_search
+    config = SearchConfig(seed=seed, population_size=20, max_evaluations=400)
+    result = driver(config, grammar, readme_cache)
+    text = front_csv_text(result.front) + runlog_csv_text(result.generations)
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == PINNED_TRAINING_DIGESTS[(algorithm, seed)]

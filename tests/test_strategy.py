@@ -2,16 +2,17 @@ import numpy as np
 import pytest
 
 from mutreduce.cache import (MutantRecord, MutationCache, OperatorRecord,
-                             TestRecord)
+                             TestRecord, synth_cache)
 from mutreduce.genome import Chromosome, random_chromosome
 from mutreduce.grammar import DEFAULT_GRAMMAR_TEXT
+from mutreduce.index import build_index
 from mutreduce.strategy import (DiscardHighestYield, DiscardMutants,
                                 DiscardOperators,
                                 ExecuteOperators, GroupPipeline,
                                 OrderGroupsBySize, RetainMutants,
                                 RetainOperators, Selection, Strategy,
                                 StrategyParseError, TakeGroups, execute,
-                                parse_strategy, render,
+                                execute_indexed, parse_strategy, render,
                                 strategy_from_chromosome,
                                 strategy_from_tokens)
 
@@ -401,3 +402,210 @@ def test_cost_never_exceeds_total(grammar):
         for mid in run.mutant_ids:
             owner = next(m.operator_id for m in cache.mutants if m.id == mid)
             assert owner in executed_ops
+
+
+# ===== oracle: the set-difference VM the mask VM replaced =====
+# A copy of the earlier interpreter, which drew from the pool's values
+# (rng.choice(pool, k)), sorted every draw and took set differences with
+# np.isin; only its per-operator mutant slices are now recomputed from
+# mutant_operator. The mask VM must agree with it on every output and
+# leave the generator in the same state.
+
+def _ref_pick(pool, k, rng):
+    if k <= 0:
+        return pool[:0]
+    if k >= pool.size:
+        return pool
+    return np.sort(rng.choice(pool, size=k, replace=False))
+
+
+def _ref_setdiff(pool, removed):
+    if removed.size == 0 or pool.size == 0:
+        return pool
+    keep = ~np.isin(pool, removed, assume_unique=True)
+    return pool[keep]
+
+
+def _ref_run_group_pipeline(pipeline, mutant_pool, index, rng):
+    if mutant_pool.size == 0:
+        return mutant_pool
+    owners = index.mutant_operator[mutant_pool]
+    order = np.argsort(owners, kind="stable")
+    grouped = mutant_pool[order]
+    _, first_positions = np.unique(owners[order], return_index=True)
+    groups = np.split(grouped, first_positions[1:])
+    for op in pipeline.operations:
+        if isinstance(op, OrderGroupsBySize):
+            key = (lambda g: -g.size) if op.descending else (lambda g: g.size)
+            groups.sort(key=key)
+        else:
+            k = min(op.count, len(groups))
+            if op.edge == "first":
+                segment, rest = groups[:k], groups[k:]
+            else:
+                rest, segment = groups[:len(groups) - k], groups[len(groups) - k:]
+            groups = segment if op.keep else rest
+    kept = [_ref_pick(g, pipeline.sample.count(g.size), rng) for g in groups]
+    kept = [g for g in kept if g.size]
+    if not kept:
+        return mutant_pool[:0]
+    return np.sort(np.concatenate(kept))
+
+
+def _ref_execute_indexed(strategy, index, rng):
+    op_pool = np.arange(index.n_operators, dtype=np.int32)
+    executed = op_pool[:0]
+    mutant_pool = np.empty(0, dtype=np.int32)
+    for node in strategy.nodes:
+        if isinstance(node, ExecuteOperators):
+            chosen = _ref_pick(op_pool, node.selection.count(op_pool.size), rng)
+            if chosen.size:
+                executed = np.sort(np.concatenate([executed, chosen]))
+                op_pool = _ref_setdiff(op_pool, chosen)
+                parts = [np.flatnonzero(index.mutant_operator == o).astype(np.int32)
+                         for o in chosen]
+                new_mutants = np.sort(np.concatenate(parts))
+                mutant_pool = (np.sort(np.concatenate([mutant_pool, new_mutants]))
+                               if mutant_pool.size else new_mutants)
+        elif isinstance(node, RetainOperators):
+            op_pool = _ref_pick(op_pool, node.selection.count(op_pool.size), rng)
+        elif isinstance(node, DiscardOperators):
+            dropped = _ref_pick(op_pool, node.selection.count(op_pool.size), rng)
+            op_pool = _ref_setdiff(op_pool, dropped)
+        elif isinstance(node, RetainMutants):
+            mutant_pool = _ref_pick(mutant_pool, node.selection.count(mutant_pool.size), rng)
+        elif isinstance(node, DiscardMutants):
+            dropped = _ref_pick(mutant_pool, node.selection.count(mutant_pool.size), rng)
+            mutant_pool = _ref_setdiff(mutant_pool, dropped)
+        elif isinstance(node, GroupPipeline):
+            mutant_pool = _ref_run_group_pipeline(node, mutant_pool, index, rng)
+        elif isinstance(node, DiscardHighestYield):
+            yields = np.diff(index.op_indptr)[op_pool]
+            dropped = op_pool[np.argsort(-yields, kind="stable")[:node.count]]
+            op_pool = _ref_setdiff(op_pool, dropped)
+        else:
+            raise TypeError(f"unknown strategy node {node!r}")
+    cost = 0.0
+    if executed.size:
+        cost += float(index.op_generation_cost[executed].sum())
+    if mutant_pool.size:
+        cost += float(index.mutant_exec_cost[mutant_pool].sum())
+    return executed, mutant_pool, cost
+
+
+def assert_matches_reference(strategy, index, seed):
+    rng = np.random.default_rng(seed)
+    ref_rng = np.random.default_rng(seed)
+    executed, pool, cost = execute_indexed(strategy, index, rng)
+    ref_executed, ref_pool, ref_cost = _ref_execute_indexed(strategy, index, ref_rng)
+    context = f"{render(strategy)!r} at seed {seed}"
+    assert executed.tolist() == ref_executed.tolist(), context
+    assert pool.dtype == ref_pool.dtype == np.int32, context
+    assert pool.tolist() == ref_pool.tolist(), context
+    assert cost == ref_cost, context
+    # Same number and sizes of draws: the streams end in the same state.
+    assert rng.bit_generator.state == ref_rng.bit_generator.state, context
+
+
+def tied_yield_cache():
+    """Operators with yields 4/4/2/2/1, ids out of order in the records."""
+    sizes = {"opE": 1, "opA": 4, "opC": 2, "opB": 4, "opD": 2}
+    operators = tuple(OperatorRecord(id=op, generation_cost=1.0 + len(op) / 10)
+                      for op in sizes)
+    tests = (TestRecord(id="t0", priority_rank=0),)
+    mutants = []
+    for op, size in sizes.items():
+        for i in range(size):
+            mutants.append(MutantRecord(id=f"{op}-m{i}", operator_id=op,
+                                        exec_cost=0.25 * (i + 1), killers=("t0",)))
+    return MutationCache(operators=operators, tests=tests, mutants=tuple(mutants))
+
+
+@pytest.fixture(scope="module")
+def oracle_caches():
+    return [build_index(five_operator_cache()),
+            build_index(synth_cache(8, 600, 120, seed=101, kill_density=0.9))]
+
+
+def test_vm_matches_reference_on_grammar_strategies(grammar, oracle_caches):
+    rng = np.random.default_rng(404)
+    checked = 0
+    while checked < 500:
+        strategy = strategy_from_chromosome(random_chromosome(rng), grammar)
+        if strategy is None:
+            continue
+        for index in oracle_caches:
+            for seed in (checked, 10_000 + checked):
+                assert_matches_reference(strategy, index, seed)
+        checked += 1
+
+
+def _random_selection(rng):
+    if rng.random() < 0.5:
+        return pct(int(rng.choice([0, 10, 35, 50, 90, 100])))
+    return qty(int(rng.integers(0, 12)) if rng.random() < 0.8 else 10_000)
+
+
+def _random_node(rng):
+    kind = int(rng.integers(0, 7))
+    if kind < 5:
+        node_type = (RetainOperators, DiscardOperators, ExecuteOperators,
+                     RetainMutants, DiscardMutants)[kind]
+        return node_type(_random_selection(rng))
+    if kind == 5:
+        return DiscardHighestYield(int(rng.integers(0, 7)))
+    operations = []
+    for _ in range(int(rng.integers(0, 4))):
+        if rng.random() < 0.4:
+            operations.append(OrderGroupsBySize(descending=bool(rng.random() < 0.5)))
+        else:
+            operations.append(TakeGroups(edge="first" if rng.random() < 0.5 else "last",
+                                         count=int(rng.integers(0, 7)),
+                                         keep=bool(rng.random() < 0.5)))
+    return GroupPipeline(operations=tuple(operations), sample=_random_selection(rng))
+
+
+def test_vm_matches_reference_on_arbitrary_node_sequences(oracle_caches):
+    """Node sequences the grammar never emits: several Execute steps (so
+    pools merge), DiscardHighestYield, 0% and over-sized selections."""
+    rng = np.random.default_rng(505)
+    indexes = oracle_caches + [build_index(tied_yield_cache())]
+    for case in range(300):
+        nodes = [_random_node(rng) for _ in range(int(rng.integers(1, 9)))]
+        for index in indexes:
+            assert_matches_reference(Strategy(tuple(nodes)), index, case)
+
+
+@pytest.mark.parametrize("text", [
+    "Execute Operators 0% → Retain Mutants random 100%",
+    "Execute Operators 100% → Retain Mutants random 0%",
+    "Execute Operators 100% → Discard Mutants random 100%",
+    "Execute Operators 100% → Discard Mutants random 0%",
+    "Retain Operators random 100% → Execute Operators 100%",
+    "Discard Operators random 0% → Execute Operators 100%",
+    "Retain Operators random 0% → Execute Operators 100%",
+    "Execute Operators 99999 → Retain Mutants random 99999",
+    "Execute Operators 99999 → Discard Mutants random 99999",
+    "Discard Operators random 99999 → Execute Operators 3",
+    "Execute Operators 100% → Group Mutants by Operator → "
+    "Retain Groups last 0 → Sample Each Group random 50%",
+    "Execute Operators 100% → Group Mutants by Operator → "
+    "Discard Groups first 0 → Sample Each Group random 99999",
+    "Execute Operators 100% → Group Mutants by Operator → "
+    "Order Groups by Size ascending → Sample Each Group random 0%",
+    "Retain Operators random 0 → Execute Operators 100% → "
+    "Group Mutants by Operator → Sample Each Group random 50%",
+    "Execute Operators 100% → Execute Operators 100% → Retain Mutants random 3",
+    "Execute Operators 2 → Discard Mutants random 50% → Execute Operators 2 → "
+    "Retain Mutants random 90%",
+    "Discard Operators highest-yield 1 → Execute Operators 100%",
+    "Discard Operators highest-yield 3 → Execute Operators 1",
+    "Discard Operators highest-yield 99 → Execute Operators 100%",
+    "Retain Operators random 3 → Discard Operators highest-yield 1 → "
+    "Execute Operators 100%",
+])
+def test_vm_matches_reference_on_edge_cases(oracle_caches, text):
+    strategy = parse_strategy(text)
+    for index in oracle_caches + [build_index(tied_yield_cache())]:
+        for seed in range(4):
+            assert_matches_reference(strategy, index, seed)
