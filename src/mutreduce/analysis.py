@@ -13,6 +13,7 @@ Vargha-Delaney A12 effect sizes.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -121,15 +122,49 @@ def igd(front: Iterable[Point], reference: Iterable[Point]) -> float:
 
 # ===== Non-parametric statistics =====
 
+def _average_ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """1-based ranks with ties sharing the mean of their positions, and the
+    size of every run of tied values (in ascending value order)."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    counts = np.diff(np.append(starts, values.size))
+    # Positions start+1 .. start+count average to start + (count + 1) / 2.
+    ranks = np.empty(values.size, dtype=np.float64)
+    ranks[order] = np.repeat(starts + (counts + 1) / 2.0, counts)
+    return ranks, counts
+
+
+def _chi2_sf(x: float, df: int) -> float:
+    """Upper tail P(X > x) of the chi-squared distribution, integer df >= 1.
+
+    This is the regularized upper incomplete gamma Q(df/2, y), y = x/2,
+    in closed form: exp(-y) * sum_{i < df/2} y^i / i! for even df, and
+    erfc(sqrt(y)) plus the same series over half-integer powers for odd
+    df. Every term is positive, so nothing cancels.
+    """
+    if x <= 0:
+        return 1.0
+    y = x / 2.0
+    if df % 2:
+        tail, term, offset = math.erfc(math.sqrt(y)), 2.0 * math.sqrt(y / math.pi), 1.5
+    else:
+        tail, term, offset = 0.0, 1.0, 1.0
+    series = 0.0
+    for i in range(df // 2):
+        series += term
+        term *= y / (i + offset)
+    # exp(-y) applied in halves, so no factor underflows before the tail does.
+    half = math.exp(-y / 2.0)
+    return tail + half * series * half
+
+
 def kruskal_wallis(groups: Sequence[Sequence[float]]) -> tuple[float, float]:
     """Kruskal-Wallis H (tie-corrected) and its chi-squared p-value.
 
-    All observations identical is a defined boundary: H = 0, p = 1.
+    All observations identical is a defined boundary: H = 0, p = 1. Any
+    NaN observation gives (nan, nan).
     """
-    # Imported here: scipy.stats costs about a second to import, and only
-    # report needs it.
-    from scipy.stats import chi2, rankdata
-
     if len(groups) < 2:
         raise ValueError("need at least two groups")
     sizes = [len(g) for g in groups]
@@ -137,9 +172,11 @@ def kruskal_wallis(groups: Sequence[Sequence[float]]) -> tuple[float, float]:
         raise ValueError("groups must be non-empty")
     pooled = np.concatenate([np.asarray(g, dtype=np.float64) for g in groups])
     n = pooled.size
-    if np.all(pooled == pooled[0]):
+    if np.isnan(pooled).any():
+        return math.nan, math.nan
+    ranks, counts = _average_ranks(pooled)
+    if counts.size == 1:
         return 0.0, 1.0
-    ranks = rankdata(pooled)
     h = 0.0
     start = 0
     for size in sizes:
@@ -147,12 +184,10 @@ def kruskal_wallis(groups: Sequence[Sequence[float]]) -> tuple[float, float]:
         h += rank_sum * rank_sum / size
         start += size
     h = 12.0 / (n * (n + 1)) * h - 3.0 * (n + 1)
-    _, counts = np.unique(pooled, return_counts=True)
     tie_term = float((counts.astype(np.float64) ** 3 - counts).sum())
     correction = 1.0 - tie_term / (n ** 3 - n)
     h /= correction
-    p = float(chi2.sf(h, len(groups) - 1))
-    return float(h), p
+    return float(h), _chi2_sf(h, len(groups) - 1)
 
 
 def kruskal_wallis_permutation(groups: Sequence[Sequence[float]]) -> float:

@@ -17,8 +17,10 @@ saves are byte-identical.
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -207,8 +209,30 @@ def _require(condition: bool, message: str) -> None:
         raise CacheError(message)
 
 
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector, restoring its previous state.
+
+    Parsing allocates several objects per mutant, none of them in a cycle,
+    yet the collector would run hundreds of passes over the growing record
+    graph: on a 100k-mutant cache they take about half the load time.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def loads_cache(text: str) -> MutationCache:
     """Parse and validate the JSON cache format."""
+    with _collector_paused():
+        return _parse_cache(text)
+
+
+def _parse_cache(text: str) -> MutationCache:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -20,12 +20,14 @@ from __future__ import annotations
 import csv
 import io
 import os
+import platform
 from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Sequence
 
 import click
+import numpy as np
 
 from . import __version__, runio
 from .analysis import INDICATORS, StatReport, compare_experiment
@@ -81,6 +83,11 @@ def _resolve_jobs(jobs: int | None) -> int:
 
 def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
+
+
+def _versions() -> dict[str, str]:
+    """Manifest provenance: byte-identity rests on numpy's Generator streams."""
+    return {"python": platform.python_version(), "numpy": np.__version__}
 
 
 # ===== cache =====
@@ -258,6 +265,11 @@ def train(cache_path: Path | None, algorithm: str | None,
             seeds = [int(s) for s in manifest["seeds"]]
         except KeyError as exc:
             raise ValueError(f"manifest {manifest_path} is missing key {exc}")
+        recorded_numpy = manifest.get("numpy")
+        if recorded_numpy is not None and recorded_numpy != np.__version__:
+            click.echo(f"warning: {manifest_path} was recorded with numpy "
+                       f"{recorded_numpy}, running numpy {np.__version__}; "
+                       f"outputs may not be byte-identical", err=True)
         cache_file = Path(recorded_cache)
         if not cache_file.is_absolute():
             cache_file = manifest_path.parent / cache_file
@@ -308,6 +320,7 @@ def train(cache_path: Path | None, algorithm: str | None,
         "tool": "mutreduce",
         "version": __version__,
         "created_utc": _utc_now(),
+        **_versions(),
         "command": "train",
         "algorithm": algorithm,
         "config": config_values,
@@ -367,6 +380,7 @@ def baselines_command(cache_path: Path, kinds: str, seed: int, runs: int,
         "tool": "mutreduce",
         "version": __version__,
         "created_utc": _utc_now(),
+        **_versions(),
         "command": "baselines",
         "kinds": kind_list,
         "repetitions": repetitions,

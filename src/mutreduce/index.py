@@ -17,7 +17,9 @@ row). The index and the kernel's temporaries grow with the mutants and the
 kill nonzeros: memory is O(mutants + nnz), never O(tests x mutants).
 
 The index is built once per cache and cached on the (immutable) cache
-object, so it lives exactly as long as the cache does.
+object, so it lives exactly as long as the cache does. It keeps no
+reference back to the cache, so dropping the last reference to the cache
+frees both at once, without waiting for a cyclic collection.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .cache import MutationCache
 
 @dataclass(frozen=True, eq=False)
 class CacheIndex:
-    cache: MutationCache
     op_ids: tuple[str, ...]
     test_ids: tuple[str, ...]
     mutant_ids: tuple[str, ...]
@@ -43,6 +44,8 @@ class CacheIndex:
     first_killer: np.ndarray
     killable_starts: np.ndarray
     op_indptr: np.ndarray
+    total_cost: float
+    killable_count: int
     op_index: dict[str, int] = field(repr=False)
     test_index: dict[str, int] = field(repr=False)
     mutant_index: dict[str, int] = field(repr=False)
@@ -58,14 +61,6 @@ class CacheIndex:
     @property
     def n_mutants(self) -> int:
         return len(self.mutant_ids)
-
-    @property
-    def total_cost(self) -> float:
-        return self.cache.total_cost
-
-    @property
-    def killable_count(self) -> int:
-        return self.cache.killable_count
 
     def mutants_of_operators(self, ops: np.ndarray) -> np.ndarray:
         """Sorted mutant indices generated by the given operator indices."""
@@ -119,7 +114,6 @@ def build_index(cache: MutationCache) -> CacheIndex:
     np.cumsum(np.bincount(mutant_operator, minlength=len(ops)), out=op_indptr[1:])
 
     index = CacheIndex(
-        cache=cache,
         op_ids=op_ids,
         test_ids=test_ids,
         mutant_ids=mutant_ids,
@@ -131,6 +125,8 @@ def build_index(cache: MutationCache) -> CacheIndex:
         first_killer=first_killer,
         killable_starts=killable_starts,
         op_indptr=op_indptr,
+        total_cost=cache.total_cost,
+        killable_count=cache.killable_count,
         op_index=op_index,
         test_index=test_index,
         mutant_index=mutant_index,

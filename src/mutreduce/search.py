@@ -224,9 +224,12 @@ def _assign_fronts(individuals: list[_Individual]) -> list[np.ndarray]:
             by_pair.setdefault(pair, []).append(position)
         keeps_distance = set()
         for positions in by_pair.values():
-            first = min(positions, key=lambda p: (
-                individuals[front[p]].chromosome.serialize(),
-                individuals[front[p]].eval_seed))
+            # Only a duplicated pair needs the (serialized) tie-break key.
+            first = positions[0]
+            if len(positions) > 1:
+                first = min(positions, key=lambda p: (
+                    individuals[front[p]].chromosome.serialize(),
+                    individuals[front[p]].eval_seed))
             keeps_distance.add(first)
         for position, member in enumerate(front):
             individuals[member].rank = rank

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from mutreduce.analysis import (A12_THRESHOLDS, Normalizer, a12,
-                                compare_experiment, hypervolume, igd,
+from mutreduce.analysis import (A12_THRESHOLDS, Normalizer, _average_ranks,
+                                _chi2_sf, a12, compare_experiment,
+                                hypervolume, igd,
                                 kruskal_wallis, kruskal_wallis_permutation,
                                 reference_front)
 from mutreduce.objectives import ObjectivePair
@@ -190,6 +191,12 @@ def test_kruskal_wallis_identical_observations():
     assert kruskal_wallis(([3, 3], [3, 3, 3])) == (0.0, 1.0)
 
 
+def test_kruskal_wallis_propagates_nan():
+    # As scipy.stats.kruskal does by default: a NaN has no rank.
+    h, p = kruskal_wallis(([math.nan, 1.0], [2.0, 3.0]))
+    assert math.isnan(h) and math.isnan(p)
+
+
 def test_kruskal_wallis_matches_scipy():
     rng = np.random.default_rng(8)
     for _ in range(30):
@@ -202,6 +209,27 @@ def test_kruskal_wallis_matches_scipy():
         expected = scipy.stats.kruskal(*groups)
         assert h == pytest.approx(expected.statistic, abs=1e-10)
         assert p == pytest.approx(expected.pvalue, abs=1e-10)
+
+
+def test_average_ranks_match_scipy_rankdata():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        size = int(rng.integers(1, 80))
+        values = rng.integers(0, int(rng.integers(1, 12)), size=size) / 4.0
+        ranks, counts = _average_ranks(values)
+        np.testing.assert_array_equal(ranks, scipy.stats.rankdata(values))
+        np.testing.assert_array_equal(counts, np.unique(values, return_counts=True)[1])
+
+
+@pytest.mark.parametrize("df", range(1, 13))
+def test_chi2_sf_matches_scipy(df):
+    xs = np.concatenate(([0.0, 1e-300, 1e-12, 1e-6], np.linspace(0.0, 400.0, 4001)))
+    expected = scipy.stats.chi2.sf(xs, df)
+    for x, want in zip(xs.tolist(), expected.tolist()):
+        got = _chi2_sf(x, df)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert f"{got:.4g}" == f"{want:.4g}"
+    assert _chi2_sf(-3.0, df) == 1.0
 
 
 def test_kruskal_wallis_input_validation():

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import pytest
@@ -128,6 +129,31 @@ def test_loads_rejects_garbage():
         loads_cache('{"operators": [], "tests": []}')
     with pytest.raises(CacheError, match="malformed record"):
         loads_cache('{"operators": [{"id": "a"}], "tests": [], "mutants": []}')
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_loads_pauses_and_restores_the_collector(tiny_cache, monkeypatch, enabled):
+    import mutreduce.cache as cache_mod
+
+    seen = []
+
+    def recording_cache(**parts):
+        seen.append(gc.isenabled())
+        return MutationCache(**parts)
+
+    monkeypatch.setattr(cache_mod, "MutationCache", recording_cache)
+    was_enabled = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert loads_cache(dumps_cache(tiny_cache)) == tiny_cache
+        assert seen == [False]
+        assert gc.isenabled() is enabled
+        for bad in ("{", '{"operators": [], "tests": [], "mutants": [{}]}'):
+            with pytest.raises(CacheError):
+                loads_cache(bad)
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 # ===== global_score =====

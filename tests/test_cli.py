@@ -1,8 +1,12 @@
+import hashlib
+import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mutreduce.cache import dumps_cache, load_cache, synth_cache
@@ -156,6 +160,44 @@ def test_train_manifest_rerun_is_byte_identical(cache_file, tmp_path):
     second = tmp_path / "second"
     assert main(["train", "--manifest", str(first / "manifest.json"),
                  "--out", str(second)]) == 0
+    for name in ("front_7.csv", "front_8.csv", "runlog_7.csv", "runlog_8.csv"):
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def test_manifests_record_python_and_numpy(cache_file, tmp_path):
+    assert main(train_args(cache_file, tmp_path / "t")) == 0
+    assert main(["baselines", "--cache", str(cache_file),
+                 "--out", str(tmp_path / "b")]) == 0
+    for out_dir in ("t", "b"):
+        manifest = read_manifest(tmp_path / out_dir / "manifest.json")
+        assert manifest["python"] == platform.python_version()
+        assert manifest["numpy"] == np.__version__
+
+
+@pytest.mark.parametrize("recorded", ["0.0.0", None])
+def test_train_manifest_warns_on_numpy_mismatch(cache_file, tmp_path, capsys,
+                                                recorded):
+    """A different recorded numpy warns; a manifest without the key (written
+    before versions were recorded) replays silently. Both replay exactly."""
+    first = tmp_path / "first"
+    assert main(train_args(cache_file, first)) == 0
+    manifest_path = first / "manifest.json"
+    manifest = read_manifest(manifest_path)
+    if recorded is None:
+        del manifest["numpy"], manifest["python"]
+    else:
+        manifest["numpy"] = recorded
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    second = tmp_path / "second"
+    assert main(["train", "--manifest", str(manifest_path),
+                 "--out", str(second)]) == 0
+    err = capsys.readouterr().err
+    if recorded is None:
+        assert err == ""
+    else:
+        assert f"recorded with numpy {recorded}" in err
+        assert np.__version__ in err
     for name in ("front_7.csv", "front_8.csv", "runlog_7.csv", "runlog_8.csv"):
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
@@ -336,6 +378,43 @@ def test_report_tables_and_scatter(tmp_path, capsys):
     assert len(reference) > 1
 
 
+# SHA-256 of each report file, recorded with the SciPy-based statistics.
+REPORT_DIGESTS = {
+    "hypervolume_table.csv": "901fc49b294c3a8a22f805f995162e2569a239914c8f28239502166556f25334",
+    "igd_table.csv": "36a33aae6de8c1be5dc0db851ddf9c521767329e32eaa3fd57d02d57cecf0df0",
+    "reference_front.csv": "44ef2d6ba23dafd3700b00330d25d2e10fc34300a5d45e6be84c7df69b8351d1",
+    "scatter.csv": "4f8dca8664f513504df52b675a261bf4a6ad9570ec365d067a2d67d3d4880905",
+    "values.csv": "56c1959b07b13b32a6c3e8d8088ebc4528aa70a0392fbba898b81b10d776b84d",
+}
+
+
+def test_report_bytes_match_pinned_digest(tmp_path, capsys):
+    """A seeded random-search-versus-baselines experiment; SM is
+    deterministic, so its indicator values tie across runs."""
+    cache = tmp_path / "cache.json"
+    assert main(["cache", "synth", "--operators", "6", "--mutants", "150",
+                 "--tests", "30", "--seed", "5", "--out", str(cache)]) == 0
+    assert main(["baselines", "--cache", str(cache), "--runs", "6",
+                 "--repetitions", "2", "--out", str(tmp_path / "b")]) == 0
+    assert main(["train", "--cache", str(cache), "--algorithm", "random",
+                 "--runs", "6", "--population-size", "10",
+                 "--max-evaluations", "40", "--repetitions", "2",
+                 "--out", str(tmp_path / "r")]) == 0
+    out = tmp_path / "report"
+    capsys.readouterr()
+    assert main(["report", "--runs", f"random={tmp_path / 'r'}",
+                 "--runs", f"rms={tmp_path / 'b' / 'rms'}",
+                 "--runs", f"ros={tmp_path / 'b' / 'ros'}",
+                 "--runs", f"sm={tmp_path / 'b' / 'sm'}",
+                 "--out", str(out)]) == 0
+    echoed = capsys.readouterr().out
+    assert "Kruskal-Wallis p = 8.394e-05" in echoed
+    assert "Kruskal-Wallis p = 0.00333" in echoed
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in out.iterdir()}
+    assert digests == REPORT_DIGESTS
+
+
 def test_report_input_validation(tmp_path):
     a_dir = tmp_path / "a"
     a_dir.mkdir()
@@ -374,12 +453,18 @@ def test_internal_errors_exit_three(monkeypatch, tmp_path):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    """scipy.stats takes about a second to import and only report needs it."""
+    """SciPy is a test oracle only: neither importing the CLI nor running
+    the report statistics may load it (its import takes about a second)."""
     import mutreduce
 
     package_root = str(Path(mutreduce.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": package_root}
-    probe = "import sys, mutreduce.cli; print('scipy' in sys.modules)"
+    probe = ("import sys, mutreduce.cli\n"
+             "from mutreduce.analysis import compare_experiment\n"
+             "stat = compare_experiment({'a': [[(0.1, 0.9)], [(0.2, 0.8)]],\n"
+             "                           'b': [[(0.5, 0.5)], [(0.6, 0.4)]]})\n"
+             "assert 0.0 < stat.kruskal['hypervolume'][1] < 1.0\n"
+             "print('scipy' in sys.modules)")
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "False"
