@@ -3,10 +3,21 @@
 A cache holds everything a reduction strategy needs to be replayed without
 re-running any tool: the mutation operators with their per-operator
 generation cost, the test cases with their execution priority, and one
-record per generated mutant (owning operator, execution cost, and the set
+entry per generated mutant (owning operator, execution cost, and the set
 of tests that kill it). Mutants with no killers are equivalent mutants
 from the consumer's point of view; they count against the mutation score
 denominator and can never be killed.
+
+The cache is columnar, in file order: the id tuples of the three
+sections, the operator costs and test ranks, each mutant's operator (a
+position in ``operator_ids``) and cost, and the killers as a CSR
+(``killer_indptr`` / ``killer_tests``, positions in ``test_ids``, each row
+in the order the file lists it). ``loads_cache`` goes from the parsed JSON
+straight to these columns and validates them with vectorised checks;
+``MutationCache.from_records`` runs the same checks on record objects.
+``operators``, ``tests`` and ``mutants`` rebuild the records on demand.
+``index.build_index`` derives the id- and rank-ordered view the strategy
+VM and the kill kernel read.
 
 Costs are abstract non-negative units. They are normalized to at most 9
 significant digits on construction so that the JSON serialization (which
@@ -17,13 +28,16 @@ saves are byte-identical.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import gc
 import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
@@ -35,9 +49,35 @@ class CacheError(ValueError):
     """Raised when cache data violates the format or its invariants."""
 
 
-def _quantize(value: float) -> float:
-    """Round a cost to 9 significant digits (the serialization precision)."""
-    return float(format(float(value), ".9g"))
+_POW10 = 10.0 ** np.arange(23)
+
+
+def _quantize(values: np.ndarray) -> np.ndarray:
+    """Round costs to 9 significant digits: float(format(x, '.9g')), bit for bit.
+
+    With k = 8 - floor(log10|x|), r = rint(x * 10**k) is the 9-digit
+    mantissa unless x * 10**k lies near a half (the product is off by at
+    most 1.2e-7 below 1e9), and r / 10**k is then exactly float('<r>e-k'),
+    since 10**k is exact for |k| <= 22 and IEEE division rounds correctly.
+    Values outside that case (zeros, subnormals, huge or non-finite ones,
+    near-halves) take the formatting route.
+    """
+    x = np.asarray(values, dtype=np.float64)
+    out = x.copy()
+    with np.errstate(all="ignore"):
+        k = 8 - np.floor(np.log10(np.abs(x)))
+        fast = np.isfinite(k) & (np.abs(k) <= 22)
+        k = np.where(fast, k, 0).astype(np.int64)
+        scale = _POW10[np.abs(k)]
+        up = k >= 0
+        y = np.where(up, x * scale, x / scale)
+        r = np.rint(y)
+        fast &= ((np.abs(y) >= 1e8) & (np.abs(y) < 999_999_999.5)
+                 & (np.abs(np.abs(y - r) - 0.5) > 1e-6))
+        out[fast] = np.where(up, r / scale, r * scale)[fast]
+    for i in np.flatnonzero(~fast).tolist():
+        out[i] = float(format(float(x[i]), ".9g"))
+    return out
 
 
 @dataclass(frozen=True)
@@ -47,14 +87,6 @@ class OperatorRecord:
     id: str
     generation_cost: float
 
-    def __post_init__(self) -> None:
-        if not self.id:
-            raise CacheError("operator with empty id")
-        cost = _quantize(self.generation_cost)
-        if not math.isfinite(cost) or cost < 0:
-            raise CacheError(f"operator {self.id!r}: generation_cost must be finite and >= 0")
-        object.__setattr__(self, "generation_cost", cost)
-
 
 @dataclass(frozen=True)
 class TestRecord:
@@ -62,12 +94,6 @@ class TestRecord:
 
     id: str
     priority_rank: int
-
-    def __post_init__(self) -> None:
-        if not self.id:
-            raise CacheError("test with empty id")
-        if self.priority_rank < 0:
-            raise CacheError(f"test {self.id!r}: priority_rank must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -79,69 +105,88 @@ class MutantRecord:
     exec_cost: float
     killers: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        if not self.id:
-            raise CacheError("mutant with empty id")
-        cost = _quantize(self.exec_cost)
-        if not math.isfinite(cost) or cost <= 0:
-            raise CacheError(f"mutant {self.id!r}: exec_cost must be finite and > 0")
-        object.__setattr__(self, "exec_cost", cost)
-        object.__setattr__(self, "killers", tuple(self.killers))
-        if len(set(self.killers)) != len(self.killers):
-            raise CacheError(f"mutant {self.id!r}: duplicate killer test id")
+
+def _csr(lengths: np.ndarray) -> np.ndarray:
+    """Row offsets for rows of the given lengths."""
+    indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    return indptr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MutationCache:
-    """Validated, immutable view of one mutation run.
+    """Validated, immutable columns of one mutation run, in file order.
 
-    Invariants enforced on construction: ids are unique per section, every
-    mutant references a defined operator, every killer references a defined
-    test, priority ranks are unique, and all three sections are non-empty.
+    The constructor takes the columns as they are; ``loads_cache`` and
+    ``from_records`` check them first: ids are unique per section, every
+    mutant references a defined operator, every killer references a
+    defined test at most once, priority ranks are unique, costs are
+    finite (operators >= 0, mutants > 0), and all three sections are
+    non-empty. Equality compares the columns.
     """
 
-    operators: tuple[OperatorRecord, ...]
-    tests: tuple[TestRecord, ...]
-    mutants: tuple[MutantRecord, ...]
-    total_cost: float = field(init=False, compare=False)
-    killable_count: int = field(init=False, compare=False)
+    operator_ids: tuple[str, ...]
+    generation_cost: np.ndarray   # float64, per operator
+    test_ids: tuple[str, ...]
+    priority_rank: np.ndarray     # int64, per test
+    mutant_ids: tuple[str, ...]
+    mutant_operator: np.ndarray   # int32 position in operator_ids, per mutant
+    exec_cost: np.ndarray         # float64, per mutant
+    killer_indptr: np.ndarray     # int64 row offsets into killer_tests
+    killer_tests: np.ndarray      # int32 positions in test_ids, file order
+    total_cost: float = field(init=False)
+    killable_count: int = field(init=False)
     # The numeric view, stored by index.build_index on first use.
-    _index: CacheIndex | None = field(default=None, init=False, compare=False, repr=False)
+    _index: CacheIndex | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "operators", tuple(self.operators))
-        object.__setattr__(self, "tests", tuple(self.tests))
-        object.__setattr__(self, "mutants", tuple(self.mutants))
-        if not self.operators:
-            raise CacheError("cache has no operators")
-        if not self.tests:
-            raise CacheError("cache has no tests")
-        if not self.mutants:
-            raise CacheError("cache has no mutants")
-        for section, records in (("operator", self.operators),
-                                 ("test", self.tests),
-                                 ("mutant", self.mutants)):
-            seen: set[str] = set()
-            for rec in records:
-                if rec.id in seen:
-                    raise CacheError(f"duplicate {section} id {rec.id!r}")
-                seen.add(rec.id)
-        ranks = [t.priority_rank for t in self.tests]
-        if len(set(ranks)) != len(ranks):
-            raise CacheError("duplicate priority_rank among tests")
-        op_ids = {op.id for op in self.operators}
-        test_ids = {t.id for t in self.tests}
-        for m in self.mutants:
-            if m.operator_id not in op_ids:
-                raise CacheError(f"mutant {m.id!r}: unknown operator {m.operator_id!r}")
-            for killer in m.killers:
-                if killer not in test_ids:
-                    raise CacheError(f"mutant {m.id!r}: unknown killer test {killer!r}")
         # Derived values are always recomputed, never read from a file.
-        total = math.fsum(op.generation_cost for op in self.operators)
-        total += math.fsum(m.exec_cost for m in self.mutants)
+        total = math.fsum(self.generation_cost.tolist())
+        total += math.fsum(self.exec_cost.tolist())
         object.__setattr__(self, "total_cost", total)
-        object.__setattr__(self, "killable_count", sum(1 for m in self.mutants if m.killers))
+        object.__setattr__(self, "killable_count",
+                           int(np.count_nonzero(np.diff(self.killer_indptr))))
+
+    @classmethod
+    def from_records(cls, operators, tests, mutants) -> MutationCache:
+        """Check record objects and build their columns, as loads_cache does."""
+        return _from_document({
+            "operators": [{"id": o.id, "generation_cost": o.generation_cost}
+                          for o in operators],
+            "tests": [{"id": t.id, "priority_rank": t.priority_rank} for t in tests],
+            "mutants": [{"id": m.id, "operator_id": m.operator_id,
+                         "exec_cost": m.exec_cost, "killers": m.killers}
+                        for m in mutants],
+        })
+
+    def _columns(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in dataclasses.fields(self) if f.init)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+                   for a, b in zip(self._columns(), other._columns()))
+
+    def _killer_rows(self) -> list[tuple[str, ...]]:
+        """Each mutant's killer test ids, in file order."""
+        names = list(map(self.test_ids.__getitem__, self.killer_tests.tolist()))
+        bounds = self.killer_indptr.tolist()
+        return [tuple(names[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+    @property
+    def operators(self) -> tuple[OperatorRecord, ...]:
+        return tuple(map(OperatorRecord, self.operator_ids, self.generation_cost.tolist()))
+
+    @property
+    def tests(self) -> tuple[TestRecord, ...]:
+        return tuple(map(TestRecord, self.test_ids, self.priority_rank.tolist()))
+
+    @property
+    def mutants(self) -> tuple[MutantRecord, ...]:
+        owners = map(self.operator_ids.__getitem__, self.mutant_operator.tolist())
+        return tuple(map(MutantRecord, self.mutant_ids, owners,
+                         self.exec_cost.tolist(), self._killer_rows()))
 
 
 def global_score(cache: MutationCache) -> float:
@@ -150,7 +195,7 @@ def global_score(cache: MutationCache) -> float:
     Every mutant with at least one killer is killed by the full suite, so
     this is simply killable / |M|.
     """
-    return cache.killable_count / len(cache.mutants)
+    return cache.killable_count / len(cache.mutant_ids)
 
 
 def operator_yields(cache: MutationCache) -> list[tuple[str, int]]:
@@ -159,32 +204,28 @@ def operator_yields(cache: MutationCache) -> list[tuple[str, int]]:
     Zero-yield operators are included, so the counts always sum to the
     number of mutants and every operator appears exactly once.
     """
-    counts = {op.id: 0 for op in cache.operators}
-    for m in cache.mutants:
-        counts[m.operator_id] += 1
-    return sorted(counts.items(), key=lambda pair: (-pair[1], pair[0]))
+    counts = np.bincount(cache.mutant_operator, minlength=len(cache.operator_ids))
+    return sorted(zip(cache.operator_ids, counts.tolist()),
+                  key=lambda pair: (-pair[1], pair[0]))
 
 
 # ===== JSON serialization =====
 
 def _cache_to_document(cache: MutationCache) -> dict:
+    ops = cache.operator_ids
     return {
         "operators": [
-            {"id": op.id, "generation_cost": op.generation_cost}
-            for op in cache.operators
+            {"id": op_id, "generation_cost": cost}
+            for op_id, cost in zip(ops, cache.generation_cost.tolist())
         ],
         "tests": [
-            {"id": t.id, "priority_rank": t.priority_rank}
-            for t in cache.tests
+            {"id": test_id, "priority_rank": rank}
+            for test_id, rank in zip(cache.test_ids, cache.priority_rank.tolist())
         ],
         "mutants": [
-            {
-                "id": m.id,
-                "operator_id": m.operator_id,
-                "exec_cost": m.exec_cost,
-                "killers": list(m.killers),
-            }
-            for m in cache.mutants
+            {"id": m_id, "operator_id": ops[op], "exec_cost": cost, "killers": list(killers)}
+            for m_id, op, cost, killers in zip(cache.mutant_ids, cache.mutant_operator.tolist(),
+                                               cache.exec_cost.tolist(), cache._killer_rows())
         ],
     }
 
@@ -204,18 +245,13 @@ def save_cache(cache: MutationCache, path: str | Path) -> None:
     Path(path).write_text(dumps_cache(cache), encoding="utf-8")
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise CacheError(message)
-
-
 @contextmanager
 def _collector_paused():
     """Pause the cyclic garbage collector, restoring its previous state.
 
     Parsing allocates several objects per mutant, none of them in a cycle,
-    yet the collector would run hundreds of passes over the growing record
-    graph: on a 100k-mutant cache they take about half the load time.
+    yet the collector would run hundreds of passes over the growing
+    document: on a 100k-mutant cache they take about half the load time.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -229,48 +265,257 @@ def _collector_paused():
 def loads_cache(text: str) -> MutationCache:
     """Parse and validate the JSON cache format."""
     with _collector_paused():
-        return _parse_cache(text)
-
-
-def _parse_cache(text: str) -> MutationCache:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CacheError(f"not valid JSON: {exc}") from exc
-    _require(isinstance(doc, dict), "top level must be an object")
-    for key in ("operators", "tests", "mutants"):
-        _require(key in doc, f"missing top-level key {key!r}")
-        _require(isinstance(doc[key], list), f"{key!r} must be an array")
-    try:
-        operators = tuple(
-            OperatorRecord(id=str(o["id"]), generation_cost=float(o["generation_cost"]))
-            for o in doc["operators"]
-        )
-        tests = tuple(
-            TestRecord(id=str(t["id"]), priority_rank=int(t["priority_rank"]))
-            for t in doc["tests"]
-        )
-        mutants = tuple(
-            MutantRecord(
-                id=str(m["id"]),
-                operator_id=str(m["operator_id"]),
-                exec_cost=float(m["exec_cost"]),
-                killers=tuple(str(k) for k in m["killers"]),
-            )
-            for m in doc["mutants"]
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, CacheError):
-            raise
-        raise CacheError(f"malformed record: {exc}") from exc
-    return MutationCache(operators=operators, tests=tests, mutants=mutants)
+        return _from_document(_parse_json(text))
 
 
 def load_cache(path: str | Path) -> MutationCache:
     return loads_cache(Path(path).read_text(encoding="utf-8"))
 
 
+def _parse_json(text: str) -> dict:
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CacheError(f"not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise CacheError("top level must be an object")
+    for key in ("operators", "tests", "mutants"):
+        if key not in doc:
+            raise CacheError(f"missing top-level key {key!r}")
+        if not isinstance(doc[key], list):
+            raise CacheError(f"{key!r} must be an array")
+    return doc
+
+
+# ----- record fields -----
+
+def _check_string(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"{where} must be a string, not {type(value).__name__}")
+    return value
+
+
+def _check_number(value, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{where} must be a number, not {type(value).__name__}")
+    return float(value)  # OverflowError for an int past the float range
+
+
+def _check_rank(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{where} must be an integer, not {type(value).__name__}")
+    if not -2**63 <= value < 2**63:
+        raise OverflowError(f"{where} is out of the 64-bit range")
+    return value
+
+
+def _check_killers(value, where: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"{where} must be an array of test ids, not {type(value).__name__}")
+    for j, killer in enumerate(value):
+        _check_string(killer, f"{where}[{j}]")
+    return value
+
+
+def _plain_types(allowed: set) -> Callable[[list], bool]:
+    return lambda column: set(map(type, column)) <= allowed
+
+
+def _all_lists_of_strings(column: list) -> bool:
+    return (set(map(type, column)) <= {list, tuple}
+            and set(map(type, chain.from_iterable(column))) <= {str})
+
+
+def _costs(column: list) -> np.ndarray:
+    return _quantize(np.array(column, dtype=np.float64))
+
+
+class _Field(NamedTuple):
+    name: str
+    fast: Callable[[list], bool]   # whole-column type test for the common case
+    check: Callable                # per-value test naming the offending record
+    convert: Callable              # column of checked values -> stored column
+
+
+_OPERATOR_FIELDS = (
+    _Field("id", _plain_types({str}), _check_string, tuple),
+    _Field("generation_cost", _plain_types({int, float}), _check_number, _costs),
+)
+_TEST_FIELDS = (
+    _Field("id", _plain_types({str}), _check_string, tuple),
+    _Field("priority_rank", _plain_types({int}), _check_rank,
+           lambda column: np.array(column, dtype=np.int64)),
+)
+_MUTANT_FIELDS = (
+    _Field("id", _plain_types({str}), _check_string, tuple),
+    _Field("operator_id", _plain_types({str}), _check_string, list),
+    _Field("exec_cost", _plain_types({int, float}), _check_number, _costs),
+    _Field("killers", _all_lists_of_strings, _check_killers, list),
+)
+
+
+def _fields(records: list, section: str, fields: tuple[_Field, ...]):
+    """A section's records as one converted column per field, in file order.
+
+    Returns (columns, malformed). malformed is None, or the CacheError of
+    the first record with a missing field or a value of the wrong JSON
+    type; the columns then hold only the records before it, so their
+    own checks can still report an earlier record first.
+    """
+    try:
+        columns = [list(map(itemgetter(f.name), records)) for f in fields]
+        if all(f.fast(column) for f, column in zip(fields, columns)):
+            return [f.convert(column) for f, column in zip(fields, columns)], None
+    except (KeyError, TypeError, OverflowError):
+        pass
+    # Slow path: walk the records to find the first bad one, field by field.
+    columns = [[] for _ in fields]
+    malformed = None
+    for i, record in enumerate(records):
+        try:
+            values = [f.check(record[f.name], f"{section}s[{i}].{f.name}") for f in fields]
+        except (KeyError, TypeError, OverflowError) as exc:
+            malformed = CacheError(f"malformed record: {exc}")
+            break
+        for column, value in zip(columns, values):
+            column.append(value)
+    return [f.convert(column) for f, column in zip(fields, columns)], malformed
+
+
+def _check_records(section: str, ids: tuple[str, ...], checks) -> None:
+    """Raise for the first record in file order failing a check.
+
+    Within one record the empty-id test comes first, then ``checks`` in
+    order; each check is (message, per-record bool array).
+    """
+    first = ids.index("") if "" in ids else len(ids)
+    message = f"{section} with empty id"
+    for text, bad in checks:
+        hits = np.flatnonzero(bad)
+        if hits.size and hits[0] < first:
+            first = int(hits[0])
+            message = f"{section} {ids[first]!r}: {text}"
+    if first < len(ids):
+        raise CacheError(message)
+
+
+def _codes(names: list[str], ids: tuple[str, ...]) -> np.ndarray:
+    """Each name's position in ids; names ids lacks get distinct codes from len(ids) up."""
+    position = dict(zip(ids, range(len(ids))))
+    codes = np.fromiter(map(position.get, names, repeat(-1)), dtype=np.int64, count=len(names))
+    if (codes < 0).any():
+        unknown: dict[str, int] = {}
+        codes = np.array([position[name] if name in position
+                          else len(ids) + unknown.setdefault(name, len(unknown))
+                          for name in names], dtype=np.int64)
+    return codes
+
+
+def _rows_with_duplicates(indptr: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Per CSR row: does any code appear twice in it?"""
+    n = len(indptr) - 1
+    duplicated = np.zeros(n, dtype=bool)
+    if codes.size:
+        width = int(codes.max()) + 1
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+        keys = np.sort(rows * width + codes)
+        duplicated[keys[1:][keys[1:] == keys[:-1]] // width] = True
+    return duplicated
+
+
+def _first_duplicate(ids: tuple[str, ...]) -> str | None:
+    if len(set(ids)) == len(ids):
+        return None
+    seen: set[str] = set()
+    for item in ids:
+        if item in seen:
+            return item
+        seen.add(item)
+    return None
+
+
+def _unknown_reference(mutant_ids, operator_names, op_codes, n_operators,
+                       killer_names, killer_codes, indptr, n_tests) -> CacheError | None:
+    """The error for the first mutant naming an undefined operator or test."""
+    bad = op_codes >= n_operators
+    bad_killers = np.flatnonzero(killer_codes >= n_tests)
+    if not (bad.any() or bad_killers.size):
+        return None
+    bad[np.searchsorted(indptr, bad_killers, side="right") - 1] = True
+    i = int(np.flatnonzero(bad)[0])
+    if op_codes[i] >= n_operators:
+        return CacheError(f"mutant {mutant_ids[i]!r}: unknown operator {operator_names[i]!r}")
+    j = int(bad_killers[np.searchsorted(bad_killers, indptr[i])])
+    return CacheError(f"mutant {mutant_ids[i]!r}: unknown killer test {killer_names[j]!r}")
+
+
+def _from_document(doc: dict) -> MutationCache:
+    """Check a parsed cache document and build its columns.
+
+    Errors come in the order a record-at-a-time reading meets them: each
+    section's records in file order (fields, then the record's own
+    values), then empty sections, duplicate ids, duplicate ranks and
+    undefined references. Each section is taken out of ``doc`` and freed
+    once its columns are built.
+    """
+    (operator_ids, generation_cost), malformed = _fields(
+        doc.pop("operators"), "operator", _OPERATOR_FIELDS)
+    _check_records("operator", operator_ids, [
+        ("generation_cost must be finite and >= 0",
+         ~(np.isfinite(generation_cost) & (generation_cost >= 0)))])
+    if malformed is not None:
+        raise malformed
+
+    (test_ids, priority_rank), malformed = _fields(doc.pop("tests"), "test", _TEST_FIELDS)
+    _check_records("test", test_ids, [("priority_rank must be >= 0", priority_rank < 0)])
+    if malformed is not None:
+        raise malformed
+
+    (mutant_ids, operator_names, exec_cost, killers), malformed = _fields(
+        doc.pop("mutants"), "mutant", _MUTANT_FIELDS)
+    killer_indptr = _csr(np.fromiter(map(len, killers), dtype=np.int64, count=len(killers)))
+    killer_names = list(chain.from_iterable(killers))
+    del killers
+    killer_codes = _codes(killer_names, test_ids)
+    _check_records("mutant", mutant_ids, [
+        ("exec_cost must be finite and > 0", ~(np.isfinite(exec_cost) & (exec_cost > 0))),
+        ("duplicate killer test id", _rows_with_duplicates(killer_indptr, killer_codes))])
+    if malformed is not None:
+        raise malformed
+
+    for section, ids in (("operators", operator_ids), ("tests", test_ids),
+                         ("mutants", mutant_ids)):
+        if not ids:
+            raise CacheError(f"cache has no {section}")
+    for section, ids in (("operator", operator_ids), ("test", test_ids),
+                         ("mutant", mutant_ids)):
+        duplicate = _first_duplicate(ids)
+        if duplicate is not None:
+            raise CacheError(f"duplicate {section} id {duplicate!r}")
+    if len(set(priority_rank.tolist())) != priority_rank.size:
+        raise CacheError("duplicate priority_rank among tests")
+    op_codes = _codes(operator_names, operator_ids)
+    unknown = _unknown_reference(mutant_ids, operator_names, op_codes, len(operator_ids),
+                                 killer_names, killer_codes, killer_indptr, len(test_ids))
+    if unknown is not None:
+        raise unknown
+    return MutationCache(
+        operator_ids=operator_ids,
+        generation_cost=generation_cost,
+        test_ids=test_ids,
+        priority_rank=priority_rank,
+        mutant_ids=mutant_ids,
+        mutant_operator=op_codes.astype(np.int32),
+        exec_cost=exec_cost,
+        killer_indptr=killer_indptr,
+        killer_tests=killer_codes.astype(np.int32),
+    )
+
+
 # ===== CSV kill-matrix import =====
+
+_MATRIX_COLUMNS = ("mutant_id", "operator_id", "exec_cost", "killed_by")
+
 
 def read_kill_matrix_csv(path: str | Path) -> MutationCache:
     """Import a kill-matrix CSV into a cache.
@@ -281,19 +526,20 @@ def read_kill_matrix_csv(path: str | Path) -> MutationCache:
     generation cost 0 (the CSV carries none), and tests are ranked by
     ascending id.
     """
-    rows: list[dict[str, str]] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        expected = {"mutant_id", "operator_id", "exec_cost", "killed_by"}
-        if reader.fieldnames is None or not expected.issubset(reader.fieldnames):
+        if reader.fieldnames is None or not set(_MATRIX_COLUMNS).issubset(reader.fieldnames):
             raise CacheError(
-                f"kill-matrix CSV must have columns {sorted(expected)}, "
+                f"kill-matrix CSV must have columns {sorted(_MATRIX_COLUMNS)}, "
                 f"got {reader.fieldnames}"
             )
         rows = list(reader)
     if not rows:
         raise CacheError("kill-matrix CSV has no rows")
-    op_ids = sorted({row["operator_id"] for row in rows})
+    for row in rows:
+        missing = [column for column in _MATRIX_COLUMNS if row[column] is None]
+        if missing:
+            raise CacheError(f"mutant {row['mutant_id']!r}: row has no {missing[0]} cell")
     test_ids = sorted({
         killer
         for row in rows
@@ -308,18 +554,15 @@ def read_kill_matrix_csv(path: str | Path) -> MutationCache:
             cost = float(row["exec_cost"])
         except ValueError as exc:
             raise CacheError(f"mutant {row['mutant_id']!r}: bad exec_cost") from exc
-        killers = tuple(k for k in row["killed_by"].split(";") if k)
-        mutants.append(MutantRecord(
-            id=row["mutant_id"],
-            operator_id=row["operator_id"],
-            exec_cost=cost,
-            killers=killers,
-        ))
-    return MutationCache(
-        operators=tuple(OperatorRecord(id=o, generation_cost=0.0) for o in op_ids),
-        tests=tuple(TestRecord(id=t, priority_rank=r) for r, t in enumerate(test_ids)),
-        mutants=tuple(mutants),
-    )
+        mutants.append({"id": row["mutant_id"], "operator_id": row["operator_id"],
+                        "exec_cost": cost,
+                        "killers": [k for k in row["killed_by"].split(";") if k]})
+    return _from_document({
+        "operators": [{"id": o, "generation_cost": 0.0}
+                      for o in sorted({m["operator_id"] for m in mutants})],
+        "tests": [{"id": t, "priority_rank": r} for r, t in enumerate(test_ids)],
+        "mutants": mutants,
+    })
 
 
 # ===== Synthetic caches =====
@@ -360,6 +603,9 @@ def synth_cache(
        each a geometric(0.45)-sized random test subset. redundancy 1
        collapses each operator's killable mutants onto one killer set;
        redundancy 0 gives almost every mutant its own.
+
+    The columns are built directly: ids are distinct and every reference
+    is in range by construction.
     """
     if n_operators < 1 or n_mutants < 1 or n_tests < 1:
         raise ValueError("n_operators, n_mutants and n_tests must all be >= 1")
@@ -375,18 +621,8 @@ def synth_cache(
     op_width = max(2, len(str(n_operators - 1)))
     mut_width = max(2, len(str(n_mutants - 1)))
     test_width = max(2, len(str(n_tests - 1)))
-    op_ids = [f"op{i:0{op_width}d}" for i in range(n_operators)]
-    mutant_ids = [f"m{i:0{mut_width}d}" for i in range(n_mutants)]
-    test_ids = [f"t{i:0{test_width}d}" for i in range(n_tests)]
 
-    operators = tuple(
-        OperatorRecord(id=op_ids[i], generation_cost=float(rng.uniform(0.5, 5.0)))
-        for i in range(n_operators)
-    )
-    tests = tuple(
-        TestRecord(id=test_ids[i], priority_rank=i) for i in range(n_tests)
-    )
-
+    generation_cost = np.array([rng.uniform(0.5, 5.0) for _ in range(n_operators)])
     cost_scale = cost_skew ** rng.uniform(-1.0, 1.0, size=n_operators)
     kill_exponent = 3.0 ** rng.uniform(-1.0, 1.0, size=n_operators)
 
@@ -401,7 +637,7 @@ def synth_cache(
     # Killer sets come from per-operator template pools so redundancy
     # clusters inside operators; templates are drawn operator by operator in
     # index order to keep the stream deterministic.
-    killers_of: list[tuple[str, ...]] = [()] * n_mutants
+    killers_of = [np.empty(0, dtype=np.int32)] * n_mutants
     for op in range(n_operators):
         members = np.flatnonzero((owner == op) & killable)
         if not members.size:
@@ -410,22 +646,22 @@ def synth_cache(
         pool = []
         for _ in range(pool_size):
             size = 1 + min(rng.geometric(0.45) - 1, n_tests - 1)
-            chosen = np.sort(rng.choice(n_tests, size=size, replace=False))
-            pool.append(tuple(test_ids[t] for t in chosen))
+            pool.append(np.sort(rng.choice(n_tests, size=size, replace=False)).astype(np.int32))
         assignment = rng.integers(0, pool_size, size=members.size)
-        for slot, mutant in enumerate(members):
-            killers_of[int(mutant)] = pool[int(assignment[slot])]
+        for mutant, slot in zip(members.tolist(), assignment.tolist()):
+            killers_of[mutant] = pool[slot]
 
-    mutants = tuple(
-        MutantRecord(
-            id=mutant_ids[i],
-            operator_id=op_ids[int(owner[i])],
-            exec_cost=float(exec_costs[i]),
-            killers=killers_of[i],
-        )
-        for i in range(n_mutants)
+    return MutationCache(
+        operator_ids=tuple(f"op{i:0{op_width}d}" for i in range(n_operators)),
+        generation_cost=_quantize(generation_cost),
+        test_ids=tuple(f"t{i:0{test_width}d}" for i in range(n_tests)),
+        priority_rank=np.arange(n_tests, dtype=np.int64),
+        mutant_ids=tuple(f"m{i:0{mut_width}d}" for i in range(n_mutants)),
+        mutant_operator=owner.astype(np.int32),
+        exec_cost=_quantize(exec_costs),
+        killer_indptr=_csr(np.fromiter(map(len, killers_of), dtype=np.int64, count=n_mutants)),
+        killer_tests=np.concatenate(killers_of),
     )
-    return MutationCache(operators=operators, tests=tests, mutants=mutants)
 
 
 def reroll_killers(cache: MutationCache, fraction: float, seed: int) -> MutationCache:
@@ -437,21 +673,17 @@ def reroll_killers(cache: MutationCache, fraction: float, seed: int) -> Mutation
     """
     if not 0 <= fraction <= 1:
         raise ValueError("fraction must be in [0, 1]")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), len(cache.mutants))))
-    n = len(cache.mutants)
+    n = len(cache.mutant_ids)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), n)))
     n_reroll = int(fraction * n + 0.5)
-    chosen = set(rng.choice(n, size=n_reroll, replace=False).tolist()) if n_reroll else set()
-    test_ids = [t.id for t in sorted(cache.tests, key=lambda t: t.priority_rank)]
-    mutants = []
-    for i, m in enumerate(cache.mutants):
-        if i in chosen:
-            size = 1 + min(int(rng.geometric(0.45)) - 1, len(test_ids) - 1)
-            picked = np.sort(rng.choice(len(test_ids), size=size, replace=False))
-            killers = tuple(test_ids[t] for t in picked)
-            mutants.append(MutantRecord(
-                id=m.id, operator_id=m.operator_id,
-                exec_cost=m.exec_cost, killers=killers,
-            ))
-        else:
-            mutants.append(m)
-    return MutationCache(operators=cache.operators, tests=cache.tests, mutants=tuple(mutants))
+    chosen = sorted(set(rng.choice(n, size=n_reroll, replace=False).tolist())) if n_reroll else []
+    n_tests = len(cache.test_ids)
+    by_rank = np.argsort(cache.priority_rank, kind="stable").astype(np.int32)
+    rows = np.split(cache.killer_tests, cache.killer_indptr[1:-1])
+    for i in chosen:
+        size = 1 + min(int(rng.geometric(0.45)) - 1, n_tests - 1)
+        rows[i] = by_rank[np.sort(rng.choice(n_tests, size=size, replace=False))]
+    return dataclasses.replace(
+        cache,
+        killer_indptr=_csr(np.fromiter(map(len, rows), dtype=np.int64, count=n)),
+        killer_tests=np.concatenate(rows))

@@ -119,8 +119,8 @@ def cache_synth(operators: int, mutants: int, tests: int, seed: int,
                        cost_skew=cost_skew, redundancy=redundancy)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     runio.atomic_write_text(out_path, dumps_cache(data))
-    click.echo(f"wrote {out_path}: {len(data.operators)} operators, "
-               f"{len(data.mutants)} mutants, {len(data.tests)} tests, "
+    click.echo(f"wrote {out_path}: {len(data.operator_ids)} operators, "
+               f"{len(data.mutant_ids)} mutants, {len(data.test_ids)} tests, "
                f"{data.killable_count} killable")
 
 
@@ -129,10 +129,11 @@ def cache_synth(operators: int, mutants: int, tests: int, seed: int,
 def cache_inspect(path: Path) -> None:
     """Print summary statistics for a cache file."""
     data = load_cache(path)
-    click.echo(f"operators:    {len(data.operators)}")
-    click.echo(f"tests:        {len(data.tests)}")
-    click.echo(f"mutants:      {len(data.mutants)}")
+    click.echo(f"operators:    {len(data.operator_ids)}")
+    click.echo(f"tests:        {len(data.test_ids)}")
+    click.echo(f"mutants:      {len(data.mutant_ids)}")
     click.echo(f"killable:     {data.killable_count}")
+    click.echo(f"kill nonzeros: {data.killer_tests.size}")
     click.echo(f"global score: {global_score(data):.6f}")
     click.echo(f"total cost:   {data.total_cost:.6g}")
     click.echo("mutants per operator:")
@@ -152,8 +153,8 @@ def cache_convert(matrix_path: Path, out_path: Path) -> None:
     data = read_kill_matrix_csv(matrix_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     runio.atomic_write_text(out_path, dumps_cache(data))
-    click.echo(f"wrote {out_path}: {len(data.operators)} operators, "
-               f"{len(data.mutants)} mutants, {len(data.tests)} tests")
+    click.echo(f"wrote {out_path}: {len(data.operator_ids)} operators, "
+               f"{len(data.mutant_ids)} mutants, {len(data.test_ids)} tests")
 
 
 # ===== train =====

@@ -9,12 +9,15 @@ Index conventions (load-bearing, do not reorder):
 * tests are indexed in ascending priority_rank order, so a mutant's
   lowest-index killer is its first killer under the test priority.
 
-Killer lists per mutant (CSR: killer_indptr / killer_tests) are sorted by
-test index. Two per-mutant views derived from them serve the kill kernel:
-first_killer (each mutant's lowest-index killer, n_tests for a mutant no
-test kills) and killable_starts (the CSR offset of each killable mutant's
-row). The index and the kernel's temporaries grow with the mutants and the
-kill nonzeros: memory is O(mutants + nnz), never O(tests x mutants).
+The index is a reordering view of the cache's file-order columns: three
+argsorts (operator ids, test ranks, mutant ids), gathers of the cost and
+operator columns, and one gather of the killer CSR (killer_indptr /
+killer_tests) into mutant-id order, each row sorted by test index. Two
+per-mutant views derived from the CSR serve the kill kernel: first_killer
+(each mutant's lowest-index killer, n_tests for a mutant no test kills)
+and killable_starts (the CSR offset of each killable mutant's row). The
+index and the kernel's temporaries grow with the mutants and the kill
+nonzeros: memory is O(mutants + nnz), never O(tests x mutants).
 
 The index is built once per cache and cached on the (immutable) cache
 object, so it lives exactly as long as the cache does. It keeps no
@@ -24,11 +27,12 @@ frees both at once, without waiting for a cyclic collection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .cache import MutationCache
+from .cache import MutationCache, _csr
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,9 +50,6 @@ class CacheIndex:
     op_indptr: np.ndarray
     total_cost: float
     killable_count: int
-    op_index: dict[str, int] = field(repr=False)
-    test_index: dict[str, int] = field(repr=False)
-    mutant_index: dict[str, int] = field(repr=False)
 
     @property
     def n_operators(self) -> int:
@@ -62,11 +63,29 @@ class CacheIndex:
     def n_mutants(self) -> int:
         return len(self.mutant_ids)
 
+    @cached_property
+    def mutant_index(self) -> dict[str, int]:
+        """Mutant id to index; built on first use, as only id-based callers need it."""
+        return dict(zip(self.mutant_ids, range(self.n_mutants)))
+
     def mutants_of_operators(self, ops: np.ndarray) -> np.ndarray:
         """Sorted mutant indices generated by the given operator indices."""
         chosen = np.zeros(self.n_operators, dtype=bool)
         chosen[ops] = True
         return chosen.take(self.mutant_operator).nonzero()[0].astype(np.int32)
+
+
+def _argsort_ids(ids: tuple[str, ...]) -> np.ndarray:
+    """Positions of ids in ascending (code point) order."""
+    return np.fromiter(sorted(range(len(ids)), key=ids.__getitem__),
+                       dtype=np.int64, count=len(ids))
+
+
+def _inverse(order: np.ndarray) -> np.ndarray:
+    """new_position[old_position] for a permutation given as old positions."""
+    position = np.empty(order.size, dtype=np.int32)
+    position[order] = np.arange(order.size, dtype=np.int32)
+    return position
 
 
 def build_index(cache: MutationCache) -> CacheIndex:
@@ -80,45 +99,34 @@ def build_index(cache: MutationCache) -> CacheIndex:
     if cache._index is not None:
         return cache._index
 
-    ops = sorted(cache.operators, key=lambda o: o.id)
-    tests = sorted(cache.tests, key=lambda t: t.priority_rank)
-    mutants = sorted(cache.mutants, key=lambda m: m.id)
+    op_order = _argsort_ids(cache.operator_ids)
+    test_order = np.argsort(cache.priority_rank, kind="stable")
+    mutant_order = _argsort_ids(cache.mutant_ids)
+    n_ops, n_tests, n_m = op_order.size, test_order.size, mutant_order.size
 
-    op_ids = tuple(o.id for o in ops)
-    test_ids = tuple(t.id for t in tests)
-    mutant_ids = tuple(m.id for m in mutants)
-    op_index = {o: i for i, o in enumerate(op_ids)}
-    test_index = {t: i for i, t in enumerate(test_ids)}
-    mutant_index = {m: i for i, m in enumerate(mutant_ids)}
+    # Killer rows in mutant-id order, each sorted by test index.
+    counts = np.diff(cache.killer_indptr)[mutant_order]
+    killer_indptr = _csr(counts)
+    shift = np.repeat(cache.killer_indptr[:-1][mutant_order] - killer_indptr[:-1], counts)
+    tests = _inverse(test_order)[cache.killer_tests[np.arange(shift.size) + shift]]
+    rows = np.repeat(np.arange(n_m), counts)
+    killer_tests = tests[np.lexsort((tests, rows))]
 
-    n_m = len(mutants)
-    killer_counts = np.fromiter((len(m.killers) for m in mutants),
-                                dtype=np.int64, count=n_m)
-    killer_indptr = np.zeros(n_m + 1, dtype=np.int64)
-    np.cumsum(killer_counts, out=killer_indptr[1:])
-    unsorted_tests = np.fromiter(
-        (test_index[k] for m in mutants for k in m.killers),
-        dtype=np.int32, count=int(killer_indptr[-1]))
-    rows = np.repeat(np.arange(n_m), killer_counts)
-    killer_tests = unsorted_tests[np.lexsort((unsorted_tests, rows))]
-
-    killable = killer_counts > 0
+    killable = counts > 0
     killable_starts = killer_indptr[:-1][killable]
-    first_killer = np.full(n_m, len(tests), dtype=np.int32)
+    first_killer = np.full(n_m, n_tests, dtype=np.int32)
     first_killer[killable] = killer_tests[killable_starts]
 
     # Each mutant's operator, and the mutant count per operator as offsets.
-    mutant_operator = np.fromiter(
-        (op_index[m.operator_id] for m in mutants), dtype=np.int32, count=n_m)
-    op_indptr = np.zeros(len(ops) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(mutant_operator, minlength=len(ops)), out=op_indptr[1:])
+    mutant_operator = _inverse(op_order)[cache.mutant_operator[mutant_order]]
+    op_indptr = _csr(np.bincount(mutant_operator, minlength=n_ops))
 
     index = CacheIndex(
-        op_ids=op_ids,
-        test_ids=test_ids,
-        mutant_ids=mutant_ids,
-        op_generation_cost=np.array([o.generation_cost for o in ops], dtype=np.float64),
-        mutant_exec_cost=np.array([m.exec_cost for m in mutants], dtype=np.float64),
+        op_ids=tuple(map(cache.operator_ids.__getitem__, op_order.tolist())),
+        test_ids=tuple(map(cache.test_ids.__getitem__, test_order.tolist())),
+        mutant_ids=tuple(map(cache.mutant_ids.__getitem__, mutant_order.tolist())),
+        op_generation_cost=cache.generation_cost[op_order],
+        mutant_exec_cost=cache.exec_cost[mutant_order],
         mutant_operator=mutant_operator,
         killer_indptr=killer_indptr,
         killer_tests=killer_tests,
@@ -127,9 +135,6 @@ def build_index(cache: MutationCache) -> CacheIndex:
         op_indptr=op_indptr,
         total_cost=cache.total_cost,
         killable_count=cache.killable_count,
-        op_index=op_index,
-        test_index=test_index,
-        mutant_index=mutant_index,
     )
     object.__setattr__(cache, "_index", index)
     return index

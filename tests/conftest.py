@@ -21,7 +21,7 @@ def tiny_cache():
     So the full suite kills 3 of 4 mutants and selecting {m1, m2} needs
     only t2, which kills both.
     """
-    return MutationCache(
+    return MutationCache.from_records(
         operators=(
             OperatorRecord(id="opA", generation_cost=2.0),
             OperatorRecord(id="opB", generation_cost=3.0),

@@ -17,8 +17,9 @@ import time
 import numpy as np
 import pytest
 
+from kw_permutation import kruskal_wallis_permutation
 from mutreduce.analysis import (a12, compare_experiment, hypervolume, igd,
-                                kruskal_wallis, kruskal_wallis_permutation)
+                                kruskal_wallis)
 from mutreduce.baselines import BaselineSpec, baseline_front, sweep
 from mutreduce.cache import (MutantRecord, MutationCache, OperatorRecord,
                              TestRecord, dumps_cache, global_score,
@@ -94,7 +95,7 @@ def test_criterion_01_relative_score_worked_example():
         MutantRecord(id=f"m{i}", operator_id="op", exec_cost=1.0,
                      killers=(f"t{i}",) if i < 8 else ())
         for i in range(10))
-    cache = MutationCache(
+    cache = MutationCache.from_records(
         operators=(OperatorRecord(id="op", generation_cost=5.0),),
         tests=tests, mutants=mutants)
     assert global_score(cache) == 0.8

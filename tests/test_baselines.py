@@ -28,7 +28,7 @@ def yields_cache():
         for i in range(count):
             mutants.append(MutantRecord(id=f"{op}{i}", operator_id=op,
                                         exec_cost=1.0, killers=("t0",)))
-    return MutationCache(operators=ops, tests=tests, mutants=tuple(mutants))
+    return MutationCache.from_records(operators=ops, tests=tests, mutants=tuple(mutants))
 
 
 # ===== spec construction and text =====

@@ -23,7 +23,7 @@ def test_killable_count(tiny_cache):
 
 def test_unknown_killer_test_names_both_ids():
     with pytest.raises(CacheError, match=r"m1.*tX"):
-        MutationCache(
+        MutationCache.from_records(
             operators=(OperatorRecord(id="op", generation_cost=0.0),),
             tests=(TestRecord(id="t1", priority_rank=0),),
             mutants=(MutantRecord(id="m1", operator_id="op",
@@ -33,7 +33,7 @@ def test_unknown_killer_test_names_both_ids():
 
 def test_unknown_operator_rejected():
     with pytest.raises(CacheError, match="unknown operator"):
-        MutationCache(
+        MutationCache.from_records(
             operators=(OperatorRecord(id="op", generation_cost=0.0),),
             tests=(TestRecord(id="t1", priority_rank=0),),
             mutants=(MutantRecord(id="m1", operator_id="nope",
@@ -50,12 +50,12 @@ def test_empty_sections_rejected(tiny_cache, section):
     }
     parts[section] = ()
     with pytest.raises(CacheError):
-        MutationCache(**parts)
+        MutationCache.from_records(**parts)
 
 
 def test_duplicate_ids_rejected(tiny_cache):
     with pytest.raises(CacheError, match="duplicate operator id"):
-        MutationCache(
+        MutationCache.from_records(
             operators=tiny_cache.operators + (OperatorRecord(id="opA", generation_cost=1.0),),
             tests=tiny_cache.tests,
             mutants=tiny_cache.mutants,
@@ -65,22 +65,31 @@ def test_duplicate_ids_rejected(tiny_cache):
 def test_duplicate_priority_rank_rejected(tiny_cache):
     tests = tiny_cache.tests[:-1] + (TestRecord(id="t9", priority_rank=1),)
     with pytest.raises(CacheError, match="priority_rank"):
-        MutationCache(operators=tiny_cache.operators, tests=tests,
-                      mutants=tiny_cache.mutants[:3])
+        MutationCache.from_records(operators=tiny_cache.operators, tests=tests,
+                                   mutants=tiny_cache.mutants[:3])
+
+
+def one_mutant_cache(generation_cost=0.0, exec_cost=1.0, killers=()):
+    return MutationCache.from_records(
+        operators=(OperatorRecord(id="op", generation_cost=generation_cost),),
+        tests=(TestRecord(id="t1", priority_rank=0),),
+        mutants=(MutantRecord(id="m", operator_id="op",
+                              exec_cost=exec_cost, killers=killers),),
+    )
 
 
 def test_bad_costs_rejected():
-    with pytest.raises(CacheError):
-        OperatorRecord(id="op", generation_cost=-1.0)
-    with pytest.raises(CacheError):
-        MutantRecord(id="m", operator_id="op", exec_cost=0.0, killers=())
-    with pytest.raises(CacheError):
-        MutantRecord(id="m", operator_id="op", exec_cost=float("nan"), killers=())
+    with pytest.raises(CacheError, match="generation_cost"):
+        one_mutant_cache(generation_cost=-1.0)
+    with pytest.raises(CacheError, match="exec_cost"):
+        one_mutant_cache(exec_cost=0.0)
+    with pytest.raises(CacheError, match="exec_cost"):
+        one_mutant_cache(exec_cost=float("nan"))
 
 
 def test_duplicate_killer_rejected():
     with pytest.raises(CacheError, match="duplicate killer"):
-        MutantRecord(id="m", operator_id="op", exec_cost=1.0, killers=("t1", "t1"))
+        one_mutant_cache(killers=("t1", "t1"))
 
 
 # ===== serialization =====
@@ -107,7 +116,7 @@ def test_costs_survive_round_trip_exactly():
     # already quantizes, so the stored float must come back bit-equal.
     m = MutantRecord(id="m", operator_id="op",
                      exec_cost=0.123456789123456, killers=())
-    cache = MutationCache(
+    cache = MutationCache.from_records(
         operators=(OperatorRecord(id="op", generation_cost=1.0 / 3.0),),
         tests=(TestRecord(id="t", priority_rank=0),),
         mutants=(m,),
@@ -163,7 +172,7 @@ def test_global_score_three_of_four(tiny_cache):
 
 
 def test_global_score_all_killable():
-    cache = MutationCache(
+    cache = MutationCache.from_records(
         operators=(OperatorRecord(id="op", generation_cost=0.0),),
         tests=(TestRecord(id="t", priority_rank=0),),
         mutants=(MutantRecord(id="m", operator_id="op", exec_cost=1.0,
@@ -188,12 +197,12 @@ def test_operator_yields_tie_broken_by_id():
         for i in range(count):
             mutants.append(MutantRecord(id=f"{op}{i}", operator_id=op,
                                         exec_cost=1.0, killers=()))
-    cache = MutationCache(operators=ops, tests=tests, mutants=tuple(mutants))
+    cache = MutationCache.from_records(operators=ops, tests=tests, mutants=tuple(mutants))
     assert operator_yields(cache) == [("A", 5), ("C", 5), ("B", 3)]
 
 
 def test_operator_yields_single_operator(tiny_cache):
-    cache = MutationCache(
+    cache = MutationCache.from_records(
         operators=(OperatorRecord(id="solo", generation_cost=0.0),),
         tests=tiny_cache.tests,
         mutants=tuple(

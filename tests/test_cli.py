@@ -70,6 +70,37 @@ def test_cache_convert_from_kill_matrix_csv(tmp_path, capsys):
     assert len(data.mutants) == 2
 
 
+def test_cache_inspect_prints_kill_nonzeros_without_building_records(
+        cache_file, capsys, monkeypatch):
+    import mutreduce.cache as cache_mod
+
+    def no_records(*args, **kwargs):
+        raise AssertionError("inspect built a record")
+
+    for name in ("OperatorRecord", "TestRecord", "MutantRecord"):
+        monkeypatch.setattr(cache_mod, name, no_records)
+    data = load_cache(cache_file)
+    assert main(["cache", "inspect", str(cache_file)]) == 0
+    out = capsys.readouterr().out
+    assert f"killable:     {data.killable_count}\n" in out
+    assert f"kill nonzeros: {data.killer_tests.size}\n" in out
+    assert data.killer_tests.size > data.killable_count
+
+
+@pytest.mark.parametrize("row,cell", [("m1,opA,1.5", "killed_by"),
+                                      ("m1,opA", "exec_cost")])
+def test_cache_convert_short_row_is_input_error(tmp_path, capsys, row, cell):
+    matrix = tmp_path / "matrix.csv"
+    matrix.write_text("mutant_id,operator_id,exec_cost,killed_by\n"
+                      "m0,opA,1.0,t1\n"
+                      f"{row}\n")
+    out = tmp_path / "converted.json"
+    assert main(["cache", "convert", "--matrix", str(matrix),
+                 "--out", str(out)]) == 2
+    assert f"mutant 'm1': row has no {cell} cell" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cache_inspect_missing_file_is_usage_error(tmp_path):
     assert main(["cache", "inspect", str(tmp_path / "nope.json")]) == 2
 

@@ -40,8 +40,9 @@ def random_subsets(index, count, seed):
 
 def without_killers(cache):
     """The same cache with every mutant unkillable (synth_cache needs kill_density > 0)."""
-    return MutationCache(operators=cache.operators, tests=cache.tests,
-                         mutants=tuple(replace(m, killers=()) for m in cache.mutants))
+    return MutationCache.from_records(
+        operators=cache.operators, tests=cache.tests,
+        mutants=tuple(replace(m, killers=()) for m in cache.mutants))
 
 
 def test_dispatcher_matches_brute_force():
@@ -131,7 +132,7 @@ def test_index_matches_per_mutant_build():
     n_tests = len(base.tests)
     # Reversed priorities (killer lists now run against them) and records
     # out of id order, so every sort in build_index has work to do.
-    scrambled = MutationCache(
+    scrambled = MutationCache.from_records(
         operators=base.operators[::-1],
         tests=tuple(replace(t, priority_rank=n_tests - 1 - t.priority_rank)
                     for t in base.tests),

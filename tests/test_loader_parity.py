@@ -1,0 +1,248 @@
+"""The columnar loader and index against the record-based oracle.
+
+``cache_oracle`` holds the loader and index build the columnar ones
+replaced. Every index array must match it in values and dtype, and every
+bad document must fail with the oracle's message, except the value types
+the columnar loader reads strictly (``test_strict_types_are_malformed``).
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cache_oracle import oracle_index, oracle_loads
+from mutreduce.cache import (CacheError, _quantize, dumps_cache, loads_cache,
+                             synth_cache)
+from mutreduce.index import build_index
+
+
+def assert_index_matches_oracle(text):
+    index = build_index(loads_cache(text))
+    for name, expected in oracle_index(oracle_loads(text)).items():
+        actual = getattr(index, name)
+        if isinstance(expected, np.ndarray):
+            assert actual.dtype == expected.dtype, name
+            assert np.array_equal(actual, expected), name
+        elif isinstance(expected, float):
+            assert actual.hex() == expected.hex(), name
+        else:
+            assert actual == expected, name
+
+
+IDS = st.text(alphabet="ab_Zé一", min_size=1, max_size=3)
+# Costs with many digits exercise the 9-significant-digit quantization.
+COSTS = st.one_of(st.floats(1e-12, 1e12), st.integers(1, 10**12),
+                  st.sampled_from([0.1, 2.5, 1 / 3, 1e-300]))
+
+
+@st.composite
+def cache_documents(draw):
+    op_ids = draw(st.lists(IDS, min_size=1, max_size=5, unique=True))
+    test_ids = draw(st.lists(IDS, min_size=1, max_size=7, unique=True))
+    ranks = draw(st.lists(st.integers(0, 10**12), min_size=len(test_ids),
+                          max_size=len(test_ids), unique=True))
+    mutant_ids = draw(st.lists(IDS, min_size=1, max_size=15, unique=True))
+    operators = [{"id": o, "generation_cost": draw(st.one_of(st.just(0), st.just(0.0), COSTS))}
+                 for o in op_ids]
+    tests = [{"id": t, "priority_rank": r} for t, r in zip(test_ids, ranks)]
+    mutants = []
+    for m in mutant_ids:
+        # Killer rows in shuffled order, empty ones included.
+        killers = draw(st.permutations(test_ids))[:draw(st.integers(0, len(test_ids)))]
+        mutants.append({"id": m, "operator_id": draw(st.sampled_from(op_ids)),
+                        "exec_cost": draw(COSTS), "killers": killers})
+    return json.dumps({"operators": operators, "tests": tests, "mutants": mutants})
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=cache_documents())
+def test_index_matches_oracle_on_generated_documents(text):
+    assert_index_matches_oracle(text)
+
+
+@pytest.mark.parametrize("args", [
+    dict(n_operators=8, n_mutants=600, n_tests=120, seed=101, kill_density=0.9),
+    dict(n_operators=6, n_mutants=300, n_tests=40, seed=29, kill_density=0.3, redundancy=0.5),
+    dict(n_operators=30, n_mutants=2000, n_tests=200, seed=1),
+])
+def test_index_matches_oracle_on_synth_caches(args):
+    cache = synth_cache(**args)
+    text = dumps_cache(cache)
+    assert_index_matches_oracle(text)
+    assert dumps_cache(loads_cache(text)) == text
+    assert loads_cache(text) == cache
+
+
+@pytest.mark.parametrize("args,digest", [
+    # The README cache.
+    (dict(n_operators=8, n_mutants=600, n_tests=120, seed=101, kill_density=0.9),
+     "d19baa790094ec57bd519dd672ed7668edcf78d44dcc5b7220e4041bae5db965"),
+    (dict(n_operators=30, n_mutants=2000, n_tests=200, seed=1),
+     "0f415ec7f2321a700f4c168e9289da38efb7ffad2a96311c8e76ae29cba3f386"),
+])
+def test_dumps_bytes_match_pinned_digest(args, digest):
+    text = dumps_cache(synth_cache(**args))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+@settings(max_examples=2000, deadline=None)
+@given(values=st.lists(st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(1e-9, 1e9),
+    # Exact 10-digit decimals: every other one sits on a rounding half.
+    st.builds(lambda m, e: m * 10.0 ** e, st.integers(10**9, 10**10), st.integers(-30, 20)),
+), min_size=1, max_size=50))
+def test_quantize_matches_format_bit_for_bit(values):
+    expected = np.array([float(format(v, ".9g")) for v in values])
+    actual = _quantize(np.array(values))
+    assert actual.view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+
+def document(operators=None, tests=None, mutants=None, **extra):
+    return json.dumps({
+        "operators": [{"id": "op", "generation_cost": 1.0}] if operators is None else operators,
+        "tests": ([{"id": "t1", "priority_rank": 0}, {"id": "t2", "priority_rank": 1}]
+                  if tests is None else tests),
+        "mutants": ([{"id": "m1", "operator_id": "op", "exec_cost": 1.0, "killers": ["t1"]}]
+                    if mutants is None else mutants),
+        **extra,
+    })
+
+
+def mutant(id="m1", operator_id="op", exec_cost=1.0, killers=("t1",)):
+    return {"id": id, "operator_id": operator_id, "exec_cost": exec_cost,
+            "killers": list(killers)}
+
+
+BAD_DOCUMENTS = {
+    "not json": "{nope",
+    "top level array": "[]",
+    "missing mutants": '{"operators": [], "tests": []}',
+    "section not array": '{"operators": {}, "tests": [], "mutants": []}',
+    "operator missing cost": document(operators=[{"id": "op"}]),
+    "operator is an array": document(operators=[["op", 1.0]]),
+    "operator is null": document(operators=[None]),
+    "operator empty id": document(operators=[{"id": "", "generation_cost": 1.0}]),
+    "operator negative cost": document(operators=[{"id": "op", "generation_cost": -1.0}]),
+    "operator nan cost": document(operators=[{"id": "op", "generation_cost": float("nan")}]),
+    "operator infinite cost": document(operators=[{"id": "op", "generation_cost": float("inf")}]),
+    "test missing rank": document(tests=[{"id": "t1"}]),
+    "test empty id": document(tests=[{"id": "", "priority_rank": 0}]),
+    "test negative rank": document(tests=[{"id": "t1", "priority_rank": -1}]),
+    "mutant missing killers": document(mutants=[{"id": "m1", "operator_id": "op",
+                                                 "exec_cost": 1.0}]),
+    "mutant is a string": document(mutants=["m1"]),
+    "mutant empty id": document(mutants=[mutant(id="")]),
+    "mutant zero cost": document(mutants=[mutant(exec_cost=0)]),
+    "mutant negative cost": document(mutants=[mutant(exec_cost=-0.5)]),
+    "mutant infinite cost": document(mutants=[mutant(exec_cost=float("inf"))]),
+    "mutant tiny cost stays positive": document(mutants=[mutant(exec_cost=5e-324)]),
+    "duplicate killer": document(mutants=[mutant(killers=("t2", "t1", "t2"))]),
+    "duplicate unknown killer": document(mutants=[mutant(killers=("x", "x"))]),
+    "two unknown killers": document(mutants=[mutant(killers=("x", "y"))]),
+    "no operators": document(operators=[]),
+    "no tests": document(tests=[]),
+    "no mutants": document(mutants=[]),
+    "no operators beats unknown operator": document(operators=[],
+                                                    mutants=[mutant(operator_id="zz")]),
+    "bad mutant beats no operators": document(operators=[], mutants=[mutant(exec_cost=0)]),
+    "duplicate operator id": document(operators=[{"id": "op", "generation_cost": 1},
+                                                 {"id": "op", "generation_cost": 2}]),
+    "duplicate test id": document(tests=[{"id": "t1", "priority_rank": 0},
+                                         {"id": "t1", "priority_rank": 1}]),
+    "duplicate mutant id": document(mutants=[mutant(id="b"), mutant(id="a"), mutant(id="b")]),
+    "duplicate operator beats duplicate mutant": document(
+        operators=[{"id": "op", "generation_cost": 1}, {"id": "op", "generation_cost": 2}],
+        mutants=[mutant(), mutant()]),
+    "duplicate rank": document(tests=[{"id": "t1", "priority_rank": 3},
+                                      {"id": "t2", "priority_rank": 3}]),
+    "duplicate test id beats unknown killer": document(
+        tests=[{"id": "t1", "priority_rank": 0}, {"id": "t1", "priority_rank": 1}],
+        mutants=[mutant(killers=("zz",))]),
+    "unknown operator": document(mutants=[mutant(operator_id="nope")]),
+    "unknown killer": document(mutants=[mutant(killers=("t1", "tX"))]),
+    "unknown operator beats unknown killer": document(
+        mutants=[mutant(operator_id="nope", killers=("tX",))]),
+    "unknown killer opening a row": document(mutants=[
+        mutant(id="m0", killers=("t1",)), mutant(id="m1", killers=("tX", "t1"))]),
+    "first unknown in file order": document(mutants=[
+        mutant(id="z", killers=()), mutant(id="y", killers=("t2", "q")),
+        mutant(id="a", operator_id="nope")]),
+    "earlier record beats later malformed one": document(mutants=[
+        mutant(id="m1", exec_cost=-1), {"id": "m2"}]),
+    "malformed record beats later bad value": document(mutants=[
+        mutant(id="m1"), {"id": "m2"}, mutant(id="m3", exec_cost=-1)]),
+    "malformed record beats its own bad value": document(mutants=[
+        {"id": "", "operator_id": "op", "exec_cost": -1}]),
+    "operator section before mutant section": document(
+        operators=[{"id": "op", "generation_cost": -1}], mutants=[{"id": "m2"}]),
+    "empty id before cost in one record": document(mutants=[mutant(id="", exec_cost=-1)]),
+    "cost before duplicate killer in one record": document(mutants=[
+        mutant(exec_cost=0, killers=("t1", "t1"))]),
+    "second of many records": document(mutants=[
+        mutant(id=f"m{i}", exec_cost=-1.0 if i in (7, 9) else 1.0) for i in range(12)]),
+}
+
+
+def oracle_message(text):
+    with pytest.raises(CacheError) as caught:
+        oracle_loads(text)
+    return str(caught.value)
+
+
+@pytest.mark.parametrize("name", sorted(BAD_DOCUMENTS))
+def test_errors_match_oracle(name):
+    text = BAD_DOCUMENTS[name]
+    if name == "mutant tiny cost stays positive":
+        assert_index_matches_oracle(text)
+        return
+    with pytest.raises(CacheError) as caught:
+        loads_cache(text)
+    assert str(caught.value) == oracle_message(text)
+
+
+# Values of the wrong JSON type. The record loader coerced them (oracle
+# outcome None) or failed with a bare Python exception text; the columnar
+# loader reads types strictly and names the field.
+STRICT_TYPES = {
+    "killers string": (document(mutants=[{**mutant(), "killers": "t1"}]),
+                       "mutants[0].killers must be an array of test ids, not str",
+                       "mutant 'm1': unknown killer test 't'"),
+    "killers object": (document(mutants=[{**mutant(), "killers": {"t1": 1}}]),
+                       "mutants[0].killers must be an array of test ids, not dict", None),
+    "killers null": (document(mutants=[{**mutant(), "killers": None}]),
+                     "mutants[0].killers must be an array of test ids, not NoneType",
+                     "malformed record: 'NoneType' object is not iterable"),
+    "killer number": (document(mutants=[mutant(killers=(1,))]),
+                      "mutants[0].killers[0] must be a string, not int",
+                      "mutant 'm1': unknown killer test '1'"),
+    "rank float": (document(tests=[{"id": "t1", "priority_rank": 1.5}]),
+                   "tests[0].priority_rank must be an integer, not float", None),
+    "rank string": (document(tests=[{"id": "t1", "priority_rank": "0"}]),
+                    "tests[0].priority_rank must be an integer, not str", None),
+    "exec_cost bool": (document(mutants=[mutant(exec_cost=True)]),
+                       "mutants[0].exec_cost must be a number, not bool", None),
+    "generation_cost bool": (document(operators=[{"id": "op", "generation_cost": False}]),
+                             "operators[0].generation_cost must be a number, not bool", None),
+    "exec_cost string": (document(mutants=[mutant(exec_cost="1.5")]),
+                         "mutants[0].exec_cost must be a number, not str", None),
+    "id number": (document(operators=[{"id": 5, "generation_cost": 1.0}],
+                           mutants=[mutant(operator_id="5")]),
+                  "operators[0].id must be a string, not int", None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRICT_TYPES))
+def test_strict_types_are_malformed(name):
+    text, message, oracle = STRICT_TYPES[name]
+    with pytest.raises(CacheError) as caught:
+        loads_cache(text)
+    assert str(caught.value) == f"malformed record: {message}"
+    if oracle is None:
+        oracle_loads(text)  # the record loader accepted it
+    else:
+        assert oracle_message(text) == oracle

@@ -28,7 +28,7 @@ def eight_of_ten_cache():
                      killers=(f"t{i}",) if i < 8 else ())
         for i in range(10)
     )
-    return MutationCache(
+    return MutationCache.from_records(
         operators=(OperatorRecord(id="op", generation_cost=5.0),),
         tests=tests,
         mutants=mutants,
@@ -116,7 +116,7 @@ def test_relative_score_worked_example():
 
 
 def test_score_zero_when_nothing_killable():
-    cache = MutationCache(
+    cache = MutationCache.from_records(
         operators=(OperatorRecord(id="op", generation_cost=1.0),),
         tests=(TestRecord(id="t", priority_rank=0),),
         mutants=(MutantRecord(id="m", operator_id="op", exec_cost=1.0,

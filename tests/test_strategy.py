@@ -43,8 +43,8 @@ def five_operator_cache():
                 exec_cost=0.5 + 0.01 * counter, killers=killers,
             ))
             counter += 1
-    return MutationCache(operators=operators, tests=tests,
-                         mutants=tuple(mutants))
+    return MutationCache.from_records(operators=operators, tests=tests,
+                                      mutants=tuple(mutants))
 
 
 # ===== selection counting =====
@@ -367,7 +367,7 @@ def test_equal_sized_groups_stay_in_operator_order():
                      exec_cost=1.0, killers=())
         for i in range(6)
     )
-    cache = MutationCache(operators=operators, tests=tests, mutants=mutants)
+    cache = MutationCache.from_records(operators=operators, tests=tests, mutants=mutants)
     strategy = Strategy((
         ExecuteOperators(pct(100)),
         GroupPipeline(
@@ -518,7 +518,7 @@ def tied_yield_cache():
         for i in range(size):
             mutants.append(MutantRecord(id=f"{op}-m{i}", operator_id=op,
                                         exec_cost=0.25 * (i + 1), killers=("t0",)))
-    return MutationCache(operators=operators, tests=tests, mutants=tuple(mutants))
+    return MutationCache.from_records(operators=operators, tests=tests, mutants=tuple(mutants))
 
 
 @pytest.fixture(scope="module")
