@@ -72,14 +72,13 @@ class BaselineSpec:
     @classmethod
     def parse(cls, text: str) -> "BaselineSpec":
         parts = text.split()
-        try:
-            if parts[:2] == ["Baseline", "SM"] and parts[2] == "exclude":
-                return cls(kind="SM", exclusions=int(parts[3]))
-            if (parts[0] == "Baseline" and parts[1] in ("RMS", "ROS")
-                    and parts[2] == "random" and parts[3].endswith("%")):
-                return cls(kind=parts[1], percentage=int(parts[3][:-1]))
-        except (IndexError, ValueError):
-            pass
+        if len(parts) == 4 and parts[0] == "Baseline":
+            _, kind, method, amount = parts
+            if kind == "SM" and method == "exclude" and amount.isdecimal():
+                return cls(kind="SM", exclusions=int(amount))
+            if (kind in ("RMS", "ROS") and method == "random"
+                    and amount.endswith("%") and amount[:-1].isdecimal()):
+                return cls(kind=kind, percentage=int(amount[:-1]))
         raise ValueError(f"unparseable baseline text {text!r}")
 
     def strategy(self) -> Strategy:

@@ -258,14 +258,23 @@ def train(cache_path: Path | None, algorithm: str | None,
                 + ", ".join(_TRAIN_OVERRIDE_FLAGS))
         manifest = runio.read_manifest(manifest_path)
         try:
-            algorithm = str(manifest["algorithm"])
-            config_values = dict(manifest["config"])
+            algorithm = manifest["algorithm"]
+            config_values = manifest["config"]
             grammar_text = str(manifest["grammar_text"])
             recorded_cache = str(manifest["cache_path"])
             recorded_sha = str(manifest["cache_sha256"])
-            seeds = [int(s) for s in manifest["seeds"]]
+            seeds = manifest["seeds"]
         except KeyError as exc:
             raise ValueError(f"manifest {manifest_path} is missing key {exc}")
+        if algorithm not in ("ge", "random"):
+            raise click.UsageError(
+                f"manifest {manifest_path} has unknown algorithm {algorithm!r}")
+        if not isinstance(config_values, dict):
+            raise ValueError(f"manifest {manifest_path}: config must be an object")
+        if not (isinstance(seeds, list) and seeds and all(
+                isinstance(s, int) and not isinstance(s, bool) for s in seeds)):
+            raise ValueError(
+                f"manifest {manifest_path}: seeds must be a non-empty list of integers")
         recorded_numpy = manifest.get("numpy")
         if recorded_numpy is not None and recorded_numpy != np.__version__:
             click.echo(f"warning: {manifest_path} was recorded with numpy "

@@ -19,6 +19,7 @@ strategy execution entirely, and never appear in a returned front.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -32,7 +33,7 @@ from .grammar import Grammar
 from .index import CacheIndex, build_index
 from .objectives import evaluate_indexed
 from .pareto import nondominated, sort_fronts
-from .strategy import Strategy, render, strategy_from_tokens
+from .strategy import Strategy, render, strategy_from_chromosome
 
 
 @dataclass(frozen=True)
@@ -52,6 +53,13 @@ class SearchConfig:
     max_wraps: int = genome.MAX_WRAPS
 
     def __post_init__(self) -> None:
+        for name in self.__dataclass_fields__:
+            value = getattr(self, name)
+            probability = name.endswith("_probability")
+            kind = numbers.Real if probability else numbers.Integral
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{name} must be {'a number' if probability else 'an integer'}, "
+                                 f"not {type(value).__name__}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.population_size < 2 or self.population_size % 2:
@@ -171,15 +179,9 @@ class _Individual:
     def __init__(self, chromosome: Chromosome, grammar: Grammar,
                  max_wraps: int, eval_seed: int):
         self.chromosome = chromosome
-        mapping = genome.map_chromosome(chromosome, grammar, max_wraps)
-        if mapping.mapped:
-            self.strategy = strategy_from_tokens(mapping.tokens)
-            self.text = render(self.strategy)
-            self.failed = False
-        else:
-            self.strategy = None
-            self.text = ""
-            self.failed = True
+        self.strategy = strategy_from_chromosome(chromosome, grammar, max_wraps)
+        self.failed = self.strategy is None
+        self.text = "" if self.failed else render(self.strategy)
         self.eval_seed = eval_seed
         self.time = 1.0
         self.score = 0.0

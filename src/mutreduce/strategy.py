@@ -23,6 +23,12 @@ The executed operators pay their generation cost once; the mutants left
 in the final pool pay their execution cost. Mutants that were generated
 and later discarded cost nothing extra: their generation is already part
 of the owning operator's cost.
+
+Text and tokens share one reader. strategy_from_tokens builds a strategy
+from the terminal tokens of a grammar derivation. parse_strategy reads
+render's text by cutting each arrow-separated phrase into its head and
+argument words, restoring the grammar's spelling of those words, and
+handing the tokens to strategy_from_tokens.
 """
 
 from __future__ import annotations
@@ -30,10 +36,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Literal, Union
+from typing import Iterable, Iterator, Literal, Union
 
 import numpy as np
 
+from . import genome
 from .cache import MutationCache
 from .index import CacheIndex, build_index
 
@@ -307,7 +314,7 @@ def execute(
     )
 
 
-# ===== Building strategies from grammar token streams =====
+# ===== Reading strategies: grammar tokens and rendered text =====
 
 _SELECTION_HEADS = {
     "Retain Operators": RetainOperators,
@@ -316,158 +323,104 @@ _SELECTION_HEADS = {
     "Retain Mutants": RetainMutants,
     "Discard Mutants": DiscardMutants,
 }
+_HEADS = {*_SELECTION_HEADS, "Group Mutants by Operator", "Order Groups by Size",
+          "Retain Groups", "Discard Groups", "Sample Each Group"}
+# Argument words that rendered text spells in lower case.
+_GRAMMAR_SPELLING = {"random": "Random", "first": "First", "last": "Last",
+                     "ascending": "Ascending", "descending": "Descending"}
 
 
-class _TokenStream:
-    def __init__(self, tokens: Iterable[str]):
-        self.tokens = list(tokens)
-        self.pos = 0
-
-    def next(self, context: str) -> str:
-        if self.pos >= len(self.tokens):
-            raise StrategyParseError(f"unexpected end of tokens while reading {context}")
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
-    def done(self) -> bool:
-        return self.pos >= len(self.tokens)
+def _next(stream: Iterator[str], context: str) -> str:
+    token = next(stream, None)
+    if token is None:
+        raise StrategyParseError(f"unexpected end of tokens while reading {context}")
+    return token
 
 
-def _amount_from_token(token: str, context: str) -> Selection:
-    if token.endswith("%"):
-        body, kind = token[:-1], "percentage"
-    else:
-        body, kind = token, "quantity"
-    if not body.isdigit():
-        raise StrategyParseError(f"bad {context} amount {token!r}")
-    return Selection(kind=kind, value=int(body))
+def _count(token: str, what: str) -> int:
+    if not token.isdecimal():
+        raise StrategyParseError(f"bad {what} {token!r}")
+    return int(token)
 
 
-def _parse_selection(stream: _TokenStream, context: str) -> Selection:
-    method = stream.next(context)
+def _selection(method: str, amount: str, context: str) -> Selection:
     if method != "Random":
         raise StrategyParseError(f"expected 'Random' in {context}, got {method!r}")
-    return _amount_from_token(stream.next(context), context)
+    if amount.endswith("%"):
+        return Selection("percentage", _count(amount[:-1], f"{context} percentage"))
+    return Selection("quantity", _count(amount, f"{context} quantity"))
 
 
 def strategy_from_tokens(tokens: Iterable[str]) -> Strategy:
-    """Assemble a strategy from the terminal tokens of a grammar derivation."""
-    stream = _TokenStream(tokens)
+    """Assemble a strategy from the terminal tokens of a grammar derivation,
+    plus the VM-only ``Discard Operators highest-yield n``."""
+    stream = iter(tokens)
     nodes: list[Operation] = []
-    while not stream.done():
-        head = stream.next("operation")
+    for head in stream:
         if head in _SELECTION_HEADS:
-            nodes.append(_SELECTION_HEADS[head](_parse_selection(stream, head)))
+            method = _next(stream, head)
+            if method == "highest-yield" and head == "Discard Operators":
+                nodes.append(DiscardHighestYield(_count(_next(stream, head), "operator count")))
+            else:
+                nodes.append(_SELECTION_HEADS[head](_selection(method, _next(stream, head), head)))
         elif head == "Group Mutants by Operator":
             operations: list[GroupOperation] = []
-            while True:
-                token = stream.next("group pipeline")
-                if token == "Sample Each Group":
-                    sample = _parse_selection(stream, "Sample Each Group")
-                    break
+            while (token := _next(stream, "group pipeline")) != "Sample Each Group":
                 if token == "Order Groups by Size":
-                    direction = stream.next("group ordering")
+                    direction = _next(stream, token)
                     if direction not in ("Ascending", "Descending"):
                         raise StrategyParseError(f"bad direction {direction!r}")
                     operations.append(OrderGroupsBySize(descending=direction == "Descending"))
                 elif token in ("Retain Groups", "Discard Groups"):
-                    edge = stream.next("group edge")
+                    edge = _next(stream, token)
                     if edge not in ("First", "Last"):
                         raise StrategyParseError(f"bad edge {edge!r}")
-                    count_token = stream.next("group count")
-                    if not count_token.isdigit():
-                        raise StrategyParseError(f"bad group count {count_token!r}")
                     operations.append(TakeGroups(
                         edge=edge.lower(),  # type: ignore[arg-type]
-                        count=int(count_token),
+                        count=_count(_next(stream, token), "group count"),
                         keep=token == "Retain Groups",
                     ))
                 else:
                     raise StrategyParseError(f"unexpected token {token!r} in group pipeline")
+            sample = _selection(_next(stream, token), _next(stream, token), token)
             nodes.append(GroupPipeline(operations=tuple(operations), sample=sample))
         else:
             raise StrategyParseError(f"unexpected token {head!r}")
     return Strategy(nodes=tuple(nodes))
 
 
-def strategy_from_chromosome(chromosome, grammar, max_wraps: int | None = None):
-    """Map a chromosome and build its strategy; None if the mapping fails."""
-    from . import genome
-
-    kwargs = {} if max_wraps is None else {"max_wraps": max_wraps}
-    result = genome.map_chromosome(chromosome, grammar, **kwargs)
-    if not result.mapped:
-        return None
-    return strategy_from_tokens(result.tokens)
-
-
-# ===== Parsing rendered text back =====
-
-_PHRASE_PATTERNS: list[tuple[re.Pattern[str], str]] = [
-    (re.compile(r"^(Retain|Discard) (Operators|Mutants) random (\d+)(%?)$"), "pool"),
-    (re.compile(r"^Execute Operators (\d+)(%?)$"), "execute"),
-    (re.compile(r"^Discard Operators highest-yield (\d+)$"), "yield"),
-    (re.compile(r"^Group Mutants by Operator$"), "group"),
-    (re.compile(r"^Order Groups by Size (ascending|descending)$"), "order"),
-    (re.compile(r"^(Retain|Discard) Groups (first|last) (\d+)$"), "take"),
-    (re.compile(r"^Sample Each Group random (\d+)(%?)$"), "sample"),
-]
-
-
-def _selection_from_match(number: str, percent: str) -> Selection:
-    return Selection(kind="percentage" if percent else "quantity", value=int(number))
+def _phrase_tokens(phrase: str) -> list[str]:
+    """The grammar tokens of one rendered phrase: its head, then its
+    argument words in the grammar's spelling. Execute Operators text leaves
+    out the Random of its selection; it is put back."""
+    words = phrase.split(" ")
+    for n in (2, 3, 4):  # heads are two to four words; none begins another
+        head = " ".join(words[:n])
+        if head in _HEADS:
+            break
+    else:
+        raise StrategyParseError(f"unparseable strategy phrase {phrase!r}")
+    args = words[n:]
+    if any(word != word.lower() for word in args):
+        raise StrategyParseError(f"argument words are lower case in {phrase!r}")
+    tokens = [head, "Random"] if head == "Execute Operators" else [head]
+    tokens.extend(_GRAMMAR_SPELLING.get(word, word) for word in args)
+    return tokens
 
 
 def parse_strategy(text: str) -> Strategy:
-    """Inverse of render: parse arrow-joined phrases back into a strategy."""
-    phrases = [p.strip() for p in re.split(r"→|->", text)]
-    if phrases == [""]:
-        raise StrategyParseError("empty strategy text")
-    nodes: list[Operation] = []
-    group: list[GroupOperation] | None = None
-    for phrase in phrases:
-        matched = None
-        for pattern, kind in _PHRASE_PATTERNS:
-            m = pattern.match(phrase)
-            if m:
-                matched = (kind, m)
-                break
-        if matched is None:
-            raise StrategyParseError(f"unparseable strategy phrase {phrase!r}")
-        kind, m = matched
-        in_group = group is not None
-        if kind in ("order", "take", "sample") and not in_group:
-            raise StrategyParseError(f"{phrase!r} outside a group pipeline")
-        if kind in ("pool", "execute", "yield", "group") and in_group:
-            raise StrategyParseError(f"group pipeline not closed before {phrase!r}")
-        if kind == "pool":
-            verb, target, number, percent = m.groups()
-            selection = _selection_from_match(number, percent)
-            table = {
-                ("Retain", "Operators"): RetainOperators,
-                ("Discard", "Operators"): DiscardOperators,
-                ("Retain", "Mutants"): RetainMutants,
-                ("Discard", "Mutants"): DiscardMutants,
-            }
-            nodes.append(table[(verb, target)](selection))
-        elif kind == "execute":
-            nodes.append(ExecuteOperators(_selection_from_match(*m.groups())))
-        elif kind == "yield":
-            nodes.append(DiscardHighestYield(int(m.group(1))))
-        elif kind == "group":
-            group = []
-        elif kind == "order":
-            group.append(OrderGroupsBySize(descending=m.group(1) == "descending"))
-        elif kind == "take":
-            verb, edge, count = m.groups()
-            group.append(TakeGroups(edge=edge, count=int(count), keep=verb == "Retain"))
-        elif kind == "sample":
-            nodes.append(GroupPipeline(
-                operations=tuple(group),
-                sample=_selection_from_match(*m.groups()),
-            ))
-            group = None
-    if group is not None:
-        raise StrategyParseError("group pipeline missing its sampling step")
-    return Strategy(nodes=tuple(nodes))
+    """Inverse of render: arrow-joined phrases, read as grammar tokens."""
+    # Phrase ends need no check of their own: heads are several words and
+    # arguments one, so a phrase with a word too few or too many leaves a
+    # head where the builder wants an argument, or the reverse.
+    tokens: list[str] = []
+    for phrase in re.split(r"→|->", text):
+        tokens += _phrase_tokens(phrase.strip())
+    return strategy_from_tokens(tokens)
+
+
+def strategy_from_chromosome(chromosome, grammar,
+                             max_wraps: int = genome.MAX_WRAPS) -> Strategy | None:
+    """Map a chromosome and build its strategy; None if the mapping fails."""
+    result = genome.map_chromosome(chromosome, grammar, max_wraps)
+    return strategy_from_tokens(result.tokens) if result.mapped else None

@@ -72,6 +72,16 @@ def test_parse_rejects_garbage():
         BaselineSpec.parse("Baseline SM random 10%")
     with pytest.raises(ValueError):
         BaselineSpec.parse("just a strategy")
+    with pytest.raises(ValueError):
+        BaselineSpec.parse("Baseline SM exclude 2 junk")
+    with pytest.raises(ValueError):
+        BaselineSpec.parse("Baseline RMS random 10% x")
+    with pytest.raises(ValueError):
+        BaselineSpec.parse("Baseline SM exclude +2")
+    with pytest.raises(ValueError):
+        BaselineSpec.parse("Baseline RMS random 1_0%")
+    with pytest.raises(ValueError):
+        BaselineSpec.parse("Baseline ROS random 120%")
 
 
 # ===== reduction semantics =====

@@ -249,6 +249,41 @@ def test_train_manifest_detects_cache_drift(cache_file, tmp_path):
                  "--out", str(tmp_path / "re")]) == 2
 
 
+def _replay_edited_manifest(cache_file, tmp_path, edit):
+    """Train once, edit the manifest with ``edit``, replay it; exit code."""
+    out_dir = tmp_path / "base"
+    assert main(train_args(cache_file, out_dir, runs=1)) == 0
+    manifest_path = out_dir / "manifest.json"
+    manifest = read_manifest(manifest_path)
+    edit(manifest)
+    manifest_path.write_text(json.dumps(manifest))
+    return main(["train", "--manifest", str(manifest_path),
+                 "--out", str(tmp_path / "re")])
+
+
+def test_train_manifest_rejects_unknown_algorithm(cache_file, tmp_path, capsys):
+    code = _replay_edited_manifest(cache_file, tmp_path,
+                                   lambda m: m.update(algorithm="foo"))
+    assert code == 2
+    assert "unknown algorithm 'foo'" in capsys.readouterr().err
+    assert not (tmp_path / "re").exists()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda m: m.update(config=5),
+    lambda m: m.update(seeds=5),
+    lambda m: m.update(seeds=[]),
+    lambda m: m["config"].update(population_size="4"),
+    lambda m: m["config"].update(crossover_probability="x"),
+], ids=["config-not-object", "seeds-not-list", "seeds-empty",
+        "population-size-string", "crossover-probability-string"])
+def test_train_manifest_malformed_shape_is_bad_input(cache_file, tmp_path, capsys,
+                                                     edit):
+    assert _replay_edited_manifest(cache_file, tmp_path, edit) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "internal error" not in err
+
+
 def test_train_parallel_output_matches_sequential(cache_file, tmp_path):
     seq = tmp_path / "seq"
     par = tmp_path / "par"

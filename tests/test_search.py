@@ -136,6 +136,19 @@ def test_config_validation():
         SearchConfig(seed=-1)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("population_size", "4"), ("population_size", 4.0), ("seed", True),
+    ("crossover_probability", "x"), ("mutation_probability", None),
+])
+def test_config_rejects_wrong_types(field, value):
+    with pytest.raises(ValueError, match=field):
+        SearchConfig(**{field: value})
+
+
+def test_config_accepts_integral_probabilities():
+    assert SearchConfig(seed=1, crossover_probability=1).crossover_probability == 1
+
+
 def test_default_parameters():
     config = SearchConfig(seed=0)
     assert config.population_size == 100

@@ -118,10 +118,22 @@ def test_parse_rejects_malformed_text():
         parse_strategy("Group Mutants by Operator → Execute Operators 10%")
     with pytest.raises(StrategyParseError):
         parse_strategy("Group Mutants by Operator")  # never sampled
+    with pytest.raises(StrategyParseError):
+        parse_strategy("Execute Operators ²")  # a digit, but not a decimal one
+    with pytest.raises(StrategyParseError):
+        parse_strategy("Discard Operators highest-yield")  # truncated
+    with pytest.raises(StrategyParseError):
+        parse_strategy("Execute Operators random 10%")  # text writes no random
+    with pytest.raises(StrategyParseError):
+        parse_strategy("Retain Mutants Random 10%")  # argument words are lower case
+    with pytest.raises(StrategyParseError):
+        parse_strategy("Execute Operators 100% → Group Mutants by Operator → "
+                       "Retain Groups First 2 → Sample Each Group random 10%")
 
 
 def test_tokens_build_the_same_tree_as_text():
     tokens = [
+        "Discard Operators", "highest-yield", "1",
         "Discard Operators", "Random", "2",
         "Execute Operators", "Random", "50%",
         "Group Mutants by Operator",
@@ -131,10 +143,12 @@ def test_tokens_build_the_same_tree_as_text():
     ]
     from_tokens = strategy_from_tokens(tokens)
     from_text = parse_strategy(
+        "Discard Operators highest-yield 1 → "
         "Discard Operators random 2 → Execute Operators 50% → "
         "Group Mutants by Operator → Retain Groups last 3 → "
         "Sample Each Group random 100% → Discard Mutants random 10%")
     assert from_tokens == from_text
+    assert from_tokens.nodes[0] == DiscardHighestYield(1)
 
 
 def test_token_stream_errors():
@@ -144,6 +158,14 @@ def test_token_stream_errors():
         strategy_from_tokens(["Execute Operators", "Sorted", "10%"])
     with pytest.raises(StrategyParseError):
         strategy_from_tokens(["Group Mutants by Operator", "Juggle Groups"])
+    with pytest.raises(StrategyParseError):
+        strategy_from_tokens(["Execute Operators", "Random", "²"])
+    with pytest.raises(StrategyParseError):
+        strategy_from_tokens(["Execute Operators", "Random", "²%"])
+    with pytest.raises(StrategyParseError):
+        strategy_from_tokens(["Discard Operators", "highest-yield"])  # truncated
+    with pytest.raises(StrategyParseError):
+        strategy_from_tokens(["Retain Operators", "highest-yield", "2"])
 
 
 def test_render_parse_round_trip_and_injectivity(grammar):
@@ -574,6 +596,16 @@ def test_vm_matches_reference_on_arbitrary_node_sequences(oracle_caches):
         nodes = [_random_node(rng) for _ in range(int(rng.integers(1, 9)))]
         for index in indexes:
             assert_matches_reference(Strategy(tuple(nodes)), index, case)
+
+
+def test_render_parse_round_trip_on_arbitrary_node_sequences():
+    """Text of sequences the grammar never emits reads back to the same
+    strategy: several Executes, DiscardHighestYield, 0% and over-sized
+    quantities, empty group pipelines."""
+    rng = np.random.default_rng(606)
+    for _ in range(500):
+        nodes = tuple(_random_node(rng) for _ in range(int(rng.integers(1, 9))))
+        assert parse_strategy(render(Strategy(nodes))) == Strategy(nodes)
 
 
 @pytest.mark.parametrize("text", [
