@@ -11,8 +11,8 @@ same budget, and compared against fixed-shape baselines with front
 quality indicators and non-parametric statistics.
 
 The hot evaluation kernel (first-killer test selection and kill
-counting) is one NumPy kernel over the sparse killer lists of the cache
-index; its memory is O(nnz), the number of recorded kills, never
+counting) is one NumPy kernel over the sparse killer lists of the
+cache; its memory is O(nnz), the number of recorded kills, never
 O(tests x mutants). ``mutreduce.KERNEL_BACKEND`` names it in run
 provenance.
 """
@@ -27,7 +27,7 @@ from .cache import (CacheError, MutantRecord, MutationCache, OperatorRecord,
 from .genome import (Chromosome, GeneBounds, LengthLimits, MappingResult,
                      MappingStatus, map_chromosome, random_chromosome)
 from .grammar import DEFAULT_GRAMMAR_TEXT, Grammar, GrammarError, default_grammar, parse_grammar
-from .index import CacheIndex, build_index
+from .index import build_index
 from .objectives import (ObjectivePair, evaluate, score_objective,
                          select_tests, time_objective)
 from .search import (EvaluatedStrategy, SearchConfig, SearchResult,
@@ -42,7 +42,7 @@ __version__ = "0.1.0"
 KERNEL_BACKEND = "pure"
 
 __all__ = [
-    "A12Result", "BASELINE_KINDS", "BaselineSpec", "CacheError", "CacheIndex",
+    "A12Result", "BASELINE_KINDS", "BaselineSpec", "CacheError",
     "Chromosome", "DEFAULT_GRAMMAR_TEXT", "EvaluatedStrategy", "GeneBounds",
     "Grammar", "GrammarError", "KERNEL_BACKEND", "LengthLimits",
     "MappingResult", "MappingStatus", "MutantRecord", "MutationCache",

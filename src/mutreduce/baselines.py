@@ -30,7 +30,7 @@ from typing import Literal
 import numpy as np
 
 from .cache import MutationCache
-from .index import CacheIndex, build_index
+from .index import build_index
 from .objectives import evaluate_indexed
 from .pareto import nondominated
 from .search import EvaluatedStrategy, Front
@@ -103,7 +103,7 @@ def sweep(kind: Kind) -> tuple[BaselineSpec, ...]:
     raise ValueError(f"unknown baseline kind {kind!r}")
 
 
-def baseline_front(kind: Kind, cache: MutationCache | CacheIndex, seed: int,
+def baseline_front(kind: Kind, cache: MutationCache, seed: int,
                    repetitions: int = 5) -> Front:
     """Evaluate a baseline family over its sweep; non-dominated subset.
 
@@ -111,13 +111,13 @@ def baseline_front(kind: Kind, cache: MutationCache | CacheIndex, seed: int,
     (seed, parameter), recorded on the returned entries so rows can be
     re-evaluated independently later.
     """
-    index = build_index(cache)
+    cache = build_index(cache)
     entries: list[EvaluatedStrategy] = []
     for spec in sweep(kind):
         parameter = spec.exclusions if spec.kind == "SM" else spec.percentage
         eval_seed = int(np.random.SeedSequence(
             entropy=(int(seed), 3, parameter)).generate_state(1, np.uint64)[0])
-        pair = evaluate_indexed(spec.strategy(), index, repetitions,
+        pair = evaluate_indexed(spec.strategy(), cache, repetitions,
                                 np.random.default_rng(eval_seed))
         entries.append(EvaluatedStrategy(
             time=pair.time, score=pair.score, eval_seed=eval_seed,

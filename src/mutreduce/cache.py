@@ -8,16 +8,22 @@ of tests that kill it). Mutants with no killers are equivalent mutants
 from the consumer's point of view; they count against the mutation score
 denominator and can never be killed.
 
-The cache is columnar, in file order: the id tuples of the three
-sections, the operator costs and test ranks, each mutant's operator (a
-position in ``operator_ids``) and cost, and the killers as a CSR
-(``killer_indptr`` / ``killer_tests``, positions in ``test_ids``, each row
-in the order the file lists it). ``loads_cache`` goes from the parsed JSON
-straight to these columns and validates them with vectorised checks;
-``MutationCache.from_records`` runs the same checks on record objects.
-``operators``, ``tests`` and ``mutants`` rebuild the records on demand.
-``index.build_index`` derives the id- and rank-ordered view the strategy
-VM and the kill kernel read.
+The cache is columnar and stored in index order, the one order every
+layer reads: operators and mutants by ascending id, tests by ascending
+priority_rank, and each mutant's killers (the CSR ``killer_indptr`` /
+``killer_tests``, positions in ``test_ids``) by ascending test position,
+so a mutant's first killer opens its row. Iterating mutant positions
+ascending is the id-ordered processing every tie-break rule in the
+package is defined on. ``loads_cache`` goes from the parsed JSON straight
+to file-order columns, validates them with vectorised checks (so errors
+name the first bad record in file order), then reorders them once;
+``MutationCache.from_records`` runs the same steps on record objects.
+Saving writes index order, so a cache equals any reordering of its
+records. ``operators``, ``tests`` and ``mutants`` rebuild the records on
+demand. The cache also derives the views the kill kernel reads:
+``first_killer`` (each mutant's first killer, ``n_tests`` for one no test
+kills) and ``killable_starts`` (the row offset of each killable mutant).
+Memory is O(mutants + kill nonzeros), never O(tests x mutants).
 
 Costs are abstract non-negative units. They are normalized to at most 9
 significant digits on construction so that the JSON serialization (which
@@ -34,15 +40,13 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .index import CacheIndex
 
 
 class CacheError(ValueError):
@@ -113,16 +117,24 @@ def _csr(lengths: np.ndarray) -> np.ndarray:
     return indptr
 
 
+def _inverse(order: np.ndarray) -> np.ndarray:
+    """new_position[old_position] for a permutation given as old positions."""
+    position = np.empty(order.size, dtype=np.int32)
+    position[order] = np.arange(order.size, dtype=np.int32)
+    return position
+
+
 @dataclass(frozen=True, eq=False)
 class MutationCache:
-    """Validated, immutable columns of one mutation run, in file order.
+    """Validated, immutable columns of one mutation run, in index order.
 
-    The constructor takes the columns as they are; ``loads_cache`` and
-    ``from_records`` check them first: ids are unique per section, every
-    mutant references a defined operator, every killer references a
-    defined test at most once, priority ranks are unique, costs are
-    finite (operators >= 0, mutants > 0), and all three sections are
-    non-empty. Equality compares the columns.
+    The constructor takes the columns as they are, already in index order;
+    ``loads_cache`` and ``from_records`` check them and reorder them
+    first: ids are unique per section, every mutant references a defined
+    operator, every killer references a defined test at most once,
+    priority ranks are unique, costs are finite (operators >= 0, mutants
+    > 0), and all three sections are non-empty. Equality compares the
+    columns.
     """
 
     operator_ids: tuple[str, ...]
@@ -133,19 +145,51 @@ class MutationCache:
     mutant_operator: np.ndarray   # int32 position in operator_ids, per mutant
     exec_cost: np.ndarray         # float64, per mutant
     killer_indptr: np.ndarray     # int64 row offsets into killer_tests
-    killer_tests: np.ndarray      # int32 positions in test_ids, file order
+    killer_tests: np.ndarray      # int32 positions in test_ids, ascending per row
+    first_killer: np.ndarray = field(init=False, repr=False)     # int32, per mutant
+    killable_starts: np.ndarray = field(init=False, repr=False)  # int64, per killable mutant
+    op_indptr: np.ndarray = field(init=False, repr=False)        # int64 mutant count offsets
     total_cost: float = field(init=False)
     killable_count: int = field(init=False)
-    # The numeric view, stored by index.build_index on first use.
-    _index: CacheIndex | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         # Derived values are always recomputed, never read from a file.
+        killable = np.diff(self.killer_indptr) > 0
+        killable_starts = self.killer_indptr[:-1][killable]
+        first_killer = np.full(self.n_mutants, self.n_tests, dtype=np.int32)
+        first_killer[killable] = self.killer_tests[killable_starts]
+        yields = np.bincount(self.mutant_operator, minlength=self.n_operators)
         total = math.fsum(self.generation_cost.tolist())
         total += math.fsum(self.exec_cost.tolist())
-        object.__setattr__(self, "total_cost", total)
-        object.__setattr__(self, "killable_count",
-                           int(np.count_nonzero(np.diff(self.killer_indptr))))
+        for name, value in (("first_killer", first_killer),
+                            ("killable_starts", killable_starts),
+                            ("op_indptr", _csr(yields)),
+                            ("total_cost", total),
+                            ("killable_count", int(np.count_nonzero(killable)))):
+            object.__setattr__(self, name, value)
+
+    @property
+    def n_operators(self) -> int:
+        return len(self.operator_ids)
+
+    @property
+    def n_tests(self) -> int:
+        return len(self.test_ids)
+
+    @property
+    def n_mutants(self) -> int:
+        return len(self.mutant_ids)
+
+    @cached_property
+    def mutant_index(self) -> dict[str, int]:
+        """Mutant id to position; built on first use, as only id-based callers need it."""
+        return dict(zip(self.mutant_ids, range(self.n_mutants)))
+
+    def mutants_of_operators(self, ops: np.ndarray) -> np.ndarray:
+        """Sorted mutant positions generated by the given operator positions."""
+        chosen = np.zeros(self.n_operators, dtype=bool)
+        chosen[ops] = True
+        return chosen.take(self.mutant_operator).nonzero()[0].astype(np.int32)
 
     @classmethod
     def from_records(cls, operators, tests, mutants) -> MutationCache:
@@ -168,8 +212,13 @@ class MutationCache:
         return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
                    for a, b in zip(self._columns(), other._columns()))
 
+    def __hash__(self) -> int:
+        # Hashable, so a cache can key a dict or a weak set. Consistent
+        # with __eq__: equal caches have equal operators and totals.
+        return hash((self.operator_ids, self.total_cost, self.killable_count))
+
     def _killer_rows(self) -> list[tuple[str, ...]]:
-        """Each mutant's killer test ids, in file order."""
+        """Each mutant's killer test ids, first killer first."""
         names = list(map(self.test_ids.__getitem__, self.killer_tests.tolist()))
         bounds = self.killer_indptr.tolist()
         return [tuple(names[a:b]) for a, b in zip(bounds, bounds[1:])]
@@ -204,8 +253,7 @@ def operator_yields(cache: MutationCache) -> list[tuple[str, int]]:
     Zero-yield operators are included, so the counts always sum to the
     number of mutants and every operator appears exactly once.
     """
-    counts = np.bincount(cache.mutant_operator, minlength=len(cache.operator_ids))
-    return sorted(zip(cache.operator_ids, counts.tolist()),
+    return sorted(zip(cache.operator_ids, np.diff(cache.op_indptr).tolist()),
                   key=lambda pair: (-pair[1], pair[0]))
 
 
@@ -233,7 +281,8 @@ def _cache_to_document(cache: MutationCache) -> dict:
 def dumps_cache(cache: MutationCache) -> str:
     """Serialize to the canonical JSON form: sorted keys, stable numbers.
 
-    Record order within each section is preserved. Costs were normalized to
+    Records are written in index order, so two caches that differ only in
+    record order save to the same bytes. Costs were normalized to
     9 significant digits on construction, so the default shortest-repr float
     formatting never exceeds that precision and repeated saves of the same
     cache are byte-identical.
@@ -449,14 +498,22 @@ def _unknown_reference(mutant_ids, operator_names, op_codes, n_operators,
     return CacheError(f"mutant {mutant_ids[i]!r}: unknown killer test {killer_names[j]!r}")
 
 
+def _ascending(ids: tuple[str, ...]) -> np.ndarray:
+    """Positions of ids in ascending (code point) order."""
+    return np.fromiter(sorted(range(len(ids)), key=ids.__getitem__),
+                       dtype=np.int64, count=len(ids))
+
+
 def _from_document(doc: dict) -> MutationCache:
-    """Check a parsed cache document and build its columns.
+    """Check a parsed cache document and build its columns in index order.
 
     Errors come in the order a record-at-a-time reading meets them: each
     section's records in file order (fields, then the record's own
     values), then empty sections, duplicate ids, duplicate ranks and
     undefined references. Each section is taken out of ``doc`` and freed
-    once its columns are built.
+    once its columns are built. The checked file-order columns are then
+    reordered once: the sections by id and rank, and the killer rows
+    gathered into mutant order, each sorted by test position.
     """
     (operator_ids, generation_cost), malformed = _fields(
         doc.pop("operators"), "operator", _OPERATOR_FIELDS)
@@ -499,16 +556,27 @@ def _from_document(doc: dict) -> MutationCache:
                                  killer_names, killer_codes, killer_indptr, len(test_ids))
     if unknown is not None:
         raise unknown
+    del operator_names, killer_names
+
+    op_order = _ascending(operator_ids)
+    test_order = np.argsort(priority_rank, kind="stable")
+    mutant_order = _ascending(mutant_ids)
+    counts = np.diff(killer_indptr)[mutant_order]
+    indptr = _csr(counts)
+    shift = np.repeat(killer_indptr[:-1][mutant_order] - indptr[:-1], counts)
+    tests = _inverse(test_order)[killer_codes[np.arange(shift.size) + shift]]
+    # One sort of (row, test) keys sorts each row and keeps rows in place.
+    row_keys = np.repeat(np.arange(len(mutant_ids)) * len(test_ids), counts)
     return MutationCache(
-        operator_ids=operator_ids,
-        generation_cost=generation_cost,
-        test_ids=test_ids,
-        priority_rank=priority_rank,
-        mutant_ids=mutant_ids,
-        mutant_operator=op_codes.astype(np.int32),
-        exec_cost=exec_cost,
-        killer_indptr=killer_indptr,
-        killer_tests=killer_codes.astype(np.int32),
+        operator_ids=tuple(map(operator_ids.__getitem__, op_order.tolist())),
+        generation_cost=generation_cost[op_order],
+        test_ids=tuple(map(test_ids.__getitem__, test_order.tolist())),
+        priority_rank=priority_rank[test_order],
+        mutant_ids=tuple(map(mutant_ids.__getitem__, mutant_order.tolist())),
+        mutant_operator=_inverse(op_order)[op_codes[mutant_order]],
+        exec_cost=exec_cost[mutant_order],
+        killer_indptr=indptr,
+        killer_tests=(np.sort(row_keys + tests) - row_keys).astype(np.int32),
     )
 
 
@@ -604,8 +672,9 @@ def synth_cache(
        collapses each operator's killable mutants onto one killer set;
        redundancy 0 gives almost every mutant its own.
 
-    The columns are built directly: ids are distinct and every reference
-    is in range by construction.
+    The columns are built directly, already in index order: ids are
+    distinct and ascending, each test's rank is its position, killer rows
+    are sorted, and every reference is in range by construction.
     """
     if n_operators < 1 or n_mutants < 1 or n_tests < 1:
         raise ValueError("n_operators, n_mutants and n_tests must all be >= 1")
@@ -678,11 +747,10 @@ def reroll_killers(cache: MutationCache, fraction: float, seed: int) -> Mutation
     n_reroll = int(fraction * n + 0.5)
     chosen = sorted(set(rng.choice(n, size=n_reroll, replace=False).tolist())) if n_reroll else []
     n_tests = len(cache.test_ids)
-    by_rank = np.argsort(cache.priority_rank, kind="stable").astype(np.int32)
     rows = np.split(cache.killer_tests, cache.killer_indptr[1:-1])
     for i in chosen:
         size = 1 + min(int(rng.geometric(0.45)) - 1, n_tests - 1)
-        rows[i] = by_rank[np.sort(rng.choice(n_tests, size=size, replace=False))]
+        rows[i] = np.sort(rng.choice(n_tests, size=size, replace=False)).astype(np.int32)
     return dataclasses.replace(
         cache,
         killer_indptr=_csr(np.fromiter(map(len, rows), dtype=np.int64, count=n)),

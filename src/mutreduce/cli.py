@@ -17,8 +17,6 @@ unreadable files, malformed data), 3 for unexpected internal errors.
 
 from __future__ import annotations
 
-import csv
-import io
 import os
 import platform
 from concurrent.futures import ProcessPoolExecutor
@@ -456,42 +454,28 @@ def _indicator_table_text(label: str, indicator: str, stat: StatReport) -> str:
     for method in stat.methods[1:]:
         effect = stat.effect_sizes[indicator][method]
         row += [f"{effect.value:.4f}", effect.magnitude]
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerow(row)
-    return buffer.getvalue()
+    return runio.csv_text(header, [row])
 
 
 def _values_csv_text(stat: StatReport) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["indicator", "method", "run", "value"])
-    for indicator in INDICATORS:
-        for method in stat.methods:
-            for run_index, value in enumerate(stat.values[indicator][method]):
-                writer.writerow([indicator, method, run_index, repr(value)])
-    return buffer.getvalue()
+    return runio.csv_text(["indicator", "method", "run", "value"], (
+        [indicator, method, run_index, repr(value)]
+        for indicator in INDICATORS
+        for method in stat.methods
+        for run_index, value in enumerate(stat.values[indicator][method])))
 
 
 def _reference_csv_text(stat: StatReport) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["time", "score"])
-    for time, score in stat.reference:
-        writer.writerow([repr(time), repr(score)])
-    return buffer.getvalue()
+    return runio.csv_text(["time", "score"], (
+        [repr(time), repr(score)] for time, score in stat.reference))
 
 
 def _scatter_csv_text(methods: dict[str, list[list[runio.FrontRow]]]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["time", "score", "method"])
-    for name, fronts in methods.items():
-        for rows in fronts:
-            for row in rows:
-                writer.writerow([repr(row.time), repr(row.score), name])
-    return buffer.getvalue()
+    return runio.csv_text(["time", "score", "method"], (
+        [repr(row.time), repr(row.score), name]
+        for name, fronts in methods.items()
+        for rows in fronts
+        for row in rows))
 
 
 def _summary_line(indicator: str, stat: StatReport) -> str:

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import _kernels
 from .cache import MutationCache
-from .index import CacheIndex, build_index
+from .index import build_index
 from .strategy import ReductionRun, Strategy, execute_indexed
 
 
@@ -50,9 +50,9 @@ class ObjectivePair:
     score: float
 
 
-def _mutant_indices(index: CacheIndex, mutant_ids: Iterable[str]) -> np.ndarray:
+def _mutant_indices(cache: MutationCache, mutant_ids: Iterable[str]) -> np.ndarray:
     try:
-        positions = sorted(index.mutant_index[m] for m in mutant_ids)
+        positions = sorted(cache.mutant_index[m] for m in mutant_ids)
     except KeyError as exc:
         raise KeyError(f"unknown mutant id {exc.args[0]!r}") from None
     return np.asarray(positions, dtype=np.int32)
@@ -60,7 +60,7 @@ def _mutant_indices(index: CacheIndex, mutant_ids: Iterable[str]) -> np.ndarray:
 
 def select_tests(
     m_prime: Iterable[str],
-    cache: MutationCache | CacheIndex,
+    cache: MutationCache,
 ) -> TestSelection:
     """Select the tests a prioritized suite would use to kill m_prime.
 
@@ -68,39 +68,39 @@ def select_tests(
     mutants with no killers contribute nothing. Deterministic and
     idempotent: a pure function of the mutant set.
     """
-    index = build_index(cache)
-    mprime = _mutant_indices(index, m_prime)
-    selected, killed = _kernels.select_and_count(index, mprime)
+    cache = build_index(cache)
+    mprime = _mutant_indices(cache, m_prime)
+    selected, killed = _kernels.select_and_count(cache, mprime)
     return TestSelection(
-        test_ids=tuple(index.test_ids[t] for t in selected),
+        test_ids=tuple(cache.test_ids[t] for t in selected),
         killed_mutants=killed,
     )
 
 
-def time_objective(run: ReductionRun, cache: MutationCache | CacheIndex) -> float:
+def time_objective(run: ReductionRun, cache: MutationCache) -> float:
     """Relative cost of the reduced run; 1.0 means as expensive as the full run."""
-    index = build_index(cache)
-    return run.strategy_cost / index.total_cost
+    cache = build_index(cache)
+    return run.strategy_cost / cache.total_cost
 
 
-def score_objective(run: ReductionRun, cache: MutationCache | CacheIndex) -> float:
+def score_objective(run: ReductionRun, cache: MutationCache) -> float:
     """Relative mutation score of the reduced run.
 
     Computed as killed / killable: both the reduced-run score and the
     full-run score share the |M| denominator, so the ratio of the two is
     an exact integer ratio. 0.0 when the cache has no killable mutants.
     """
-    index = build_index(cache)
-    if index.killable_count == 0:
+    cache = build_index(cache)
+    if cache.killable_count == 0:
         return 0.0
-    mprime = _mutant_indices(index, run.mutant_ids)
-    _, killed = _kernels.select_and_count(index, mprime)
-    return killed / index.killable_count
+    mprime = _mutant_indices(cache, run.mutant_ids)
+    _, killed = _kernels.select_and_count(cache, mprime)
+    return killed / cache.killable_count
 
 
 def evaluate_indexed(
     strategy: Strategy,
-    index: CacheIndex,
+    cache: MutationCache,
     n: int,
     rng: np.random.Generator,
 ) -> ObjectivePair:
@@ -109,21 +109,21 @@ def evaluate_indexed(
     costs = []
     killed_total = 0
     for sub in substreams:
-        _, mutant_pool, cost = execute_indexed(strategy, index, sub)
+        _, mutant_pool, cost = execute_indexed(strategy, cache, sub)
         costs.append(cost)
-        _, killed = _kernels.select_and_count(index, mutant_pool)
+        _, killed = _kernels.select_and_count(cache, mutant_pool)
         killed_total += killed
-    time = math.fsum(costs) / math.fsum([index.total_cost] * n)
-    if index.killable_count == 0:
+    time = math.fsum(costs) / math.fsum([cache.total_cost] * n)
+    if cache.killable_count == 0:
         score = 0.0
     else:
-        score = killed_total / (n * index.killable_count)
+        score = killed_total / (n * cache.killable_count)
     return ObjectivePair(time=time, score=score)
 
 
 def evaluate(
     strategy: Strategy,
-    cache: MutationCache | CacheIndex,
+    cache: MutationCache,
     n: int = 5,
     *,
     rng: np.random.Generator,

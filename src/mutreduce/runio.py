@@ -19,9 +19,10 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -31,7 +32,7 @@ from . import objectives
 from .baselines import BaselineSpec
 from .cache import MutationCache
 from .genome import Chromosome
-from .search import EvaluatedStrategy, Front, GenerationStat
+from .search import EvaluatedStrategy, Front, GenerationStat, SearchConfig
 from .strategy import parse_strategy
 
 FRONT_COLUMNS = ("seed", "chromosome", "strategy_text", "time", "score")
@@ -51,6 +52,15 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def csv_text(header: Sequence, rows: Iterable[Sequence]) -> str:
+    """CSV text with "\n" line ends: the header line, then one line per row."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
 
 
 def sha256_text(text: str) -> str:
@@ -73,14 +83,9 @@ class FrontRow:
 
 
 def front_csv_text(front: Front) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(FRONT_COLUMNS)
-    for entry in front:
-        chromosome = entry.chromosome.serialize() if entry.chromosome else ""
-        writer.writerow([entry.eval_seed, chromosome, entry.text,
-                         repr(entry.time), repr(entry.score)])
-    return buffer.getvalue()
+    return csv_text(FRONT_COLUMNS, (
+        [entry.eval_seed, entry.chromosome.serialize() if entry.chromosome else "",
+         entry.text, repr(entry.time), repr(entry.score)] for entry in front))
 
 
 def write_front_csv(path: str | Path, front: Front) -> None:
@@ -97,15 +102,19 @@ def read_front_csv(path: str | Path) -> list[FrontRow]:
         rows = []
         for line_no, row in enumerate(reader, start=2):
             try:
-                rows.append(FrontRow(
+                front_row = FrontRow(
                     seed=int(row["seed"]),
                     chromosome=row["chromosome"],
                     strategy_text=row["strategy_text"],
                     time=float(row["time"]),
                     score=float(row["score"]),
-                ))
+                )
+                if not (math.isfinite(front_row.time) and math.isfinite(front_row.score)):
+                    raise ValueError(f"time and score must be finite, got "
+                                     f"{front_row.time!r} and {front_row.score!r}")
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"front file {path}, line {line_no}: {exc}") from exc
+            rows.append(front_row)
     return rows
 
 
@@ -145,13 +154,9 @@ def reevaluated_front(rows: Sequence[FrontRow], cache: MutationCache,
 # ===== Run logs =====
 
 def runlog_csv_text(stats: Sequence[GenerationStat]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(RUNLOG_COLUMNS)
-    for stat in stats:
-        writer.writerow([stat.generation, stat.evaluations, stat.front_size,
-                         repr(stat.front_hypervolume)])
-    return buffer.getvalue()
+    return csv_text(RUNLOG_COLUMNS, (
+        [stat.generation, stat.evaluations, stat.front_size, repr(stat.front_hypervolume)]
+        for stat in stats))
 
 
 def write_runlog_csv(path: str | Path, stats: Sequence[GenerationStat]) -> None:
@@ -160,21 +165,9 @@ def write_runlog_csv(path: str | Path, stats: Sequence[GenerationStat]) -> None:
 
 # ===== Config files =====
 
-_CONFIG_TYPES = {
-    "seed": int,
-    "population_size": int,
-    "max_evaluations": int,
-    "repetitions": int,
-    "crossover_probability": float,
-    "mutation_probability": float,
-    "prune_probability": float,
-    "duplicate_probability": float,
-    "gene_low": int,
-    "gene_high": int,
-    "min_length": int,
-    "max_length": int,
-    "max_wraps": int,
-}
+# Probabilities are floats, every other setting an integer.
+_CONFIG_TYPES = {f.name: float if f.name.endswith("_probability") else int
+                 for f in fields(SearchConfig)}
 
 
 def parse_config_text(text: str) -> dict:

@@ -30,7 +30,7 @@ from .analysis import hypervolume
 from .cache import MutationCache
 from .genome import Chromosome, GeneBounds, LengthLimits
 from .grammar import Grammar
-from .index import CacheIndex, build_index
+from .index import build_index
 from .objectives import evaluate_indexed
 from .pareto import nondominated, sort_fronts
 from .strategy import Strategy, render, strategy_from_chromosome
@@ -194,13 +194,13 @@ def _eval_seed(master: int, generation: int, slot: int) -> int:
     return int(state.generate_state(1, np.uint64)[0])
 
 
-def _evaluate_population(individuals: list[_Individual], index: CacheIndex,
+def _evaluate_population(individuals: list[_Individual], cache: MutationCache,
                          repetitions: int) -> None:
     for ind in individuals:
         if ind.failed:
             continue  # penalty objectives were set at construction
         rng = np.random.default_rng(ind.eval_seed)
-        pair = evaluate_indexed(ind.strategy, index, repetitions, rng)
+        pair = evaluate_indexed(ind.strategy, cache, repetitions, rng)
         ind.time = pair.time
         ind.score = pair.score
 
@@ -296,10 +296,10 @@ def _final_front(individuals: list[_Individual]) -> Front:
 # ===== Search drivers =====
 
 def run_evolution(config: SearchConfig, grammar: Grammar,
-                  cache: MutationCache | CacheIndex) -> SearchResult:
+                  cache: MutationCache) -> SearchResult:
     """Evolve reduction strategies; returns the final non-dominated front
     (deduplicated by objective pair) plus per-generation statistics."""
-    index = build_index(cache)
+    cache = build_index(cache)
     bounds, limits = config.bounds(), config.limits()
     init_rng = np.random.default_rng(np.random.SeedSequence((config.seed, 1)))
     var_rng = np.random.default_rng(np.random.SeedSequence((config.seed, 2)))
@@ -309,7 +309,7 @@ def run_evolution(config: SearchConfig, grammar: Grammar,
                     grammar, config.max_wraps, _eval_seed(config.seed, 0, slot))
         for slot in range(config.population_size)
     ]
-    _evaluate_population(population, index, config.repetitions)
+    _evaluate_population(population, cache, config.repetitions)
     evaluations = config.population_size
     _assign_fronts(population)
     stats = [_population_stat(0, evaluations, population)]
@@ -341,7 +341,7 @@ def run_evolution(config: SearchConfig, grammar: Grammar,
                     _eval_seed(config.seed, generation, len(offspring))))
                 if len(offspring) == config.population_size:
                     break
-        _evaluate_population(offspring, index, config.repetitions)
+        _evaluate_population(offspring, cache, config.repetitions)
         evaluations += config.population_size
         population = _environmental_selection(population + offspring,
                                               config.population_size)
@@ -352,13 +352,13 @@ def run_evolution(config: SearchConfig, grammar: Grammar,
 
 
 def run_random_search(config: SearchConfig, grammar: Grammar,
-                      cache: MutationCache | CacheIndex) -> SearchResult:
+                      cache: MutationCache) -> SearchResult:
     """Spend the same evaluation budget on uniformly random chromosomes.
 
     Uses the same seed derivation scheme as run_evolution (block b, slot
     s), so per-sample evaluations are reproducible row by row. Returns
     the non-dominated archive over every sample."""
-    index = build_index(cache)
+    cache = build_index(cache)
     bounds, limits = config.bounds(), config.limits()
     init_rng = np.random.default_rng(np.random.SeedSequence((config.seed, 1)))
 
@@ -373,7 +373,7 @@ def run_random_search(config: SearchConfig, grammar: Grammar,
                         _eval_seed(config.seed, block, slot))
             for slot in range(config.population_size)
         ]
-        _evaluate_population(individuals, index, config.repetitions)
+        _evaluate_population(individuals, cache, config.repetitions)
         evaluations += config.population_size
         candidates = archive + [ind for ind in individuals if not ind.failed]
         archive = nondominated(candidates, key=_chromosome_key)

@@ -42,7 +42,7 @@ import numpy as np
 
 from . import genome
 from .cache import MutationCache
-from .index import CacheIndex, build_index
+from .index import build_index
 
 
 class StrategyParseError(ValueError):
@@ -54,13 +54,15 @@ class Selection:
     """Random selection of part of a pool, by percentage or by count."""
 
     kind: Literal["percentage", "quantity"]
-    value: int  # percent in 10..100 or quantity >= 0
+    value: int  # percent in 0..100 or quantity >= 0
 
     def __post_init__(self) -> None:
         if self.kind not in ("percentage", "quantity"):
             raise ValueError(f"bad selection kind {self.kind!r}")
         if self.value < 0:
             raise ValueError("selection value must be >= 0")
+        if self.kind == "percentage" and self.value > 100:
+            raise ValueError("selection percentage must be <= 100")
 
     def count(self, pool_size: int) -> int:
         if self.kind == "percentage":
@@ -228,8 +230,8 @@ def _union(pool: np.ndarray, added: np.ndarray, n: int) -> np.ndarray:
 
 
 def _run_group_pipeline(pipeline: GroupPipeline, mutant_pool: np.ndarray,
-                        index: CacheIndex, rng: np.random.Generator) -> np.ndarray:
-    owners = index.mutant_operator.take(mutant_pool)
+                        cache: MutationCache, rng: np.random.Generator) -> np.ndarray:
+    owners = cache.mutant_operator.take(mutant_pool)
     # Pool positions grouped by ascending operator index, ascending within a
     # group; each group is a (start, size) span of them. Later reorderings
     # are stable, so equal-sized groups keep operator order.
@@ -253,12 +255,12 @@ def _run_group_pipeline(pipeline: GroupPipeline, mutant_pool: np.ndarray,
 
 def execute_indexed(
     strategy: Strategy,
-    index: CacheIndex,
+    cache: MutationCache,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Hot path: run a strategy, returning (executed operator indices,
     reduced mutant indices, strategy cost)."""
-    op_pool = np.arange(index.n_operators, dtype=np.int32)
+    op_pool = np.arange(cache.n_operators, dtype=np.int32)
     executed = op_pool[:0]
     mutant_pool = np.empty(0, dtype=np.int32)
     for node in strategy.nodes:
@@ -266,9 +268,9 @@ def execute_indexed(
             keep = _pick(op_pool.size, node.selection, rng)
             chosen, op_pool = op_pool.compress(keep), op_pool.compress(~keep)
             if chosen.size:
-                executed = _union(executed, chosen, index.n_operators)
-                mutant_pool = _union(mutant_pool, index.mutants_of_operators(chosen),
-                                     index.n_mutants)
+                executed = _union(executed, chosen, cache.n_operators)
+                mutant_pool = _union(mutant_pool, cache.mutants_of_operators(chosen),
+                                     cache.n_mutants)
         elif isinstance(node, RetainOperators):
             op_pool = op_pool.compress(_pick(op_pool.size, node.selection, rng))
         elif isinstance(node, DiscardOperators):
@@ -278,9 +280,9 @@ def execute_indexed(
         elif isinstance(node, DiscardMutants):
             mutant_pool = mutant_pool.compress(~_pick(mutant_pool.size, node.selection, rng))
         elif isinstance(node, GroupPipeline):
-            mutant_pool = _run_group_pipeline(node, mutant_pool, index, rng)
+            mutant_pool = _run_group_pipeline(node, mutant_pool, cache, rng)
         elif isinstance(node, DiscardHighestYield):
-            yields = np.diff(index.op_indptr)[op_pool]
+            yields = np.diff(cache.op_indptr)[op_pool]
             keep = np.ones(op_pool.size, dtype=bool)
             keep[np.argsort(-yields, kind="stable")[:node.count]] = False
             op_pool = op_pool.compress(keep)
@@ -288,15 +290,15 @@ def execute_indexed(
             raise TypeError(f"unknown strategy node {node!r}")
     cost = 0.0
     if executed.size:
-        cost += float(index.op_generation_cost.take(executed).sum())
+        cost += float(cache.generation_cost.take(executed).sum())
     if mutant_pool.size:
-        cost += float(index.mutant_exec_cost.take(mutant_pool).sum())
+        cost += float(cache.exec_cost.take(mutant_pool).sum())
     return executed, mutant_pool, cost
 
 
 def execute(
     strategy: Strategy,
-    cache: MutationCache | CacheIndex,
+    cache: MutationCache,
     rng: np.random.Generator,
 ) -> ReductionRun:
     """Run a strategy against a cache once.
@@ -305,11 +307,11 @@ def execute(
     the executed operators; a strategy with no ExecuteOperators step (or
     one that executes nothing) yields an empty set at zero cost.
     """
-    index = build_index(cache)
-    executed, mutant_pool, cost = execute_indexed(strategy, index, rng)
+    cache = build_index(cache)
+    executed, mutant_pool, cost = execute_indexed(strategy, cache, rng)
     return ReductionRun(
-        operator_ids=tuple(index.op_ids[o] for o in executed),
-        mutant_ids=tuple(index.mutant_ids[m] for m in mutant_pool),
+        operator_ids=tuple(cache.operator_ids[o] for o in executed),
+        mutant_ids=tuple(cache.mutant_ids[m] for m in mutant_pool),
         strategy_cost=cost,
     )
 
@@ -347,7 +349,10 @@ def _selection(method: str, amount: str, context: str) -> Selection:
     if method != "Random":
         raise StrategyParseError(f"expected 'Random' in {context}, got {method!r}")
     if amount.endswith("%"):
-        return Selection("percentage", _count(amount[:-1], f"{context} percentage"))
+        percent = _count(amount[:-1], f"{context} percentage")
+        if percent > 100:
+            raise StrategyParseError(f"{context} percentage {amount!r} is above 100%")
+        return Selection("percentage", percent)
     return Selection("quantity", _count(amount, f"{context} quantity"))
 
 

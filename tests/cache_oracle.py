@@ -4,9 +4,9 @@ Before the cache became columnar, ``loads_cache`` built one frozen record
 per operator, test and mutant, each validated in ``__post_init__``, and
 ``build_index`` copied the records into the index's arrays one mutant at a
 time. That code is kept here, unchanged but for its names, so the
-columnar loader and index can be checked against it: ``oracle_loads``
-gives the same errors in the same order, and ``oracle_index`` the index
-arrays.
+columnar loader can be checked against it: ``oracle_loads`` gives the
+same errors in the same order, and ``oracle_index`` the index-order
+columns and views of the loaded cache.
 """
 
 from __future__ import annotations
@@ -183,11 +183,11 @@ def oracle_index(cache: OracleCache) -> dict[str, object]:
     np.cumsum(np.bincount(mutant_operator, minlength=len(ops)), out=op_indptr[1:])
 
     return {
-        "op_ids": op_ids,
+        "operator_ids": op_ids,
         "test_ids": test_ids,
         "mutant_ids": mutant_ids,
-        "op_generation_cost": np.array([o.generation_cost for o in ops], dtype=np.float64),
-        "mutant_exec_cost": np.array([m.exec_cost for m in mutants], dtype=np.float64),
+        "generation_cost": np.array([o.generation_cost for o in ops], dtype=np.float64),
+        "exec_cost": np.array([m.exec_cost for m in mutants], dtype=np.float64),
         "mutant_operator": mutant_operator,
         "killer_indptr": killer_indptr,
         "killer_tests": killer_tests,

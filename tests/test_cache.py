@@ -1,6 +1,8 @@
 import gc
+import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -109,6 +111,27 @@ def test_save_twice_identical_bytes(tiny_cache, tmp_path):
 
 def test_loads_of_dumps_is_identity(small_synth):
     assert loads_cache(dumps_cache(small_synth)) == small_synth
+
+
+def sorted_and_scrambled(cache):
+    """The canonical text of a cache with ranks that are not positions, and
+    the same records with every section and killer list reversed."""
+    doc = json.loads(dumps_cache(cache))
+    for test in doc["tests"]:
+        test["priority_rank"] = 3 * test["priority_rank"] + 1
+    sorted_text = json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    for section in ("operators", "tests", "mutants"):
+        doc[section].reverse()
+    for mutant in doc["mutants"]:
+        mutant["killers"].reverse()
+    return sorted_text, json.dumps(doc)
+
+
+def test_record_order_does_not_matter(small_synth):
+    sorted_text, scrambled_text = sorted_and_scrambled(small_synth)
+    scrambled = loads_cache(scrambled_text)
+    assert scrambled == loads_cache(sorted_text)
+    assert dumps_cache(scrambled) == sorted_text
 
 
 def test_costs_survive_round_trip_exactly():
@@ -327,6 +350,13 @@ def test_reroll_deterministic(small_synth):
     a = reroll_killers(small_synth, 0.2, seed=5)
     b = reroll_killers(small_synth, 0.2, seed=5)
     assert a == b
+
+
+def test_reroll_output_round_trips(small_synth):
+    _, scrambled_text = sorted_and_scrambled(small_synth)
+    clone = reroll_killers(loads_cache(scrambled_text), 0.5, seed=3)
+    assert clone.killer_tests.dtype == np.int32
+    assert loads_cache(dumps_cache(clone)) == clone
 
 
 def test_reroll_zero_fraction_is_identity(small_synth):

@@ -70,6 +70,19 @@ def test_cache_convert_from_kill_matrix_csv(tmp_path, capsys):
     assert len(data.mutants) == 2
 
 
+def test_cache_convert_writes_mutants_by_id(tmp_path):
+    matrix = tmp_path / "matrix.csv"
+    matrix.write_text("mutant_id,operator_id,exec_cost,killed_by\n"
+                      "m3,opB,1.0,t2\n"
+                      "m1,opA,1.5,t2;t1\n"
+                      "m2,opA,2.0,\n")
+    out = tmp_path / "converted.json"
+    assert main(["cache", "convert", "--matrix", str(matrix), "--out", str(out)]) == 0
+    mutants = json.loads(out.read_text())["mutants"]
+    assert [m["id"] for m in mutants] == ["m1", "m2", "m3"]
+    assert [m["killers"] for m in mutants] == [["t1", "t2"], [], ["t2"]]
+
+
 def test_cache_inspect_prints_kill_nonzeros_without_building_records(
         cache_file, capsys, monkeypatch):
     import mutreduce.cache as cache_mod
@@ -494,6 +507,20 @@ def test_report_input_validation(tmp_path):
     assert main(["report", "--runs", "nodirectory", "--out", out]) == 2
     assert main(["report", "--runs", f"ge={a_dir}", "--runs", f"b={empty}",
                  "--out", out]) == 2
+
+
+@pytest.mark.parametrize("point", [(float("nan"), 0.5), (0.5, float("inf"))])
+def test_report_rejects_non_finite_front_values(tmp_path, capsys, point):
+    a_dir, b_dir = tmp_path / "a", tmp_path / "b"
+    a_dir.mkdir()
+    b_dir.mkdir()
+    write_point_front(a_dir / "front_1.csv", 1, [(0.1, 0.9)])
+    write_point_front(b_dir / "front_1.csv", 1, [(0.2, 0.8), point])
+    out = tmp_path / "out"
+    assert main(["report", "--runs", f"ge={a_dir}", "--runs", f"rms={b_dir}",
+                 "--out", str(out)]) == 2
+    assert f"front file {b_dir / 'front_1.csv'}, line 3: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ===== plumbing =====

@@ -87,8 +87,9 @@ def test_kernel_memory_grows_with_kills_not_tests_times_mutants():
 
 
 def test_index_is_freed_with_its_cache():
-    """The index is stored on the cache and holds no reference back, so
-    dropping the cache frees both without waiting for a collection."""
+    """build_index returns the cache itself, and the cache's derived views
+    form no reference cycle, so dropping the cache frees it without
+    waiting for a collection."""
     cache = synth_cache(3, 40, 8, seed=2)
     index = build_index(cache)
     assert build_index(cache) is index
@@ -131,7 +132,7 @@ def test_index_matches_per_mutant_build():
     base = synth_cache(6, 300, 40, seed=29, kill_density=0.3, redundancy=0.5)
     n_tests = len(base.tests)
     # Reversed priorities (killer lists now run against them) and records
-    # out of id order, so every sort in build_index has work to do.
+    # out of id order, so every sort in the loader's reorder has work to do.
     scrambled = MutationCache.from_records(
         operators=base.operators[::-1],
         tests=tuple(replace(t, priority_rank=n_tests - 1 - t.priority_rank)

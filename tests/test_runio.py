@@ -11,7 +11,7 @@ from mutreduce.runio import (FRONT_COLUMNS, FrontRow, atomic_write_text,
                              reevaluated_front, runlog_csv_text, sha256_file,
                              sha256_text, write_front_csv, write_manifest,
                              write_runlog_csv)
-from mutreduce.search import EvaluatedStrategy, GenerationStat
+from mutreduce.search import EvaluatedStrategy, GenerationStat, SearchConfig
 from mutreduce.strategy import parse_strategy
 
 
@@ -170,6 +170,15 @@ def test_parse_config_missing_equals():
 def test_parse_config_float_keys_accept_ints():
     assert parse_config_text("crossover_probability = 1") == {
         "crossover_probability": 1.0}
+
+
+def test_parse_config_reads_every_search_config_field():
+    config = SearchConfig(seed=3, population_size=10, max_evaluations=40,
+                          crossover_probability=0.5)
+    text = "".join(f"{key} = {value}\n" for key, value in config.as_dict().items())
+    values = parse_config_text(text)
+    assert values == config.as_dict()
+    assert SearchConfig.from_dict(values) == config
 
 
 # ===== manifests =====

@@ -72,6 +72,8 @@ def test_selection_validates():
         Selection(kind="modal", value=1)
     with pytest.raises(ValueError):
         Selection(kind="quantity", value=-1)
+    with pytest.raises(ValueError):
+        Selection(kind="percentage", value=101)
 
 
 # ===== rendering and parsing =====
@@ -129,6 +131,10 @@ def test_parse_rejects_malformed_text():
     with pytest.raises(StrategyParseError):
         parse_strategy("Execute Operators 100% → Group Mutants by Operator → "
                        "Retain Groups First 2 → Sample Each Group random 10%")
+    with pytest.raises(StrategyParseError):
+        parse_strategy("Execute Operators 250% → Retain Mutants random 100%")
+    with pytest.raises(StrategyParseError):
+        parse_strategy("Execute Operators 100% → Retain Mutants random 999%")
 
 
 def test_tokens_build_the_same_tree_as_text():
@@ -166,6 +172,8 @@ def test_token_stream_errors():
         strategy_from_tokens(["Discard Operators", "highest-yield"])  # truncated
     with pytest.raises(StrategyParseError):
         strategy_from_tokens(["Retain Operators", "highest-yield", "2"])
+    with pytest.raises(StrategyParseError):
+        strategy_from_tokens(["Group Mutants by Operator", "Sample Each Group", "Random", "101%"])
 
 
 def test_render_parse_round_trip_and_injectivity(grammar):
@@ -509,9 +517,9 @@ def _ref_execute_indexed(strategy, index, rng):
             raise TypeError(f"unknown strategy node {node!r}")
     cost = 0.0
     if executed.size:
-        cost += float(index.op_generation_cost[executed].sum())
+        cost += float(index.generation_cost[executed].sum())
     if mutant_pool.size:
-        cost += float(index.mutant_exec_cost[mutant_pool].sum())
+        cost += float(index.exec_cost[mutant_pool].sum())
     return executed, mutant_pool, cost
 
 
