@@ -18,20 +18,13 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .pareto import nondominated
+from .pareto import nondominated, point
 
 Point = tuple[float, float]
 
 
 def _as_points(front: Iterable) -> list[Point]:
-    points = []
-    for element in front:
-        if hasattr(element, "time") and hasattr(element, "score"):
-            points.append((float(element.time), float(element.score)))
-        else:
-            time, score = element
-            points.append((float(time), float(score)))
-    return points
+    return [point(element) for element in front]
 
 
 def reference_front(fronts: Iterable[Iterable]) -> list[Point]:
@@ -41,7 +34,7 @@ def reference_front(fronts: Iterable[Iterable]) -> list[Point]:
     Duplicates collapse; the result is sorted by ascending time.
     """
     pool = [p for front in fronts for p in _as_points(front)]
-    return nondominated(pool, key=lambda point: point)
+    return nondominated(pool, key=lambda pair: pair)
 
 
 # ===== Normalization =====

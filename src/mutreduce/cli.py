@@ -33,7 +33,7 @@ from .baselines import BASELINE_KINDS, baseline_front
 from .cache import (MutationCache, dumps_cache, global_score, load_cache,
                     operator_yields, read_kill_matrix_csv, synth_cache)
 from .grammar import DEFAULT_GRAMMAR_TEXT, parse_grammar
-from .search import SearchConfig, run_evolution, run_random_search
+from .search import Front, SearchConfig, run_evolution, run_random_search
 
 
 @click.group(name="mutreduce")
@@ -368,6 +368,8 @@ def baselines_command(cache_path: Path, kinds: str, seed: int, runs: int,
     if unknown or not kind_list:
         raise click.UsageError(
             f"--kinds must name a subset of {','.join(BASELINE_KINDS)}")
+    if seed < 0:
+        raise click.UsageError("--seed must be >= 0")
     if runs < 1:
         raise click.UsageError("--runs must be >= 1")
     if repetitions < 1:
@@ -420,9 +422,8 @@ def evaluate_command(front_path: Path, cache_path: Path, repetitions: int,
     """
     if repetitions < 1:
         raise click.UsageError("--repetitions must be >= 1")
-    rows = runio.read_front_csv(front_path)
-    data = load_cache(cache_path)
-    front = runio.reevaluated_front(rows, data, repetitions)
+    front = runio.reevaluated_front(runio.read_front_csv(front_path),
+                                    load_cache(cache_path), repetitions)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     runio.atomic_write_text(out_path, runio.front_csv_text(front))
     click.echo(f"re-evaluated {len(front)} strategies -> {out_path}")
@@ -470,7 +471,7 @@ def _reference_csv_text(stat: StatReport) -> str:
         [repr(time), repr(score)] for time, score in stat.reference))
 
 
-def _scatter_csv_text(methods: dict[str, list[list[runio.FrontRow]]]) -> str:
+def _scatter_csv_text(methods: dict[str, list[Front]]) -> str:
     return runio.csv_text(["time", "score", "method"], (
         [repr(row.time), repr(row.score), name]
         for name, fronts in methods.items()
@@ -510,7 +511,7 @@ def report_command(run_specs: tuple[str, ...], label: str, out_dir: Path) -> Non
     per-run values, a (time, score, method) scatter of every solution,
     and the pooled reference front.
     """
-    methods: dict[str, list[list[runio.FrontRow]]] = {}
+    methods: dict[str, list[Front]] = {}
     for spec in run_specs:
         name, sep, directory = spec.partition("=")
         name = name.strip()
@@ -523,9 +524,7 @@ def report_command(run_specs: tuple[str, ...], label: str, out_dir: Path) -> Non
         if not files:
             raise ValueError(f"no front_*.csv files in {directory}")
         methods[name] = [runio.read_front_csv(path) for path in files]
-    stat = compare_experiment({
-        name: [runio.front_rows_as_points(rows) for rows in fronts]
-        for name, fronts in methods.items()})
+    stat = compare_experiment(methods)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     for indicator in INDICATORS:

@@ -45,10 +45,11 @@ def sort_fronts(times: np.ndarray, scores: np.ndarray) -> list[np.ndarray]:
     return fronts
 
 
-def _point(item) -> tuple[float, float]:
+def point(item) -> tuple[float, float]:
+    """An item's (time, score): its attributes, or the item itself as a pair."""
     if hasattr(item, "time"):
-        return item.time, item.score
-    return item[0], item[1]
+        return float(item.time), float(item.score)
+    return float(item[0]), float(item[1])
 
 
 def nondominated(items: Iterable[T], key: Callable[[T], Any]) -> list[T]:
@@ -60,13 +61,13 @@ def nondominated(items: Iterable[T], key: Callable[[T], Any]) -> list[T]:
     so an item survives exactly when its score beats all before it.
     """
     def order(item):
-        time, score = _point(item)
+        time, score = point(item)
         return time, -score, key(item)
 
     front: list[T] = []
     best = -math.inf
     for item in sorted(items, key=order):
-        score = _point(item)[1]
+        score = point(item)[1]
         if score > best:
             front.append(item)
             best = score

@@ -4,13 +4,14 @@ Front files are CSV with columns seed, chromosome, strategy_text, time,
 score: one row per front member, sorted by ascending time. ``seed`` is
 the row's own evaluation seed, so any row can be re-evaluated standalone;
 ``chromosome`` is the comma-separated genome (empty for baseline rows).
-Run logs are CSV with one row per generation. Manifests are JSON and
-record everything needed to reproduce a command's outputs bit for bit:
-config, seeds, embedded grammar text, and the cache path with its hash.
+Front files are read back as ``EvaluatedStrategy`` rows. Run logs are
+CSV with one row per generation. Manifests are JSON and record
+everything needed to reproduce a command's outputs bit for bit: config,
+seeds, embedded grammar text, and the cache path with its hash.
 
-All writes are atomic (temp file + rename) and all float formatting uses
-the shortest round-trip representation, so identical results are
-identical bytes.
+All writes are atomic (temp file + rename, permissions as the umask
+allows) and all float formatting uses the shortest round-trip
+representation, so identical results are identical bytes.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, fields
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -44,6 +45,10 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            # mkstemp creates the file 0600; give it the mode open() would.
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp_name, path)
     except BaseException:
@@ -73,15 +78,6 @@ def sha256_file(path: str | Path) -> str:
 
 # ===== Front files =====
 
-@dataclass(frozen=True)
-class FrontRow:
-    seed: int
-    chromosome: str
-    strategy_text: str
-    time: float
-    score: float
-
-
 def front_csv_text(front: Front) -> str:
     return csv_text(FRONT_COLUMNS, (
         [entry.eval_seed, entry.chromosome.serialize() if entry.chromosome else "",
@@ -92,37 +88,37 @@ def write_front_csv(path: str | Path, front: Front) -> None:
     atomic_write_text(path, front_csv_text(front))
 
 
-def read_front_csv(path: str | Path) -> list[FrontRow]:
+def read_front_csv(path: str | Path) -> Front:
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != FRONT_COLUMNS:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or tuple(header) != FRONT_COLUMNS:
             raise ValueError(
                 f"front file {path} must have columns {','.join(FRONT_COLUMNS)}, "
-                f"got {reader.fieldnames}")
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
+                f"got {header}")
+        front: Front = []
+        for row in reader:
+            if not row:
+                continue
             try:
-                front_row = FrontRow(
-                    seed=int(row["seed"]),
-                    chromosome=row["chromosome"],
-                    strategy_text=row["strategy_text"],
-                    time=float(row["time"]),
-                    score=float(row["score"]),
-                )
-                if not (math.isfinite(front_row.time) and math.isfinite(front_row.score)):
+                if len(row) != len(FRONT_COLUMNS):
+                    raise ValueError(f"expected {len(FRONT_COLUMNS)} cells, got {len(row)}")
+                seed, chromosome, text, time, score = row
+                entry = EvaluatedStrategy(
+                    time=float(time), score=float(score), eval_seed=int(seed), text=text,
+                    chromosome=Chromosome.deserialize(chromosome) if chromosome else None)
+                if entry.eval_seed < 0:
+                    raise ValueError(f"seed must be non-negative, got {entry.eval_seed}")
+                if not (math.isfinite(entry.time) and math.isfinite(entry.score)):
                     raise ValueError(f"time and score must be finite, got "
-                                     f"{front_row.time!r} and {front_row.score!r}")
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"front file {path}, line {line_no}: {exc}") from exc
-            rows.append(front_row)
-    return rows
+                                     f"{entry.time!r} and {entry.score!r}")
+            except ValueError as exc:
+                raise ValueError(f"front file {path}, line {reader.line_num}: {exc}") from exc
+            front.append(entry)
+    return front
 
 
-def front_rows_as_points(rows: Iterable[FrontRow]) -> list[tuple[float, float]]:
-    return [(row.time, row.score) for row in rows]
-
-
-def reevaluate_row(row: FrontRow, cache: MutationCache,
+def reevaluate_row(row: EvaluatedStrategy, cache: MutationCache,
                    repetitions: int = 5) -> tuple[float, float]:
     """Re-run a front row against a cache with the row's own seed.
 
@@ -130,25 +126,22 @@ def reevaluate_row(row: FrontRow, cache: MutationCache,
     objectives exactly (same seed, same repetition streams); on another
     cache it measures how the strategy transfers.
     """
-    if row.strategy_text.startswith("Baseline "):
-        strategy = BaselineSpec.parse(row.strategy_text).strategy()
+    if row.text.startswith("Baseline "):
+        strategy = BaselineSpec.parse(row.text).strategy()
     else:
-        strategy = parse_strategy(row.strategy_text)
+        strategy = parse_strategy(row.text)
     pair = objectives.evaluate(strategy, cache, repetitions,
-                               rng=np.random.default_rng(row.seed))
+                               rng=np.random.default_rng(row.eval_seed))
     return pair.time, pair.score
 
 
-def reevaluated_front(rows: Sequence[FrontRow], cache: MutationCache,
+def reevaluated_front(front: Front, cache: MutationCache,
                       repetitions: int = 5) -> Front:
-    front: Front = []
-    for row in rows:
+    replayed: Front = []
+    for row in front:
         time, score = reevaluate_row(row, cache, repetitions)
-        chromosome = Chromosome.deserialize(row.chromosome) if row.chromosome else None
-        front.append(EvaluatedStrategy(
-            time=time, score=score, eval_seed=row.seed,
-            text=row.strategy_text, chromosome=chromosome))
-    return front
+        replayed.append(replace(row, time=time, score=score))
+    return replayed
 
 
 # ===== Run logs =====

@@ -32,8 +32,8 @@ from .genome import Chromosome, GeneBounds, LengthLimits
 from .grammar import Grammar
 from .index import build_index
 from .objectives import evaluate_indexed
-from .pareto import nondominated, sort_fronts
-from .strategy import Strategy, render, strategy_from_chromosome
+from .pareto import nondominated, point, sort_fronts
+from .strategy import render, strategy_from_chromosome
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,6 @@ class EvaluatedStrategy:
     eval_seed: int
     text: str
     chromosome: Chromosome | None = None
-    strategy: Strategy | None = None
 
 
 Front = list[EvaluatedStrategy]
@@ -129,14 +128,16 @@ class SearchResult:
 
 # ===== Ranking and crowding =====
 
+def _objective_arrays(items: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """(times, scores) of items with time/score attributes or (time, score) pairs."""
+    pairs = np.array([point(item) for item in items], dtype=np.float64).reshape(-1, 2)
+    return pairs[:, 0], pairs[:, 1]
+
+
 def fast_nondominated_sort(pairs: Sequence) -> list[list[int]]:
     """Partition points into fronts: rank 0 is non-dominated, rank k+1 is
     non-dominated once ranks <= k are removed. Returns index lists."""
-    times = np.array([p.time if hasattr(p, "time") else p[0] for p in pairs],
-                     dtype=np.float64)
-    scores = np.array([p.score if hasattr(p, "score") else p[1] for p in pairs],
-                      dtype=np.float64)
-    return [front.tolist() for front in sort_fronts(times, scores)]
+    return [front.tolist() for front in sort_fronts(*_objective_arrays(pairs))]
 
 
 def _crowding(times: np.ndarray, scores: np.ndarray) -> np.ndarray:
@@ -163,11 +164,7 @@ def _crowding(times: np.ndarray, scores: np.ndarray) -> np.ndarray:
 
 
 def crowding_distance(pairs: Sequence) -> list[float]:
-    times = np.array([p.time if hasattr(p, "time") else p[0] for p in pairs],
-                     dtype=np.float64)
-    scores = np.array([p.score if hasattr(p, "score") else p[1] for p in pairs],
-                      dtype=np.float64)
-    return _crowding(times, scores).tolist()
+    return _crowding(*_objective_arrays(pairs)).tolist()
 
 
 # ===== Individuals =====
@@ -287,9 +284,8 @@ def _chromosome_key(ind: _Individual) -> str:
 
 def _final_front(individuals: list[_Individual]) -> Front:
     members = [ind for ind in individuals if ind.rank == 0 and not ind.failed]
-    return [EvaluatedStrategy(time=ind.time, score=ind.score,
-                              eval_seed=ind.eval_seed, text=ind.text,
-                              chromosome=ind.chromosome, strategy=ind.strategy)
+    return [EvaluatedStrategy(time=ind.time, score=ind.score, eval_seed=ind.eval_seed,
+                              text=ind.text, chromosome=ind.chromosome)
             for ind in nondominated(members, key=_chromosome_key)]
 
 
@@ -377,16 +373,8 @@ def run_random_search(config: SearchConfig, grammar: Grammar,
         evaluations += config.population_size
         candidates = archive + [ind for ind in individuals if not ind.failed]
         archive = nondominated(candidates, key=_chromosome_key)
-        stats.append(GenerationStat(
-            generation=block,
-            evaluations=evaluations,
-            front_size=len(archive),
-            front_hypervolume=hypervolume(
-                [(ind.time, 1.0 - ind.score) for ind in archive]),
-        ))
+        stats.append(_population_stat(block, evaluations, archive))
         block += 1
-    for ind in archive:
-        ind.rank = 0
     return SearchResult(front=_final_front(archive),
                         generations=stats, evaluations=evaluations)
 

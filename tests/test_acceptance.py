@@ -30,7 +30,7 @@ from mutreduce.genome import (Chromosome, MAX_WRAPS, MappingStatus, crossover,
                               random_chromosome)
 from mutreduce.grammar import parse_grammar
 from mutreduce.objectives import evaluate, score_objective, time_objective
-from mutreduce.runio import FrontRow, reevaluate_row, write_front_csv
+from mutreduce.runio import reevaluate_row, write_front_csv
 from mutreduce.search import (SearchConfig, fast_nondominated_sort,
                               run_evolution, run_random_search)
 from mutreduce.strategy import ReductionRun
@@ -305,16 +305,11 @@ def test_criterion_08_transfer_to_perturbed_cache(
     cache = replication_caches[0]
     per_cache, _ = replication_runs
     evolution, _ = per_cache[0]
-    front = evolution[0]
-    rows = [FrontRow(seed=m.eval_seed,
-                     chromosome=m.chromosome.serialize() if m.chromosome else "",
-                     strategy_text=m.text, time=m.time, score=m.score)
-            for m in front]
     perturbed = reroll_killers(cache, 0.05, seed=4242)
     assert perturbed != cache
-    for row in rows:
-        assert reevaluate_row(row, cache) == (row.time, row.score)
-        time_p, score_p = reevaluate_row(row, perturbed)
+    for member in evolution[0]:
+        assert reevaluate_row(member, cache) == (member.time, member.score)
+        time_p, score_p = reevaluate_row(member, perturbed)
         assert 0.0 <= time_p <= 1.0
         assert 0.0 <= score_p <= 1.0
 

@@ -332,8 +332,8 @@ def test_baselines_writes_per_kind_fronts(cache_file, tmp_path, capsys):
     for kind, bound in (("rms", 9), ("ros", 9), ("sm", 6)):
         rows = read_front_csv(out_dir / kind / "front_4.csv")
         assert 1 <= len(rows) <= bound
-        assert all(row.strategy_text.startswith("Baseline") for row in rows)
-        assert all(row.chromosome == "" for row in rows)
+        assert all(row.text.startswith("Baseline") for row in rows)
+        assert all(row.chromosome is None for row in rows)
     manifest = read_manifest(out_dir / "manifest.json")
     assert manifest["command"] == "baselines"
     assert manifest["kinds"] == ["RMS", "ROS", "SM"]
@@ -346,8 +346,8 @@ def test_baselines_sm_objectives_identical_across_seeds(cache_file, tmp_path):
                  "--out", str(out_dir)]) == 0
     first = read_front_csv(out_dir / "sm" / "front_1.csv")
     second = read_front_csv(out_dir / "sm" / "front_2.csv")
-    assert [(r.time, r.score, r.strategy_text) for r in first] == \
-           [(r.time, r.score, r.strategy_text) for r in second]
+    assert [(r.time, r.score, r.text) for r in first] == \
+           [(r.time, r.score, r.text) for r in second]
 
 
 def test_baselines_kind_subset_and_validation(cache_file, tmp_path):
@@ -358,6 +358,13 @@ def test_baselines_kind_subset_and_validation(cache_file, tmp_path):
     assert not (out_dir / "sm").exists()
     assert main(["baselines", "--cache", str(cache_file), "--kinds", "XXX",
                  "--out", str(tmp_path / "bad")]) == 2
+
+
+def test_baselines_negative_seed_is_a_usage_error(cache_file, tmp_path, capsys):
+    assert main(["baselines", "--cache", str(cache_file), "--seed", "-1",
+                 "--out", str(tmp_path / "bad")]) == 2
+    assert "--seed must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
 
 
 @pytest.mark.parametrize("repetitions", ["0", "-1"])
@@ -409,10 +416,23 @@ def test_evaluate_on_other_cache_changes_objectives(cache_file, tmp_path):
                  "--repetitions", "2", "--out", str(replay)]) == 0
     original = read_front_csv(source)
     transferred = read_front_csv(replay)
-    assert [r.strategy_text for r in transferred] == \
-           [r.strategy_text for r in original]
+    assert [r.text for r in transferred] == [r.text for r in original]
     assert [(r.time, r.score) for r in transferred] != \
            [(r.time, r.score) for r in original]
+
+
+@pytest.mark.parametrize("row,reason", [
+    ("-3,,Execute Operators 100%,0.5,0.5", "seed must be non-negative, got -3"),
+    ("3,1;2,Execute Operators 100%,0.5,0.5", "bad chromosome text '1;2'"),
+], ids=["negative seed", "malformed chromosome"])
+def test_evaluate_rejects_a_bad_front_row(cache_file, tmp_path, capsys, row, reason):
+    front = tmp_path / "front.csv"
+    front.write_text("seed,chromosome,strategy_text,time,score\n" + row + "\n")
+    replay = tmp_path / "replay.csv"
+    assert main(["evaluate", "--front", str(front), "--cache", str(cache_file),
+                 "--out", str(replay)]) == 2
+    assert f"front file {front}, line 2: {reason}" in capsys.readouterr().err
+    assert not replay.exists()
 
 
 # ===== report =====
@@ -520,6 +540,22 @@ def test_report_rejects_non_finite_front_values(tmp_path, capsys, point):
     assert main(["report", "--runs", f"ge={a_dir}", "--runs", f"rms={b_dir}",
                  "--out", str(out)]) == 2
     assert f"front file {b_dir / 'front_1.csv'}, line 3: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_report_rejects_a_malformed_chromosome(tmp_path, capsys):
+    a_dir, b_dir = tmp_path / "a", tmp_path / "b"
+    a_dir.mkdir()
+    b_dir.mkdir()
+    write_point_front(a_dir / "front_1.csv", 1, [(0.1, 0.9)])
+    (b_dir / "front_1.csv").write_text("seed,chromosome,strategy_text,time,score\n"
+                                       '1,"4,2",stub 0,0.2,0.8\n'
+                                       '1,"4,x",stub 1,0.3,0.9\n')
+    out = tmp_path / "out"
+    assert main(["report", "--runs", f"ge={a_dir}", "--runs", f"rms={b_dir}",
+                 "--out", str(out)]) == 2
+    assert (f"front file {b_dir / 'front_1.csv'}, line 3: bad chromosome text '4,x'"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 

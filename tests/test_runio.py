@@ -1,11 +1,13 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 
 from mutreduce.baselines import BaselineSpec
 from mutreduce.genome import Chromosome
 from mutreduce.objectives import evaluate
-from mutreduce.runio import (FRONT_COLUMNS, FrontRow, atomic_write_text,
-                             front_csv_text, front_rows_as_points,
+from mutreduce.runio import (FRONT_COLUMNS, atomic_write_text, front_csv_text,
                              manifest_text, parse_config_text,
                              read_front_csv, read_manifest, reevaluate_row,
                              reevaluated_front, runlog_csv_text, sha256_file,
@@ -39,16 +41,19 @@ def test_front_csv_text_layout():
 def test_front_csv_round_trip(tmp_path):
     path = tmp_path / "front.csv"
     write_front_csv(path, sample_front())
-    rows = read_front_csv(path)
-    assert rows == [
-        FrontRow(seed=11, chromosome="3,141,59,26",
-                 strategy_text="Execute Operators 10%",
-                 time=0.1 + 0.2, score=0.75),
-        FrontRow(seed=22, chromosome="",
-                 strategy_text="Baseline RMS random 90%",
-                 time=0.9, score=1.0),
-    ]
-    assert front_rows_as_points(rows) == [(0.1 + 0.2, 0.75), (0.9, 1.0)]
+    assert read_front_csv(path) == sample_front()
+
+
+def test_front_csv_text_reproduces_a_front_file_byte_for_byte(tmp_path):
+    path = tmp_path / "front.csv"
+    path.write_text(",".join(FRONT_COLUMNS) + "\n"
+                    '11,"3,141,59,26",Execute Operators 10%,0.30000000000000004,0.75\n'
+                    "22,,Baseline RMS random 90%,1e-17,1.0\n"
+                    '7,"0,255",Discard Mutants random 5 → Execute Operators 100%,'
+                    "0.3333333333333333,123456.789012345\n"
+                    "18446744073709551615,,Baseline SM exclude 2,5e-324,0.0\n",
+                    encoding="utf-8")
+    assert front_csv_text(read_front_csv(path)) == path.read_text(encoding="utf-8")
 
 
 def test_front_floats_survive_round_trip(tmp_path):
@@ -77,12 +82,27 @@ def test_front_csv_reports_bad_line(tmp_path):
         read_front_csv(path)
 
 
+@pytest.mark.parametrize("line,reason", [
+    ("-1,,x,0.5,0.5", "seed must be non-negative, got -1"),
+    ("1,,x,0.5,0.5,extra", "expected 5 cells, got 6"),
+    ("1,,x,0.5", "expected 5 cells, got 4"),
+    ('1,"3,,4",x,0.5,0.5', "bad chromosome text '3,,4'"),
+    ("1,genes,x,0.5,0.5", "bad chromosome text 'genes'"),
+], ids=["negative seed", "sixth cell", "missing cell", "empty gene", "not a number"])
+def test_front_csv_rejects_bad_rows(tmp_path, line, reason):
+    path = tmp_path / "front.csv"
+    path.write_text(",".join(FRONT_COLUMNS) + "\n1,,ok,0.5,0.5\n" + line + "\n")
+    with pytest.raises(ValueError) as excinfo:
+        read_front_csv(path)
+    assert str(excinfo.value) == f"front file {path}, line 3: {reason}"
+
+
 def test_reevaluate_strategy_row_replays_exactly(tiny_cache):
     text = "Execute Operators 50% -> Retain Mutants random 2"
     pair = evaluate(parse_strategy(text), tiny_cache, 5,
                     rng=np.random.default_rng(123))
-    row = FrontRow(seed=123, chromosome="", strategy_text=text,
-                   time=pair.time, score=pair.score)
+    row = EvaluatedStrategy(time=pair.time, score=pair.score, eval_seed=123,
+                            text=text)
     assert reevaluate_row(row, tiny_cache) == (pair.time, pair.score)
 
 
@@ -90,20 +110,19 @@ def test_reevaluate_baseline_row_replays_exactly(tiny_cache):
     spec = BaselineSpec(kind="ROS", percentage=50)
     pair = evaluate(spec.strategy(), tiny_cache, 5, rng=np.random.default_rng(9))
     expected = (pair.time, pair.score)
-    row = FrontRow(seed=9, chromosome="", strategy_text=spec.describe(),
-                   time=expected[0], score=expected[1])
+    row = EvaluatedStrategy(time=expected[0], score=expected[1], eval_seed=9,
+                            text=spec.describe())
     assert reevaluate_row(row, tiny_cache) == expected
 
 
 def test_reevaluated_front_restores_chromosomes(tiny_cache):
-    rows = [FrontRow(seed=5, chromosome="1,2,3",
-                     strategy_text="Execute Operators 100%",
-                     time=0.0, score=0.0),
-            FrontRow(seed=6, chromosome="",
-                     strategy_text="Baseline SM exclude 1",
-                     time=0.0, score=0.0)]
+    rows = [EvaluatedStrategy(time=0.0, score=0.0, eval_seed=5,
+                              text="Execute Operators 100%",
+                              chromosome=Chromosome((1, 2, 3))),
+            EvaluatedStrategy(time=0.0, score=0.0, eval_seed=6,
+                              text="Baseline SM exclude 1")]
     front = reevaluated_front(rows, tiny_cache, repetitions=3)
-    assert front[0].chromosome == Chromosome((1, 2, 3))
+    assert front[0].chromosome is rows[0].chromosome
     assert front[1].chromosome is None
     assert front[0].eval_seed == 5
     assert front[0].text == "Execute Operators 100%"
@@ -219,6 +238,18 @@ def test_atomic_write_overwrites_and_leaves_no_temp_files(tmp_path):
     atomic_write_text(path, "second")
     assert path.read_text() == "second"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask-022", "umask-077"])
+def test_atomic_write_gives_the_mode_the_umask_allows(tmp_path, umask, mode):
+    path = tmp_path / "out.txt"
+    previous = os.umask(umask)
+    try:
+        atomic_write_text(path, "text")
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(path.stat().st_mode) == mode
 
 
 def test_sha256_helpers(tmp_path):

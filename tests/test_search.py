@@ -11,7 +11,7 @@ from mutreduce.runio import front_csv_text, runlog_csv_text
 from mutreduce.search import (SearchConfig, crowding_distance,
                               fast_nondominated_sort, run_evolution,
                               run_random_search)
-from mutreduce.strategy import strategy_from_chromosome
+from mutreduce.strategy import parse_strategy, strategy_from_chromosome
 
 
 @pytest.fixture(scope="module")
@@ -208,7 +208,7 @@ def test_front_members_replay_their_objectives(search_cache, grammar):
     config = small_config(seed=6)
     result = run_evolution(config, grammar, search_cache)
     for member in result.front:
-        pair = evaluate(member.strategy, search_cache, config.repetitions,
+        pair = evaluate(parse_strategy(member.text), search_cache, config.repetitions,
                         rng=np.random.default_rng(member.eval_seed))
         assert (pair.time, pair.score) == (member.time, member.score)
 
@@ -283,12 +283,14 @@ def test_random_search_archive_is_optimal_over_its_samples(search_cache, grammar
 
 
 def test_search_results_carry_strategy_text(search_cache, grammar):
-    result = run_evolution(small_config(seed=14), grammar, search_cache)
-    from mutreduce.strategy import parse_strategy, render
+    config = small_config(seed=14)
+    result = run_evolution(config, grammar, search_cache)
+    from mutreduce.strategy import render
     for member in result.front:
         assert member.text
         assert render(parse_strategy(member.text)) == member.text
-        assert render(member.strategy) == member.text
+        assert render(strategy_from_chromosome(
+            member.chromosome, grammar, config.max_wraps)) == member.text
 
 
 # ===== byte identity =====
