@@ -12,9 +12,10 @@ quality indicators and non-parametric statistics.
 
 The hot evaluation kernel (first-killer test selection and kill
 counting) is one NumPy kernel over the sparse killer lists of the
-cache; its memory is O(nnz), the number of recorded kills, never
-O(tests x mutants). ``mutreduce.KERNEL_BACKEND`` names it in run
-provenance.
+cache: each mutant's first killer, and the kill classes (each distinct
+killer list once, with the number of mutants sharing it). Its memory
+is O(nnz), the number of recorded kills, never O(tests x mutants).
+``mutreduce.KERNEL_BACKEND`` names it in run provenance.
 """
 
 from .analysis import (A12Result, StatReport, a12, compare_experiment,

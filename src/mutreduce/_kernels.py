@@ -1,9 +1,10 @@
 """Hot-loop kernel: first-killer test selection and kill counting.
 
-One NumPy kernel over the cache's mutant-major killer lists
-(killer_tests, with the first_killer and killable_starts views of them).
-Its temporaries grow with the kill nonzeros (nnz), the tests and the kept
-mutants, never with tests x mutants.
+One NumPy kernel over two views of the cache's killer lists: selection
+reads ``first_killer`` (per mutant) and counting reads ``kill_classes``
+(each distinct killer row once, with its multiplicity). Its temporaries
+grow with the class nonzeros, the tests and the kept mutants, never with
+tests x mutants.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ def select_and_count(cache, mprime: np.ndarray) -> tuple[np.ndarray, int]:
     selected = mask[:-1].nonzero()[0]
     if selected.size == 0:
         return selected, 0
-    # One segment of killer_tests per killable mutant: killed if any of
-    # its killers was selected.
-    hits = np.logical_or.reduceat(mask[cache.killer_tests], cache.killable_starts)
-    return selected, int(np.count_nonzero(hits))
+    # One segment of class tests per kill class: all its mutants are
+    # killed if any of its killers was selected.
+    classes = cache.kill_classes
+    hits = np.logical_or.reduceat(mask[classes.tests], classes.starts)
+    return selected, int(classes.multiplicity @ hits)

@@ -22,8 +22,10 @@ Saving writes index order, so a cache equals any reordering of its
 records. ``operators``, ``tests`` and ``mutants`` rebuild the records on
 demand. The cache also derives the views the kill kernel reads:
 ``first_killer`` (each mutant's first killer, ``n_tests`` for one no test
-kills) and ``killable_starts`` (the row offset of each killable mutant).
-Memory is O(mutants + kill nonzeros), never O(tests x mutants).
+kills) and ``kill_classes`` (each distinct killer row of the killable
+mutants once, with the number of mutants sharing it: duplicate mutants
+are interchangeable when kills are counted). Memory is O(mutants + kill
+nonzeros), never O(tests x mutants).
 
 Costs are abstract non-negative units. They are normalized to at most 9
 significant digits on construction so that the JSON serialization (which
@@ -124,6 +126,14 @@ def _inverse(order: np.ndarray) -> np.ndarray:
     return position
 
 
+class KillClasses(NamedTuple):
+    """Killable mutants grouped by identical killer rows, as a CSR of classes."""
+
+    starts: np.ndarray        # int64 offset of each class's row in tests
+    tests: np.ndarray         # int32 test positions, ascending per row
+    multiplicity: np.ndarray  # int64 number of mutants with each class's row
+
+
 @dataclass(frozen=True, eq=False)
 class MutationCache:
     """Validated, immutable columns of one mutation run, in index order.
@@ -146,23 +156,20 @@ class MutationCache:
     exec_cost: np.ndarray         # float64, per mutant
     killer_indptr: np.ndarray     # int64 row offsets into killer_tests
     killer_tests: np.ndarray      # int32 positions in test_ids, ascending per row
-    first_killer: np.ndarray = field(init=False, repr=False)     # int32, per mutant
-    killable_starts: np.ndarray = field(init=False, repr=False)  # int64, per killable mutant
-    op_indptr: np.ndarray = field(init=False, repr=False)        # int64 mutant count offsets
+    first_killer: np.ndarray = field(init=False, repr=False)  # int32, per mutant
+    op_indptr: np.ndarray = field(init=False, repr=False)     # int64 mutant count offsets
     total_cost: float = field(init=False)
     killable_count: int = field(init=False)
 
     def __post_init__(self) -> None:
         # Derived values are always recomputed, never read from a file.
         killable = np.diff(self.killer_indptr) > 0
-        killable_starts = self.killer_indptr[:-1][killable]
         first_killer = np.full(self.n_mutants, self.n_tests, dtype=np.int32)
-        first_killer[killable] = self.killer_tests[killable_starts]
+        first_killer[killable] = self.killer_tests[self.killer_indptr[:-1][killable]]
         yields = np.bincount(self.mutant_operator, minlength=self.n_operators)
         total = math.fsum(self.generation_cost.tolist())
         total += math.fsum(self.exec_cost.tolist())
         for name, value in (("first_killer", first_killer),
-                            ("killable_starts", killable_starts),
                             ("op_indptr", _csr(yields)),
                             ("total_cost", total),
                             ("killable_count", int(np.count_nonzero(killable)))):
@@ -184,6 +191,33 @@ class MutationCache:
     def mutant_index(self) -> dict[str, int]:
         """Mutant id to position; built on first use, as only id-based callers need it."""
         return dict(zip(self.mutant_ids, range(self.n_mutants)))
+
+    @cached_property
+    def kill_classes(self) -> KillClasses:
+        """The killable mutants' distinct killer rows, with their multiplicities.
+
+        Rows are compared exactly, one row length at a time: that length's
+        rows form a (rows x length) matrix, one lexsort makes equal rows
+        adjacent, and a class opens wherever a row differs from the one
+        before it. Built on first use rather than on load: building it on
+        load measured a higher peak RSS when a process loads a second cache.
+        """
+        lengths = np.diff(self.killer_indptr)
+        tests = [np.empty(0, dtype=np.int32)]
+        multiplicity = [np.empty(0, dtype=np.int64)]
+        widths = [np.empty(0, dtype=np.int64)]
+        for n in (np.flatnonzero(np.bincount(lengths)[1:]) + 1).tolist():
+            starts = self.killer_indptr[:-1][lengths == n]
+            block = self.killer_tests[starts[:, None] + np.arange(n)]
+            block = block[np.lexsort(block.T)]
+            differs = (block[1:] != block[:-1]).any(axis=1)
+            heads = np.flatnonzero(np.concatenate(([True], differs)))
+            tests.append(block[heads].ravel())
+            multiplicity.append(np.diff(heads, append=len(block)))
+            widths.append(np.full(heads.size, n, dtype=np.int64))
+        return KillClasses(starts=_csr(np.concatenate(widths))[:-1],
+                           tests=np.concatenate(tests),
+                           multiplicity=np.concatenate(multiplicity))
 
     def mutants_of_operators(self, ops: np.ndarray) -> np.ndarray:
         """Sorted mutant positions generated by the given operator positions."""

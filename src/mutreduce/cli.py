@@ -112,6 +112,8 @@ def cache_synth(operators: int, mutants: int, tests: int, seed: int,
                 kill_density: float, cost_skew: float, redundancy: float,
                 out_path: Path) -> None:
     """Generate a reproducible synthetic cache."""
+    if seed < 0:
+        raise click.UsageError("--seed must be >= 0")
     data = synth_cache(n_operators=operators, n_mutants=mutants, n_tests=tests,
                        seed=seed, kill_density=kill_density,
                        cost_skew=cost_skew, redundancy=redundancy)
@@ -132,6 +134,8 @@ def cache_inspect(path: Path) -> None:
     click.echo(f"mutants:      {len(data.mutant_ids)}")
     click.echo(f"killable:     {data.killable_count}")
     click.echo(f"kill nonzeros: {data.killer_tests.size}")
+    click.echo(f"kill classes: {data.kill_classes.starts.size}")
+    click.echo(f"class nonzeros: {data.kill_classes.tests.size}")
     click.echo(f"global score: {global_score(data):.6f}")
     click.echo(f"total cost:   {data.total_cost:.6g}")
     click.echo("mutants per operator:")

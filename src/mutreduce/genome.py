@@ -14,6 +14,7 @@ the configured gene bounds and length limits.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -26,6 +27,9 @@ GENE_HIGH = 179
 MIN_LENGTH = 15
 MAX_LENGTH = 100
 MAX_WRAPS = 10
+
+# A gene as serialize() writes it: ASCII digits, no sign, no leading zero.
+_GENE_TEXT = re.compile(r"0|[1-9][0-9]*")
 
 
 @dataclass(frozen=True)
@@ -69,10 +73,11 @@ class Chromosome:
 
     @classmethod
     def deserialize(cls, text: str) -> "Chromosome":
-        try:
-            return cls(tuple(int(part) for part in text.split(",")))
-        except ValueError as exc:
-            raise ValueError(f"bad chromosome text {text!r}") from exc
+        """The chromosome whose serialize() text is exactly ``text``."""
+        parts = text.split(",")
+        if not all(map(_GENE_TEXT.fullmatch, parts)):
+            raise ValueError(f"bad chromosome text {text!r}")
+        return cls(tuple(map(int, parts)))
 
 
 class MappingStatus(Enum):

@@ -6,13 +6,15 @@ per operator, test and mutant, each validated in ``__post_init__``, and
 time. That code is kept here, unchanged but for its names, so the
 columnar loader can be checked against it: ``oracle_loads`` gives the
 same errors in the same order, and ``oracle_index`` the index-order
-columns and views of the loaded cache.
+columns and views of the loaded cache. The kill classes are compared as
+multisets of killer rows (``class_multiset``), since their order is free.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -173,9 +175,9 @@ def oracle_index(cache: OracleCache) -> dict[str, object]:
     killer_tests = unsorted_tests[np.lexsort((unsorted_tests, rows))]
 
     killable = killer_counts > 0
-    killable_starts = killer_indptr[:-1][killable]
     first_killer = np.full(n_m, len(tests), dtype=np.int32)
-    first_killer[killable] = killer_tests[killable_starts]
+    first_killer[killable] = killer_tests[killer_indptr[:-1][killable]]
+    rows = np.split(killer_tests, killer_indptr[1:-1])
 
     mutant_operator = np.fromiter(
         (op_index[m.operator_id] for m in mutants), dtype=np.int32, count=n_m)
@@ -192,8 +194,24 @@ def oracle_index(cache: OracleCache) -> dict[str, object]:
         "killer_indptr": killer_indptr,
         "killer_tests": killer_tests,
         "first_killer": first_killer,
-        "killable_starts": killable_starts,
+        "kill_classes": Counter(tuple(row.tolist()) for row in rows if row.size),
         "op_indptr": op_indptr,
         "total_cost": cache.total_cost,
         "killable_count": cache.killable_count,
     }
+
+
+def class_multiset(classes) -> Counter:
+    """A cache's kill classes as killer row -> multiplicity.
+
+    Fails unless the classes are distinct, non-empty rows with positive
+    multiplicities in the dtypes the kernel reads.
+    """
+    assert classes.starts.dtype == classes.multiplicity.dtype == np.int64
+    assert classes.tests.dtype == np.int32
+    bounds = classes.starts.tolist() + [classes.tests.size]
+    rows = [tuple(classes.tests[a:b].tolist()) for a, b in zip(bounds, bounds[1:])]
+    multiplicity = classes.multiplicity.tolist()
+    assert len(multiplicity) == len(rows) == len(set(rows))
+    assert all(rows) and all(m > 0 for m in multiplicity)
+    return Counter(dict(zip(rows, multiplicity)))

@@ -47,6 +47,14 @@ def test_cache_synth_writes_reproducible_file(tmp_path, capsys):
     assert out.read_text() == again.read_text()
 
 
+def test_cache_synth_negative_seed_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "c.json"
+    assert main(["cache", "synth", "--operators", "2", "--mutants", "5",
+                 "--tests", "3", "--seed", "-1", "--out", str(out)]) == 2
+    assert "--seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cache_inspect_summarizes(cache_file, capsys):
     assert main(["cache", "inspect", str(cache_file)]) == 0
     out = capsys.readouterr().out
@@ -98,6 +106,10 @@ def test_cache_inspect_prints_kill_nonzeros_without_building_records(
     assert f"killable:     {data.killable_count}\n" in out
     assert f"kill nonzeros: {data.killer_tests.size}\n" in out
     assert data.killer_tests.size > data.killable_count
+    classes = data.kill_classes
+    assert f"kill classes: {classes.starts.size}\n" in out
+    assert f"class nonzeros: {classes.tests.size}\n" in out
+    assert classes.starts.size < data.killable_count
 
 
 @pytest.mark.parametrize("row,cell", [("m1,opA,1.5", "killed_by"),
@@ -424,7 +436,8 @@ def test_evaluate_on_other_cache_changes_objectives(cache_file, tmp_path):
 @pytest.mark.parametrize("row,reason", [
     ("-3,,Execute Operators 100%,0.5,0.5", "seed must be non-negative, got -3"),
     ("3,1;2,Execute Operators 100%,0.5,0.5", "bad chromosome text '1;2'"),
-], ids=["negative seed", "malformed chromosome"])
+    ('3,"+3,04",Execute Operators 100%,0.5,0.5', "bad chromosome text '+3,04'"),
+], ids=["negative seed", "malformed chromosome", "non-canonical genes"])
 def test_evaluate_rejects_a_bad_front_row(cache_file, tmp_path, capsys, row, reason):
     front = tmp_path / "front.csv"
     front.write_text("seed,chromosome,strategy_text,time,score\n" + row + "\n")

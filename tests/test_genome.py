@@ -41,6 +41,20 @@ def test_chromosome_serialization_round_trip():
         Chromosome.deserialize("1,two,3")
 
 
+@pytest.mark.parametrize("text", [
+    " 3,4", "3,4 ", "+3,4", "03,4", "00", "\u0663,4", "3_000,4", "-5,2", "3,,4",
+    "3,4,", "", "3\n", "\uff13,4",
+])
+def test_deserialize_accepts_only_serialized_text(text):
+    with pytest.raises(ValueError, match="bad chromosome text"):
+        Chromosome.deserialize(text)
+
+
+@pytest.mark.parametrize("text", ["0", "3,4", "0,10,179", "1000000"])
+def test_deserialize_round_trips_canonical_text(text):
+    assert Chromosome.deserialize(text).serialize() == text
+
+
 def test_bounds_and_limits_validate():
     with pytest.raises(ValueError):
         GeneBounds(low=5, high=4)

@@ -1,10 +1,12 @@
 import gc
 import tracemalloc
 import weakref
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 
+from cache_oracle import class_multiset
 from mutreduce import _kernels
 from mutreduce.cache import MutationCache, synth_cache
 from mutreduce.index import build_index
@@ -45,15 +47,39 @@ def without_killers(cache):
         mutants=tuple(replace(m, killers=()) for m in cache.mutants))
 
 
+def with_killer_rows(cache, rows):
+    """The same cache with mutant i killed by rows[i % len(rows)] (test positions)."""
+    ids = [t.id for t in cache.tests]
+    return MutationCache.from_records(
+        operators=cache.operators, tests=cache.tests,
+        mutants=tuple(replace(m, killers=tuple(ids[t] for t in rows[i % len(rows)]))
+                      for i, m in enumerate(cache.mutants)))
+
+
 def test_dispatcher_matches_brute_force():
+    base = synth_cache(4, 90, 12, seed=11)
+    # Every killable mutant shares one killer list; a third are unkillable.
+    one_class = with_killer_rows(base, [(), (3, 7, 9), (3, 7, 9)])
+    # No two mutants share a killer list: rows are the bit sets of 1..90.
+    distinct = with_killer_rows(base, [tuple(t for t in range(12) if (i + 1) >> t & 1)
+                                       for i in range(90)])
     caches = [
         synth_cache(5, 150, 40, seed=13, kill_density=0.7, redundancy=0.4),
         # Low density leaves many unkillable mutants, in runs and at both ends.
         synth_cache(4, 120, 30, seed=7, kill_density=0.2),
         without_killers(synth_cache(3, 50, 10, seed=3)),
+        # Each operator's killable mutants collapse onto one killer list.
+        synth_cache(5, 150, 40, seed=13, kill_density=0.7, redundancy=1.0),
+        one_class,
+        distinct,
     ]
     assert caches[1].killable_count < len(caches[1].mutants)
     assert caches[2].killable_count == 0
+    assert caches[2].kill_classes.starts.size == 0
+    assert caches[3].kill_classes.starts.size <= caches[3].n_operators
+    assert class_multiset(one_class.kill_classes) == Counter({(3, 7, 9): 60})
+    assert one_class.killable_count == 60
+    assert distinct.kill_classes.multiplicity.tolist() == [1] * 90
     for cache in caches:
         index = build_index(cache)
         for subset in random_subsets(index, 40, seed=5):
@@ -71,28 +97,41 @@ def test_empty_selection():
     assert killed == 0
 
 
-def test_kernel_memory_grows_with_kills_not_tests_times_mutants():
-    index = build_index(synth_cache(10, 20_000, 2_000, seed=17))
-    everything = np.arange(index.n_mutants, dtype=np.int32)
+def traced_peak(call):
+    """call()'s result and the peak bytes traced while it ran."""
     tracemalloc.start()
     try:
-        selected, killed = _kernels.select_and_count(index, everything)
+        result = call()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return result, peak
+
+
+def test_kernel_memory_grows_with_kills_not_tests_times_mutants():
+    index = build_index(synth_cache(10, 20_000, 2_000, seed=17))
+    everything = np.arange(index.n_mutants, dtype=np.int32)
+    # A dense tests x mutants bool matrix alone would be 40 MB.
+    bound = index.n_tests * index.n_mutants // 20
+    classes, peak = traced_peak(lambda: index.kill_classes)
+    assert classes.multiplicity.sum() == index.killable_count
+    assert peak < bound
+    (selected, killed), peak = traced_peak(
+        lambda: _kernels.select_and_count(index, everything))
     assert killed == index.killable_count
     assert selected.size > 0
-    # A dense tests x mutants bool matrix alone would be 40 MB.
-    assert peak < index.n_tests * index.n_mutants // 20
+    assert peak < bound
 
 
 def test_index_is_freed_with_its_cache():
-    """build_index returns the cache itself, and the cache's derived views
-    form no reference cycle, so dropping the cache frees it without
-    waiting for a collection."""
+    """build_index returns the cache itself, and the cache's derived views,
+    the lazily built kill classes included, form no reference cycle, so
+    dropping the cache frees it without waiting for a collection."""
     cache = synth_cache(3, 40, 8, seed=2)
     index = build_index(cache)
     assert build_index(cache) is index
+    _kernels.select_and_count(index, np.arange(index.n_mutants, dtype=np.int32))
+    assert "kill_classes" in vars(cache)
     cache_ref = weakref.ref(cache)
     index_ref = weakref.ref(index)
     was_enabled = gc.isenabled()
@@ -113,12 +152,12 @@ def per_mutant_index(cache):
     mutants = sorted(cache.mutants, key=lambda m: m.id)
     test_index = {t: i for i, t in enumerate(test_ids)}
     arrays = {"killer_indptr": [0], "killer_tests": [], "first_killer": [],
-              "killable_starts": [], "op_indptr": [0],
+              "kill_classes": Counter(), "op_indptr": [0],
               "mutant_operator": [op_ids.index(m.operator_id) for m in mutants]}
     for m in mutants:
         row = sorted(test_index[k] for k in m.killers)
         if row:
-            arrays["killable_starts"].append(len(arrays["killer_tests"]))
+            arrays["kill_classes"][tuple(row)] += 1
         arrays["first_killer"].append(row[0] if row else len(test_ids))
         arrays["killer_tests"].extend(row)
         arrays["killer_indptr"].append(len(arrays["killer_tests"]))
@@ -141,6 +180,11 @@ def test_index_matches_per_mutant_build():
     for cache in (base, scrambled, without_killers(synth_cache(3, 50, 10, seed=3))):
         index = build_index(cache)
         for name, expected in per_mutant_index(cache).items():
-            assert getattr(index, name).tolist() == expected, name
+            actual = getattr(index, name)
+            if isinstance(expected, Counter):
+                actual = class_multiset(actual)
+            else:
+                actual = actual.tolist()
+            assert actual == expected, name
         assert index.killer_tests.dtype == index.mutant_operator.dtype == np.int32
         assert index.killer_indptr.dtype == index.op_indptr.dtype == np.int64

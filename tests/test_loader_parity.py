@@ -8,13 +8,14 @@ the columnar loader reads strictly (``test_strict_types_are_malformed``).
 
 import hashlib
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cache_oracle import oracle_index, oracle_loads
+from cache_oracle import class_multiset, oracle_index, oracle_loads
 from mutreduce.cache import (CacheError, _quantize, dumps_cache, loads_cache,
                              synth_cache)
 from mutreduce.index import build_index
@@ -24,7 +25,9 @@ def assert_index_matches_oracle(text):
     index = build_index(loads_cache(text))
     for name, expected in oracle_index(oracle_loads(text)).items():
         actual = getattr(index, name)
-        if isinstance(expected, np.ndarray):
+        if isinstance(expected, Counter):
+            assert class_multiset(actual) == expected, name
+        elif isinstance(expected, np.ndarray):
             assert actual.dtype == expected.dtype, name
             assert np.array_equal(actual, expected), name
         elif isinstance(expected, float):
