@@ -22,10 +22,17 @@ Saving writes index order, so a cache equals any reordering of its
 records. ``operators``, ``tests`` and ``mutants`` rebuild the records on
 demand. The cache also derives the views the kill kernel reads:
 ``first_killer`` (each mutant's first killer, ``n_tests`` for one no test
-kills) and ``kill_classes`` (each distinct killer row of the killable
+kills), ``kill_classes`` (each distinct killer row of the killable
 mutants once, with the number of mutants sharing it: duplicate mutants
-are interchangeable when kills are counted). Memory is O(mutants + kill
-nonzeros), never O(tests x mutants).
+are interchangeable when kills are counted) and ``test_classes`` (the
+same classes test-major, for counts that start from the unselected
+tests; see ``mutreduce._kernels`` for the rule that picks a count
+path). The strategy VM reads ``operator_mutants`` (mutant positions by
+owner, cut into spans by ``op_indptr``), which ``mutants_of_operators``
+joins when the chosen operators own under a third of a large cache, and
+``owner_codes``, the owners in a dtype that radix-sorts. All but
+``first_killer`` and ``op_indptr`` are built on first use. Memory is
+O(mutants + kill nonzeros), never O(tests x mutants).
 
 Costs are abstract non-negative units. They are normalized to at most 9
 significant digits on construction so that the JSON serialization (which
@@ -56,6 +63,11 @@ class CacheError(ValueError):
 
 
 _POW10 = 10.0 ** np.arange(23)
+
+# Below this many mutants, mutants_of_operators always takes the mask pass:
+# joining spans cost 18 against 9 us per call at 600 mutants, and broke
+# even near 10,000.
+SPANS_MIN_MUTANTS = 8192
 
 
 def _quantize(values: np.ndarray) -> np.ndarray:
@@ -119,6 +131,17 @@ def _csr(lengths: np.ndarray) -> np.ndarray:
     return indptr
 
 
+def _rows(indptr: np.ndarray, values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The CSR rows ``rows`` of ``values``, concatenated: O(len(rows) + their length)."""
+    if not rows.size:
+        return values[:0]
+    starts = indptr.take(rows)
+    lengths = indptr.take(rows + 1) - starts
+    ends = np.cumsum(lengths)
+    shift = np.repeat(starts - (ends - lengths), lengths)
+    return values.take(np.arange(int(ends[-1])) + shift)
+
+
 def _inverse(order: np.ndarray) -> np.ndarray:
     """new_position[old_position] for a permutation given as old positions."""
     position = np.empty(order.size, dtype=np.int32)
@@ -132,6 +155,14 @@ class KillClasses(NamedTuple):
     starts: np.ndarray        # int64 offset of each class's row in tests
     tests: np.ndarray         # int32 test positions, ascending per row
     multiplicity: np.ndarray  # int64 number of mutants with each class's row
+
+
+class TestClasses(NamedTuple):
+    """The kill classes test-major: for each test, the classes whose row holds it."""
+
+    indptr: np.ndarray   # int64 offset of each test's row in classes (n_tests + 1)
+    classes: np.ndarray  # int32 class positions, ascending per test
+    width: np.ndarray    # int64 number of tests per class
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,8 +250,47 @@ class MutationCache:
                            tests=np.concatenate(tests),
                            multiplicity=np.concatenate(multiplicity))
 
+    @cached_property
+    def test_classes(self) -> TestClasses:
+        """``kill_classes`` transposed, so a count can start from the tests
+        a selection leaves out."""
+        classes = self.kill_classes
+        width = np.diff(classes.starts, append=classes.tests.size)
+        owner = np.repeat(np.arange(width.size, dtype=np.int32), width)
+        return TestClasses(indptr=_csr(np.bincount(classes.tests, minlength=self.n_tests)),
+                           classes=owner[np.argsort(classes.tests, kind="stable")],
+                           width=width)
+
+    @cached_property
+    def operator_mutants(self) -> np.ndarray:
+        """Mutant positions by owner, ascending within each: operator i's
+        mutants are the span ``op_indptr[i]:op_indptr[i + 1]``."""
+        return np.argsort(self.mutant_operator, kind="stable").astype(np.int32)
+
+    @cached_property
+    def owner_codes(self) -> np.ndarray:
+        """``mutant_operator`` in the narrowest unsigned dtype that holds it,
+        so a stable sort of owners is a radix sort."""
+        return self.mutant_operator.astype(np.min_scalar_type(self.n_operators - 1))
+
     def mutants_of_operators(self, ops: np.ndarray) -> np.ndarray:
-        """Sorted mutant positions generated by the given operator positions."""
+        """Sorted mutant positions generated by the given distinct operator positions.
+
+        On a cache of at least ``SPANS_MIN_MUTANTS`` mutants, operators that
+        own under a third of them have their spans of ``operator_mutants``
+        joined and sorted; otherwise one mask pass over every mutant's
+        owner picks them.
+        """
+        if self.n_mutants >= SPANS_MIN_MUTANTS:
+            yields = self.op_indptr.take(ops + 1) - self.op_indptr.take(ops)
+            if 3 * int(yields.sum()) < self.n_mutants:
+                return self._mutants_from_spans(ops)
+        return self._mutants_from_mask(ops)
+
+    def _mutants_from_spans(self, ops: np.ndarray) -> np.ndarray:
+        return np.sort(_rows(self.op_indptr, self.operator_mutants, ops))
+
+    def _mutants_from_mask(self, ops: np.ndarray) -> np.ndarray:
         chosen = np.zeros(self.n_operators, dtype=bool)
         chosen[ops] = True
         return chosen.take(self.mutant_operator).nonzero()[0].astype(np.int32)
@@ -596,9 +666,7 @@ def _from_document(doc: dict) -> MutationCache:
     test_order = np.argsort(priority_rank, kind="stable")
     mutant_order = _ascending(mutant_ids)
     counts = np.diff(killer_indptr)[mutant_order]
-    indptr = _csr(counts)
-    shift = np.repeat(killer_indptr[:-1][mutant_order] - indptr[:-1], counts)
-    tests = _inverse(test_order)[killer_codes[np.arange(shift.size) + shift]]
+    tests = _inverse(test_order)[_rows(killer_indptr, killer_codes, mutant_order)]
     # One sort of (row, test) keys sorts each row and keeps rows in place.
     row_keys = np.repeat(np.arange(len(mutant_ids)) * len(test_ids), counts)
     return MutationCache(
@@ -609,7 +677,7 @@ def _from_document(doc: dict) -> MutationCache:
         mutant_ids=tuple(map(mutant_ids.__getitem__, mutant_order.tolist())),
         mutant_operator=_inverse(op_order)[op_codes[mutant_order]],
         exec_cost=exec_cost[mutant_order],
-        killer_indptr=indptr,
+        killer_indptr=_csr(counts),
         killer_tests=(np.sort(row_keys + tests) - row_keys).astype(np.int32),
     )
 
@@ -714,8 +782,8 @@ def synth_cache(
         raise ValueError("n_operators, n_mutants and n_tests must all be >= 1")
     if not 0 < kill_density <= 1:
         raise ValueError("kill_density must be in (0, 1]")
-    if cost_skew < 1:
-        raise ValueError("cost_skew must be >= 1")
+    if not (math.isfinite(cost_skew) and cost_skew >= 1):
+        raise ValueError("cost_skew must be finite and >= 1")
     if not 0 <= redundancy <= 1:
         raise ValueError("redundancy must be in [0, 1]")
     rng = np.random.default_rng(np.random.SeedSequence(

@@ -136,6 +136,11 @@ def cache_inspect(path: Path) -> None:
     click.echo(f"kill nonzeros: {data.killer_tests.size}")
     click.echo(f"kill classes: {data.kill_classes.starts.size}")
     click.echo(f"class nonzeros: {data.kill_classes.tests.size}")
+    views = {"first_killer": (data.first_killer,), "kill classes": data.kill_classes,
+             "test-major": data.test_classes, "operator spans": (data.operator_mutants,),
+             "owner codes": (data.owner_codes,)}
+    click.echo("view bytes:   " + ", ".join(f"{name} {sum(a.nbytes for a in arrays)}"
+                                            for name, arrays in views.items()))
     click.echo(f"global score: {global_score(data):.6f}")
     click.echo(f"total cost:   {data.total_cost:.6g}")
     click.echo("mutants per operator:")

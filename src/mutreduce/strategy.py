@@ -231,10 +231,11 @@ def _union(pool: np.ndarray, added: np.ndarray, n: int) -> np.ndarray:
 
 def _run_group_pipeline(pipeline: GroupPipeline, mutant_pool: np.ndarray,
                         cache: MutationCache, rng: np.random.Generator) -> np.ndarray:
-    owners = cache.mutant_operator.take(mutant_pool)
+    owners = cache.owner_codes.take(mutant_pool)
     # Pool positions grouped by ascending operator index, ascending within a
     # group; each group is a (start, size) span of them. Later reorderings
-    # are stable, so equal-sized groups keep operator order.
+    # are stable, so equal-sized groups keep operator order. The owners'
+    # narrow unsigned dtype makes this stable sort a radix sort.
     order = np.argsort(owners, kind="stable")
     sizes = np.bincount(owners).tolist()
     groups = [g for g in zip(accumulate(sizes, initial=0), sizes) if g[1]]

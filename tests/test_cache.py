@@ -291,6 +291,12 @@ def test_synth_rejects_bad_arguments():
         synth_cache(2, 10, 10, seed=1, redundancy=1.5)
 
 
+@pytest.mark.parametrize("cost_skew", [math.inf, math.nan])
+def test_synth_rejects_non_finite_cost_skew(cost_skew):
+    with pytest.raises(ValueError, match="cost_skew must be finite and >= 1"):
+        synth_cache(2, 10, 10, seed=1, cost_skew=cost_skew)
+
+
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_synth_is_pure_function_of_seed(seed):

@@ -55,6 +55,15 @@ def test_cache_synth_negative_seed_is_a_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("skew", ["inf", "nan"])
+def test_cache_synth_non_finite_cost_skew_exits_two(tmp_path, capsys, skew):
+    out = tmp_path / "c.json"
+    assert main(["cache", "synth", "--operators", "2", "--mutants", "5",
+                 "--tests", "3", "--cost-skew", skew, "--out", str(out)]) == 2
+    assert "error: cost_skew must be finite and >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cache_inspect_summarizes(cache_file, capsys):
     assert main(["cache", "inspect", str(cache_file)]) == 0
     out = capsys.readouterr().out
@@ -63,6 +72,15 @@ def test_cache_inspect_summarizes(cache_file, capsys):
     assert "tests:        10" in out
     assert "global score:" in out
     assert "mutants per operator:" in out
+    data = load_cache(cache_file)
+    classes, test_major = data.kill_classes, data.test_classes
+    sizes = [data.first_killer.nbytes,
+             classes.starts.nbytes + classes.tests.nbytes + classes.multiplicity.nbytes,
+             sum(a.nbytes for a in test_major), data.operator_mutants.nbytes,
+             data.owner_codes.nbytes]
+    assert sizes[0] == 4 * 40 and sizes[3] == 4 * 40 and sizes[4] == 40
+    assert ("view bytes:   first_killer {}, kill classes {}, test-major {}, "
+            "operator spans {}, owner codes {}\n".format(*sizes)) in out
 
 
 def test_cache_convert_from_kill_matrix_csv(tmp_path, capsys):

@@ -3,6 +3,7 @@ import tracemalloc
 import weakref
 from collections import Counter
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 
@@ -20,13 +21,19 @@ def brute_force(index, mprime):
             index.killer_indptr[m]:index.killer_indptr[m + 1]]
         if killers.size:
             selected.add(int(killers[0]))
+    return sorted(selected), brute_force_kills(index, selected)
+
+
+def brute_force_kills(index, tests):
+    """Mutants of the whole cache with at least one killer among ``tests``."""
+    tests = set(tests)
     killed = 0
     for m in range(index.n_mutants):
         killers = index.killer_tests[
             index.killer_indptr[m]:index.killer_indptr[m + 1]]
-        if any(int(t) in selected for t in killers):
+        if any(int(t) in tests for t in killers):
             killed += 1
-    return sorted(selected), killed
+    return killed
 
 
 def random_subsets(index, count, seed):
@@ -89,6 +96,122 @@ def test_dispatcher_matches_brute_force():
             assert killed == expected_killed
 
 
+def cache_of_rows(rows, n_tests):
+    """A one-operator cache, built straight from its columns, in which
+    mutant i is killed by the tests of rows[i] (ascending positions)."""
+    n = len(rows)
+    return MutationCache(
+        operator_ids=("op0",), generation_cost=np.ones(1),
+        test_ids=tuple(f"t{t:04d}" for t in range(n_tests)),
+        priority_rank=np.arange(n_tests, dtype=np.int64),
+        mutant_ids=tuple(f"m{i:05d}" for i in range(n)),
+        mutant_operator=np.zeros(n, dtype=np.int32), exec_cost=np.ones(n),
+        killer_indptr=np.cumsum([0, *map(len, rows)], dtype=np.int64),
+        killer_tests=np.array([t for row in rows for t in row], dtype=np.int32))
+
+
+def pair_cache(n_tests=136):
+    """Each pair of tests kills one mutant, and every 25th mutant is
+    unkillable: every class holds two tests, and a test set leaves a
+    class alive only when it misses both."""
+    pairs = list(combinations(range(n_tests), 2))
+    rows = [()] + [row for i, pair in enumerate(pairs)
+                   for row in ([pair, ()] if i % 24 == 23 else [pair])]
+    return cache_of_rows(rows, n_tests)
+
+
+def count_paths(index, selected):
+    """The count of every path, each forced, for the test positions ``selected``."""
+    mask = np.zeros(index.n_tests + 1, dtype=bool)
+    mask[selected] = True
+    return {"class-major": _kernels.count_class_major(index, mask),
+            "unselected side": _kernels.count_unselected_side(index, mask)}
+
+
+def test_every_count_path_matches_brute_force():
+    caches = [pair_cache(), synth_cache(6, 15_000, 1_000, seed=19, kill_density=0.9,
+                                        redundancy=0.0)]
+    rng = np.random.default_rng(23)
+    for cache in caches:
+        assert cache.kill_classes.tests.size > _kernels.CLASS_MAJOR_MAX_NNZ
+        assert 0 < cache.killable_count < cache.n_mutants
+        n = cache.n_tests
+        test_sets = [np.arange(n),                               # U empty
+                     np.arange(n - 1), np.arange(1, n),          # U of one test
+                     np.arange(1), np.array([n - 1]),            # S of one test
+                     np.arange(n // 2)]
+        test_sets += [np.sort(rng.choice(n, size=size, replace=False))
+                      for size in rng.integers(1, n, size=8).tolist()]
+        for tests in test_sets:
+            expected = brute_force_kills(cache, tests.tolist())
+            assert count_paths(cache, tests) == dict.fromkeys(
+                ("class-major", "unselected side"), expected)
+        for subset in random_subsets(cache, 8, seed=31):
+            selected, killed = _kernels.select_and_count(cache, subset)
+            expected_tests, expected_killed = brute_force(cache, subset)
+            assert selected.tolist() == expected_tests
+            assert killed == expected_killed
+            assert set(count_paths(cache, selected).values()) == {killed}
+
+
+def forbid(monkeypatch, *names):
+    def refuse(*args):
+        raise AssertionError("wrong count path")
+    for name in names:
+        monkeypatch.setattr(_kernels, name, refuse)
+
+
+def test_dispatcher_counts_the_unselected_side_past_the_bound(monkeypatch):
+    cache = pair_cache()
+    # The first killer of pair (a, b) is a, so keeping the mutants whose
+    # first killer is below h selects exactly the tests 0..h-1.
+    with monkeypatch.context() as patch:
+        forbid(patch, "count_class_major")
+        for h in (1, 68, cache.n_tests - 1):
+            kept = np.flatnonzero(cache.first_killer < h).astype(np.int32)
+            selected, killed = _kernels.select_and_count(cache, kept)
+            assert (selected.tolist(), killed) == brute_force(cache, kept)
+        everything = np.arange(cache.n_mutants, dtype=np.int32)
+        assert _kernels.select_and_count(cache, everything)[1] == cache.killable_count
+
+
+def test_dispatcher_folds_class_major_below_the_nonzero_bound(monkeypatch):
+    cache = pair_cache(40)
+    nonzeros = cache.kill_classes.tests.size
+    subset = np.arange(0, cache.n_mutants, 7, dtype=np.int32)
+    expected = brute_force(cache, subset)
+    with monkeypatch.context() as patch:
+        forbid(patch, "count_unselected_side")
+        patch.setattr(_kernels, "CLASS_MAJOR_MAX_NNZ", nonzeros + 1)
+        selected, killed = _kernels.select_and_count(cache, subset)
+        assert (selected.tolist(), killed) == expected
+    with monkeypatch.context() as patch:
+        forbid(patch, "count_class_major")
+        patch.setattr(_kernels, "CLASS_MAJOR_MAX_NNZ", nonzeros)
+        selected, killed = _kernels.select_and_count(cache, subset)
+        assert (selected.tolist(), killed) == expected
+    readme = synth_cache(8, 600, 120, seed=101, kill_density=0.9)
+    assert readme.kill_classes.tests.size < _kernels.CLASS_MAJOR_MAX_NNZ
+
+
+def test_test_major_view_transposes_the_classes():
+    for cache in (pair_cache(12), synth_cache(5, 400, 30, seed=3, kill_density=0.5),
+                  without_killers(synth_cache(3, 50, 10, seed=3))):
+        classes, view = cache.kill_classes, cache.test_classes
+        rows = np.split(classes.tests, classes.starts[1:]) if classes.starts.size else []
+        members = [set() for _ in range(cache.n_tests)]
+        for c, row in enumerate(rows):
+            for t in row.tolist():
+                members[t].add(c)
+        assert view.indptr.size == cache.n_tests + 1
+        assert view.width.tolist() == [row.size for row in rows]
+        assert np.diff(view.indptr).tolist() == [len(m) for m in members]
+        for t in range(cache.n_tests):
+            assert view.classes[view.indptr[t]:view.indptr[t + 1]].tolist() == sorted(members[t])
+        assert view.classes.dtype == np.int32
+        assert view.indptr.dtype == view.width.dtype == np.int64
+
+
 def test_empty_selection():
     index = build_index(synth_cache(2, 10, 5, seed=1))
     selected, killed = _kernels.select_and_count(
@@ -116,6 +239,12 @@ def test_kernel_memory_grows_with_kills_not_tests_times_mutants():
     classes, peak = traced_peak(lambda: index.kill_classes)
     assert classes.multiplicity.sum() == index.killable_count
     assert peak < bound
+    view, peak = traced_peak(lambda: index.test_classes)
+    assert view.classes.size == classes.tests.size
+    assert peak < bound
+    (spans, owners), peak = traced_peak(lambda: (index.operator_mutants, index.owner_codes))
+    assert spans.size == owners.size == index.n_mutants
+    assert peak < bound
     (selected, killed), peak = traced_peak(
         lambda: _kernels.select_and_count(index, everything))
     assert killed == index.killable_count
@@ -125,13 +254,17 @@ def test_kernel_memory_grows_with_kills_not_tests_times_mutants():
 
 def test_index_is_freed_with_its_cache():
     """build_index returns the cache itself, and the cache's derived views,
-    the lazily built kill classes included, form no reference cycle, so
-    dropping the cache frees it without waiting for a collection."""
+    every lazily built one included, form no reference cycle, so dropping
+    the cache frees it without waiting for a collection."""
     cache = synth_cache(3, 40, 8, seed=2)
     index = build_index(cache)
     assert build_index(cache) is index
     _kernels.select_and_count(index, np.arange(index.n_mutants, dtype=np.int32))
-    assert "kill_classes" in vars(cache)
+    lazy = ("mutant_index", "kill_classes", "test_classes", "operator_mutants",
+            "owner_codes")
+    for name in lazy:
+        getattr(index, name)
+    assert set(lazy) <= set(vars(cache))
     cache_ref = weakref.ref(cache)
     index_ref = weakref.ref(index)
     was_enabled = gc.isenabled()

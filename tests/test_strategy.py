@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from mutreduce.cache import (MutantRecord, MutationCache, OperatorRecord,
-                             TestRecord, synth_cache)
+from mutreduce.cache import (SPANS_MIN_MUTANTS, MutantRecord, MutationCache,
+                             OperatorRecord, TestRecord, synth_cache)
 from mutreduce.genome import Chromosome, random_chromosome
 from mutreduce.grammar import DEFAULT_GRAMMAR_TEXT
 from mutreduce.index import build_index
@@ -553,8 +555,15 @@ def tied_yield_cache():
 
 @pytest.fixture(scope="module")
 def oracle_caches():
+    # The third has 300 operators of about 30 mutants each: its owners sort
+    # as uint16, and its operator choices under a third of the mutants
+    # take the spans path of mutants_of_operators.
+    wide = synth_cache(300, 9000, 50, seed=61, cost_skew=1.0)
+    assert wide.owner_codes.dtype == np.uint16
+    assert wide.n_mutants >= SPANS_MIN_MUTANTS
     return [build_index(five_operator_cache()),
-            build_index(synth_cache(8, 600, 120, seed=101, kill_density=0.9))]
+            build_index(synth_cache(8, 600, 120, seed=101, kill_density=0.9)),
+            build_index(wide)]
 
 
 def test_vm_matches_reference_on_grammar_strategies(grammar, oracle_caches):
@@ -568,6 +577,79 @@ def test_vm_matches_reference_on_grammar_strategies(grammar, oracle_caches):
             for seed in (checked, 10_000 + checked):
                 assert_matches_reference(strategy, index, seed)
         checked += 1
+
+
+# ===== operator spans =====
+
+# Nine operators owning 3000/2999/1/1500/1000/499/1/0/0 of 9000 mutants,
+# their owners shuffled over the mutant positions.
+SPAN_YIELDS = (3000, 2999, 1, 1500, 1000, 499, 1, 0, 0)
+
+
+def span_cache():
+    owners = np.random.default_rng(8).permutation(
+        np.repeat(np.arange(len(SPAN_YIELDS), dtype=np.int32), SPAN_YIELDS))
+    n = owners.size
+    return MutationCache(
+        operator_ids=tuple(f"op{i}" for i in range(len(SPAN_YIELDS))),
+        generation_cost=np.ones(len(SPAN_YIELDS)),
+        test_ids=("t0",), priority_rank=np.zeros(1, dtype=np.int64),
+        mutant_ids=tuple(f"m{i:04d}" for i in range(n)),
+        mutant_operator=owners, exec_cost=np.ones(n),
+        killer_indptr=np.zeros(n + 1, dtype=np.int64),
+        killer_tests=np.empty(0, dtype=np.int32))
+
+
+SPANS = span_cache()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, len(SPAN_YIELDS) - 1), unique=True))
+@example([])
+@example([3])
+@example(list(range(len(SPAN_YIELDS))))
+@example([0])          # 3 x its mutants is all 9000: the mask pass
+@example([1])          # one mutant fewer: the spans
+@example([1, 2])
+@example([7, 8])       # operators that own nothing
+def test_operator_spans_and_mask_agree_with_brute_force(ops):
+    chosen = np.array(ops, dtype=np.int32)
+    wanted = set(ops)
+    expected = [m for m, op in enumerate(SPANS.mutant_operator.tolist()) if op in wanted]
+    for found in (SPANS.mutants_of_operators(chosen), SPANS._mutants_from_spans(chosen),
+                  SPANS._mutants_from_mask(chosen)):
+        assert found.dtype == np.int32
+        assert found.tolist() == expected
+
+
+def test_spans_path_only_for_a_third_of_a_large_cache(monkeypatch):
+    def refuse(self, ops):
+        raise AssertionError("wrong path")
+    small = five_operator_cache()
+    for cache, ops, wrong in ((SPANS, [0], "_mutants_from_spans"),
+                              (SPANS, [1, 2], "_mutants_from_spans"),
+                              (SPANS, [1], "_mutants_from_mask"),
+                              (SPANS, [5, 6, 7], "_mutants_from_mask"),
+                              (small, [4], "_mutants_from_spans")):
+        with monkeypatch.context() as patch:
+            patch.setattr(MutationCache, wrong, refuse)
+            found = cache.mutants_of_operators(np.array(ops, dtype=np.int32))
+        expected = np.flatnonzero(np.isin(cache.mutant_operator, ops))
+        assert found.tolist() == expected.tolist()
+    assert small.n_mutants < SPANS_MIN_MUTANTS <= SPANS.n_mutants
+
+
+def test_operator_spans_view():
+    spans = SPANS.operator_mutants
+    assert spans.dtype == np.int32
+    assert sorted(spans.tolist()) == list(range(SPANS.n_mutants))
+    bounds = SPANS.op_indptr.tolist()
+    for op in range(len(SPAN_YIELDS)):
+        span = spans[bounds[op]:bounds[op + 1]]
+        assert (SPANS.mutant_operator[span] == op).all()
+        assert (np.diff(span) > 0).all()
+    assert SPANS.owner_codes.dtype == np.uint8
+    assert SPANS.owner_codes.tolist() == SPANS.mutant_operator.tolist()
 
 
 def _random_selection(rng):
