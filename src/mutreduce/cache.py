@@ -277,13 +277,16 @@ class MutationCache:
         """Sorted mutant positions generated by the given distinct operator positions.
 
         On a cache of at least ``SPANS_MIN_MUTANTS`` mutants, operators that
+        own every mutant give them all without a pass, and operators that
         own under a third of them have their spans of ``operator_mutants``
         joined and sorted; otherwise one mask pass over every mutant's
         owner picks them.
         """
         if self.n_mutants >= SPANS_MIN_MUTANTS:
-            yields = self.op_indptr.take(ops + 1) - self.op_indptr.take(ops)
-            if 3 * int(yields.sum()) < self.n_mutants:
+            owned = int((self.op_indptr.take(ops + 1) - self.op_indptr.take(ops)).sum())
+            if owned == self.n_mutants:
+                return np.arange(self.n_mutants, dtype=np.int32)
+            if 3 * owned < self.n_mutants:
                 return self._mutants_from_spans(ops)
         return self._mutants_from_mask(ops)
 

@@ -19,7 +19,10 @@ Both objectives live in [0, 1]: SCORE relative to a full suite that kills
 every killable mutant, TIME relative to a run that pays for everything.
 Stochastic strategies are evaluated as an average over n repetitions:
 TIME as the ratio of summed costs, SCORE as the mean of per-repetition
-scores (computed as one exact integer ratio).
+scores (computed as one exact integer ratio). The repetitions are the
+rows of one batch: one strategy VM pass and one kernel call serve them
+all, each row drawing from its own child stream. select_tests and
+score_objective read a single mutant set as a batch of one row.
 """
 
 from __future__ import annotations
@@ -70,10 +73,10 @@ def select_tests(
     """
     cache = build_index(cache)
     mprime = _mutant_indices(cache, m_prime)
-    selected, killed = _kernels.select_and_count(cache, mprime)
+    mask, kills = _kernels.select_and_count(cache, mprime, [0, mprime.size])
     return TestSelection(
-        test_ids=tuple(cache.test_ids[t] for t in selected),
-        killed_mutants=killed,
+        test_ids=tuple(cache.test_ids[t] for t in mask[0, :-1].nonzero()[0]),
+        killed_mutants=kills[0],
     )
 
 
@@ -94,8 +97,8 @@ def score_objective(run: ReductionRun, cache: MutationCache) -> float:
     if cache.killable_count == 0:
         return 0.0
     mprime = _mutant_indices(cache, run.mutant_ids)
-    _, killed = _kernels.select_and_count(cache, mprime)
-    return killed / cache.killable_count
+    _, kills = _kernels.select_and_count(cache, mprime, [0, mprime.size])
+    return kills[0] / cache.killable_count
 
 
 def evaluate_indexed(
@@ -104,20 +107,15 @@ def evaluate_indexed(
     n: int,
     rng: np.random.Generator,
 ) -> ObjectivePair:
-    """Hot path used by the search loop; see evaluate for the contract."""
-    substreams = rng.spawn(n)
-    costs = []
-    killed_total = 0
-    for sub in substreams:
-        _, mutant_pool, cost = execute_indexed(strategy, cache, sub)
-        costs.append(cost)
-        _, killed = _kernels.select_and_count(cache, mutant_pool)
-        killed_total += killed
+    """Hot path used by the search loop; see evaluate for the contract.
+    The repetitions are the rows of one VM batch and one kernel call."""
+    _, mutant_pools, bounds, costs = execute_indexed(strategy, cache, rng.spawn(n))
+    _, kills = _kernels.select_and_count(cache, mutant_pools, bounds)
     time = math.fsum(costs) / math.fsum([cache.total_cost] * n)
     if cache.killable_count == 0:
         score = 0.0
     else:
-        score = killed_total / (n * cache.killable_count)
+        score = sum(kills) / (n * cache.killable_count)
     return ObjectivePair(time=time, score=score)
 
 

@@ -19,6 +19,17 @@ Percentage counts round half away from zero (computed in exact integer
 arithmetic); quantity counts clip to the pool size. Ties never occur
 because pools are index sets.
 
+The VM runs a batch: one row per generator, each row one run of the
+strategy, so that the repetitions of an evaluation share one pass. The
+operator pools form a (rows x size) int32 matrix, since selection counts
+depend only on pool sizes and so every row's pool has the same size at
+every node; the executed operators form a (rows x n_operators) mask; the
+mutant pools, whose sizes differ, are the rows' sorted pools
+concatenated, cut by rows + 1 bounds. At a drawing node the rows draw in
+row order, each from its own generator (inside a group pipeline, in its
+own group order), so each generator makes the calls a lone run would
+make; a single run is a batch of one row.
+
 The executed operators pay their generation cost once; the mutants left
 in the final pool pay their execution cost. Mutants that were generated
 and later discarded cost nothing extra: their generation is already part
@@ -36,12 +47,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Iterator, Literal, Union
+from typing import Iterable, Iterator, Literal, Sequence, Union
 
 import numpy as np
 
 from . import genome
-from .cache import MutationCache
+from .cache import SPANS_MIN_MUTANTS, MutationCache
 from .index import build_index
 
 
@@ -205,19 +216,48 @@ def render(strategy: Strategy) -> str:
 
 
 # ===== Execution =====
+# A drawing node draws row by row; the rest of a node runs once for all
+# rows, except where a large cache makes each row pay for what it keeps.
 # Masks are applied with compress and index arrays with take: the same
-# elements as boolean or fancy indexing, several times faster on draws.
+# elements as boolean or fancy indexing, several times faster on small
+# pools.
 
-def _pick(size: int, selection: Selection, rng: np.random.Generator) -> np.ndarray:
-    """Keep-mask over a sorted pool of ``size``: the selection's count of
-    positions, drawn as one ``rng.choice(size, k, replace=False)``."""
+def _pick_rows(size: int, k: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """(rows x size) keep-mask over sorted pools of ``size``, 0 < k < size:
+    row r keeps the k positions ``rngs[r].choice(size, k, replace=False)``."""
+    mask = np.zeros((len(rngs), size), dtype=bool)
+    for row, rng in zip(mask, rngs):
+        row[rng.choice(size, size=k, replace=False)] = True
+    return mask
+
+
+def _split_operators(op_pool: np.ndarray, selection: Selection,
+                     rngs: Sequence[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
+    """(selected, rest) of an operator pool matrix; each row keeps its order."""
+    rows, size = op_pool.shape
     k = selection.count(size)
     if k >= size:
-        return np.ones(size, dtype=bool)
-    mask = np.zeros(size, dtype=bool)
-    if k > 0:
-        mask[rng.choice(size, size=k, replace=False)] = True
-    return mask
+        return op_pool, op_pool[:, :0]
+    if k == 0:
+        return op_pool[:, :0], op_pool
+    keep = _pick_rows(size, k, rngs)
+    return op_pool[keep].reshape(rows, k), op_pool[~keep].reshape(rows, size - k)
+
+
+def _select_mutants(pool: np.ndarray, bounds: list[int], selection: Selection, retain: bool,
+                    rngs: Sequence[np.random.Generator]) -> tuple[np.ndarray, list[int]]:
+    """Retain (or discard) the selection's count of each row's mutant pool."""
+    picked = np.zeros(pool.size, dtype=bool)
+    sizes = []
+    for lo, hi, rng in zip(bounds, bounds[1:], rngs):
+        size = hi - lo
+        k = selection.count(size)
+        if k >= size:
+            picked[lo:hi] = True
+        elif k:
+            picked[lo:hi][rng.choice(size, size=k, replace=False)] = True
+        sizes.append(k if retain else size - k)
+    return pool.compress(picked if retain else ~picked), list(accumulate(sizes, initial=0))
 
 
 def _union(pool: np.ndarray, added: np.ndarray, n: int) -> np.ndarray:
@@ -229,72 +269,112 @@ def _union(pool: np.ndarray, added: np.ndarray, n: int) -> np.ndarray:
     return member.nonzero()[0].astype(np.int32)
 
 
-def _run_group_pipeline(pipeline: GroupPipeline, mutant_pool: np.ndarray,
-                        cache: MutationCache, rng: np.random.Generator) -> np.ndarray:
-    owners = cache.owner_codes.take(mutant_pool)
-    # Pool positions grouped by ascending operator index, ascending within a
-    # group; each group is a (start, size) span of them. Later reorderings
-    # are stable, so equal-sized groups keep operator order. The owners'
-    # narrow unsigned dtype makes this stable sort a radix sort.
-    order = np.argsort(owners, kind="stable")
-    sizes = np.bincount(owners).tolist()
-    groups = [g for g in zip(accumulate(sizes, initial=0), sizes) if g[1]]
-    for op in pipeline.operations:
-        if isinstance(op, OrderGroupsBySize):
-            groups.sort(key=(lambda g: -g[1]) if op.descending else (lambda g: g[1]))
-        else:  # TakeGroups: keep or drop a head or tail segment
-            n = len(groups)
-            cut = min(op.count, n) if op.edge == "first" else max(n - op.count, 0)
-            head, tail = groups[:cut], groups[cut:]
-            groups = head if op.keep == (op.edge == "first") else tail
-    keep = np.zeros(mutant_pool.size, dtype=bool)
-    for start, size in groups:
-        span = order[start:start + size]
-        keep[span.compress(_pick(size, pipeline.sample, rng))] = True
-    return mutant_pool.compress(keep)
+def _add_mutants(pool: np.ndarray, bounds: list[int], chosen: np.ndarray,
+                 owned: np.ndarray, cache: MutationCache) -> tuple[np.ndarray, list[int]]:
+    """Each row's mutant pool joined with the mutants of its chosen
+    operators (``chosen`` as a rows x k matrix, ``owned`` as a rows x
+    n_operators mask). A small cache takes one membership pass for all
+    rows; on a large one each row pays only for what it chooses."""
+    if cache.n_mutants >= SPANS_MIN_MUTANTS:
+        rows = [_union(pool[lo:hi], cache.mutants_of_operators(ops), cache.n_mutants)
+                for lo, hi, ops in zip(bounds, bounds[1:], chosen)]
+        return np.concatenate(rows), list(accumulate(map(len, rows), initial=0))
+    member = owned.take(cache.mutant_operator, axis=1)
+    if pool.size:
+        for row, lo, hi in zip(member, bounds, bounds[1:]):
+            row[pool[lo:hi]] = True
+    positions = np.empty(member.shape, dtype=np.int32)
+    positions[:] = np.arange(cache.n_mutants, dtype=np.int32)
+    sizes = member.sum(axis=1).tolist()
+    return positions.compress(member.ravel()), list(accumulate(sizes, initial=0))
+
+
+def _run_group_pipeline(pipeline: GroupPipeline, pool: np.ndarray, bounds: list[int],
+                        cache: MutationCache,
+                        rngs: Sequence[np.random.Generator]) -> tuple[np.ndarray, list[int]]:
+    # Positions grouped by row, then by ascending operator index, ascending
+    # within a group: one stable sort of row * n_operators + owner, in the
+    # narrowest unsigned dtype, so that it is a radix sort. Each group is a
+    # (start, size) span of that order. Later reorderings are stable, so
+    # equal-sized groups keep operator order.
+    width = cache.n_operators
+    key_type = np.min_scalar_type(len(rngs) * width - 1)
+    key = np.repeat(np.arange(0, len(rngs) * width, width, dtype=key_type),
+                    np.diff(bounds))
+    key += cache.owner_codes.take(pool)
+    order = np.argsort(key, kind="stable")
+    all_sizes = np.bincount(key, minlength=len(rngs) * width).reshape(len(rngs), width)
+    kept = np.zeros(pool.size, dtype=bool)  # over positions of order
+    row_sizes = []
+    for lo, sizes, rng in zip(bounds, all_sizes.tolist(), rngs):
+        groups = [g for g in zip(accumulate(sizes, initial=lo), sizes) if g[1]]
+        for op in pipeline.operations:
+            if isinstance(op, OrderGroupsBySize):
+                groups.sort(key=(lambda g: -g[1]) if op.descending else (lambda g: g[1]))
+            else:  # TakeGroups: keep or drop a head or tail segment
+                n = len(groups)
+                cut = min(op.count, n) if op.edge == "first" else max(n - op.count, 0)
+                head, tail = groups[:cut], groups[cut:]
+                groups = head if op.keep == (op.edge == "first") else tail
+        row_size = 0
+        for start, size in groups:
+            k = pipeline.sample.count(size)
+            if k >= size:
+                kept[start:start + size] = True
+            elif k:
+                kept[start:start + size][rng.choice(size, size=k, replace=False)] = True
+            row_size += k
+        row_sizes.append(row_size)
+    keep = np.zeros(pool.size, dtype=bool)
+    keep[order.compress(kept)] = True
+    return pool.compress(keep), list(accumulate(row_sizes, initial=0))
 
 
 def execute_indexed(
     strategy: Strategy,
     cache: MutationCache,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Hot path: run a strategy, returning (executed operator indices,
-    reduced mutant indices, strategy cost)."""
-    op_pool = np.arange(cache.n_operators, dtype=np.int32)
-    executed = op_pool[:0]
-    mutant_pool = np.empty(0, dtype=np.int32)
+    rngs: Sequence[np.random.Generator],
+) -> tuple[np.ndarray, np.ndarray, list[int], list[float]]:
+    """Hot path: run a strategy once per generator in ``rngs``, as the rows
+    of one batch. Returns (executed operators as a rows x n_operators
+    bool mask, the rows' reduced mutant pools concatenated, the rows'
+    bounds in that concatenation, each row's strategy cost)."""
+    n_rows = len(rngs)
+    op_pool = np.empty((n_rows, cache.n_operators), dtype=np.int32)
+    op_pool[:] = np.arange(cache.n_operators, dtype=np.int32)
+    executed = np.zeros(op_pool.shape, dtype=bool)
+    pool = np.empty(0, dtype=np.int32)
+    bounds = [0] * (n_rows + 1)
     for node in strategy.nodes:
         if isinstance(node, ExecuteOperators):
-            keep = _pick(op_pool.size, node.selection, rng)
-            chosen, op_pool = op_pool.compress(keep), op_pool.compress(~keep)
+            chosen, op_pool = _split_operators(op_pool, node.selection, rngs)
             if chosen.size:
-                executed = _union(executed, chosen, cache.n_operators)
-                mutant_pool = _union(mutant_pool, cache.mutants_of_operators(chosen),
-                                     cache.n_mutants)
+                owned = np.zeros(executed.shape, dtype=bool)
+                owned[np.arange(n_rows)[:, None], chosen] = True
+                executed |= owned
+                pool, bounds = _add_mutants(pool, bounds, chosen, owned, cache)
         elif isinstance(node, RetainOperators):
-            op_pool = op_pool.compress(_pick(op_pool.size, node.selection, rng))
+            op_pool = _split_operators(op_pool, node.selection, rngs)[0]
         elif isinstance(node, DiscardOperators):
-            op_pool = op_pool.compress(~_pick(op_pool.size, node.selection, rng))
+            op_pool = _split_operators(op_pool, node.selection, rngs)[1]
         elif isinstance(node, RetainMutants):
-            mutant_pool = mutant_pool.compress(_pick(mutant_pool.size, node.selection, rng))
+            pool, bounds = _select_mutants(pool, bounds, node.selection, True, rngs)
         elif isinstance(node, DiscardMutants):
-            mutant_pool = mutant_pool.compress(~_pick(mutant_pool.size, node.selection, rng))
+            pool, bounds = _select_mutants(pool, bounds, node.selection, False, rngs)
         elif isinstance(node, GroupPipeline):
-            mutant_pool = _run_group_pipeline(node, mutant_pool, cache, rng)
+            pool, bounds = _run_group_pipeline(node, pool, bounds, cache, rngs)
         elif isinstance(node, DiscardHighestYield):
-            yields = np.diff(cache.op_indptr)[op_pool]
-            keep = np.ones(op_pool.size, dtype=bool)
-            keep[np.argsort(-yields, kind="stable")[:node.count]] = False
-            op_pool = op_pool.compress(keep)
+            yields = np.diff(cache.op_indptr).take(op_pool)
+            keep = np.ones(op_pool.shape, dtype=bool)
+            np.put_along_axis(keep, np.argsort(-yields, axis=1, kind="stable")[:, :node.count],
+                              False, axis=1)
+            op_pool = op_pool[keep].reshape(n_rows, -1)
         else:
             raise TypeError(f"unknown strategy node {node!r}")
-    cost = 0.0
-    if executed.size:
-        cost += float(cache.generation_cost.take(executed).sum())
-    if mutant_pool.size:
-        cost += float(cache.exec_cost.take(mutant_pool).sum())
-    return executed, mutant_pool, cost
+    costs = [float(cache.generation_cost.compress(row).sum())
+             + float(cache.exec_cost.take(pool[lo:hi]).sum())
+             for row, lo, hi in zip(executed, bounds, bounds[1:])]
+    return executed, pool, bounds, costs
 
 
 def execute(
@@ -302,18 +382,18 @@ def execute(
     cache: MutationCache,
     rng: np.random.Generator,
 ) -> ReductionRun:
-    """Run a strategy against a cache once.
+    """Run a strategy against a cache once: a batch of one row.
 
     The reduced mutant set is always a subset of the mutants generated by
     the executed operators; a strategy with no ExecuteOperators step (or
     one that executes nothing) yields an empty set at zero cost.
     """
     cache = build_index(cache)
-    executed, mutant_pool, cost = execute_indexed(strategy, cache, rng)
+    executed, mutant_pool, _, costs = execute_indexed(strategy, cache, [rng])
     return ReductionRun(
-        operator_ids=tuple(cache.operator_ids[o] for o in executed),
+        operator_ids=tuple(cache.operator_ids[o] for o in executed[0].nonzero()[0]),
         mutant_ids=tuple(cache.mutant_ids[m] for m in mutant_pool),
-        strategy_cost=cost,
+        strategy_cost=costs[0],
     )
 
 

@@ -3,7 +3,7 @@ import tracemalloc
 import weakref
 from collections import Counter
 from dataclasses import replace
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 
@@ -45,6 +45,13 @@ def random_subsets(index, count, seed):
         subset = np.sort(rng.choice(index.n_mutants, size=size, replace=False))
         subsets.append(subset.astype(np.int32))
     return subsets
+
+
+def select_one(index, mprime):
+    """The kernel on a batch of one row: (selected tests, kills)."""
+    mask, kills = _kernels.select_and_count(index, mprime, [0, mprime.size])
+    assert mask.shape == (1, index.n_tests + 1) and len(kills) == 1
+    return mask[0, :-1].nonzero()[0], kills[0]
 
 
 def without_killers(cache):
@@ -90,7 +97,7 @@ def test_dispatcher_matches_brute_force():
     for cache in caches:
         index = build_index(cache)
         for subset in random_subsets(index, 40, seed=5):
-            selected, killed = _kernels.select_and_count(index, subset)
+            selected, killed = select_one(index, subset)
             expected_tests, expected_killed = brute_force(index, subset)
             assert selected.tolist() == expected_tests
             assert killed == expected_killed
@@ -122,10 +129,10 @@ def pair_cache(n_tests=136):
 
 def count_paths(index, selected):
     """The count of every path, each forced, for the test positions ``selected``."""
-    mask = np.zeros(index.n_tests + 1, dtype=bool)
-    mask[selected] = True
-    return {"class-major": _kernels.count_class_major(index, mask),
-            "unselected side": _kernels.count_unselected_side(index, mask)}
+    mask = np.zeros((1, index.n_tests + 1), dtype=bool)
+    mask[0, selected] = True
+    return {"class-major": _kernels.count_class_major(index, mask)[0],
+            "unselected side": _kernels.count_unselected_side(index, mask)[0]}
 
 
 def test_every_count_path_matches_brute_force():
@@ -147,11 +154,43 @@ def test_every_count_path_matches_brute_force():
             assert count_paths(cache, tests) == dict.fromkeys(
                 ("class-major", "unselected side"), expected)
         for subset in random_subsets(cache, 8, seed=31):
-            selected, killed = _kernels.select_and_count(cache, subset)
+            selected, killed = select_one(cache, subset)
             expected_tests, expected_killed = brute_force(cache, subset)
             assert selected.tolist() == expected_tests
             assert killed == expected_killed
             assert set(count_paths(cache, selected).values()) == {killed}
+
+
+def test_count_helpers_count_each_row_of_a_batch():
+    cache = pair_cache()
+    assert cache.kill_classes.tests.size > _kernels.CLASS_MAJOR_MAX_NNZ
+    n = cache.n_tests
+    rng = np.random.default_rng(41)
+    test_sets = [np.empty(0, dtype=np.int64), np.array([n // 2]), np.arange(n)]
+    test_sets += [np.sort(rng.choice(n, size=size, replace=False)) for size in (1, 7, 68, n - 1)]
+    mask = np.zeros((len(test_sets), n + 1), dtype=bool)
+    for row, tests in zip(mask, test_sets):
+        row[tests] = True
+    expected = [brute_force_kills(cache, tests.tolist()) for tests in test_sets]
+    assert expected[0] == 0 and expected[2] == cache.killable_count
+    assert _kernels.count_class_major(cache, mask) == expected
+    assert _kernels.count_unselected_side(cache, mask) == expected
+
+
+def test_batch_kernel_matches_brute_force_per_row():
+    small = synth_cache(5, 150, 40, seed=13, kill_density=0.7, redundancy=0.4)
+    for cache in (pair_cache(), small):
+        pools = random_subsets(cache, 6, seed=43)  # the empty pool and every mutant first
+        pools.insert(1, np.flatnonzero(cache.first_killer == 3).astype(np.int32))  # one test
+        bounds = list(accumulate(map(len, pools), initial=0))
+        mask, kills = _kernels.select_and_count(cache, np.concatenate(pools), bounds)
+        assert mask.shape == (len(pools), cache.n_tests + 1)
+        assert mask[1, :-1].nonzero()[0].tolist() == [3]
+        for row, pool, killed in zip(mask, pools, kills):
+            expected_tests, expected_killed = brute_force(cache, pool)
+            assert row[:-1].nonzero()[0].tolist() == expected_tests
+            assert killed == expected_killed
+    assert small.kill_classes.tests.size < _kernels.CLASS_MAJOR_MAX_NNZ
 
 
 def forbid(monkeypatch, *names):
@@ -169,10 +208,10 @@ def test_dispatcher_counts_the_unselected_side_past_the_bound(monkeypatch):
         forbid(patch, "count_class_major")
         for h in (1, 68, cache.n_tests - 1):
             kept = np.flatnonzero(cache.first_killer < h).astype(np.int32)
-            selected, killed = _kernels.select_and_count(cache, kept)
+            selected, killed = select_one(cache, kept)
             assert (selected.tolist(), killed) == brute_force(cache, kept)
         everything = np.arange(cache.n_mutants, dtype=np.int32)
-        assert _kernels.select_and_count(cache, everything)[1] == cache.killable_count
+        assert select_one(cache, everything)[1] == cache.killable_count
 
 
 def test_dispatcher_folds_class_major_below_the_nonzero_bound(monkeypatch):
@@ -183,12 +222,12 @@ def test_dispatcher_folds_class_major_below_the_nonzero_bound(monkeypatch):
     with monkeypatch.context() as patch:
         forbid(patch, "count_unselected_side")
         patch.setattr(_kernels, "CLASS_MAJOR_MAX_NNZ", nonzeros + 1)
-        selected, killed = _kernels.select_and_count(cache, subset)
+        selected, killed = select_one(cache, subset)
         assert (selected.tolist(), killed) == expected
     with monkeypatch.context() as patch:
         forbid(patch, "count_class_major")
         patch.setattr(_kernels, "CLASS_MAJOR_MAX_NNZ", nonzeros)
-        selected, killed = _kernels.select_and_count(cache, subset)
+        selected, killed = select_one(cache, subset)
         assert (selected.tolist(), killed) == expected
     readme = synth_cache(8, 600, 120, seed=101, kill_density=0.9)
     assert readme.kill_classes.tests.size < _kernels.CLASS_MAJOR_MAX_NNZ
@@ -214,8 +253,7 @@ def test_test_major_view_transposes_the_classes():
 
 def test_empty_selection():
     index = build_index(synth_cache(2, 10, 5, seed=1))
-    selected, killed = _kernels.select_and_count(
-        index, np.empty(0, dtype=np.int32))
+    selected, killed = select_one(index, np.empty(0, dtype=np.int32))
     assert selected.size == 0
     assert killed == 0
 
@@ -246,7 +284,7 @@ def test_kernel_memory_grows_with_kills_not_tests_times_mutants():
     assert spans.size == owners.size == index.n_mutants
     assert peak < bound
     (selected, killed), peak = traced_peak(
-        lambda: _kernels.select_and_count(index, everything))
+        lambda: select_one(index, everything))
     assert killed == index.killable_count
     assert selected.size > 0
     assert peak < bound
@@ -259,7 +297,7 @@ def test_index_is_freed_with_its_cache():
     cache = synth_cache(3, 40, 8, seed=2)
     index = build_index(cache)
     assert build_index(cache) is index
-    _kernels.select_and_count(index, np.arange(index.n_mutants, dtype=np.int32))
+    select_one(index, np.arange(index.n_mutants, dtype=np.int32))
     lazy = ("mutant_index", "kill_classes", "test_classes", "operator_mutants",
             "owner_codes")
     for name in lazy:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,6 +10,7 @@ from mutreduce.cache import (SPANS_MIN_MUTANTS, MutantRecord, MutationCache,
 from mutreduce.genome import Chromosome, random_chromosome
 from mutreduce.grammar import DEFAULT_GRAMMAR_TEXT
 from mutreduce.index import build_index
+from mutreduce.objectives import ObjectivePair, evaluate_indexed
 from mutreduce.strategy import (DiscardHighestYield, DiscardMutants,
                                 DiscardOperators,
                                 ExecuteOperators, GroupPipeline,
@@ -528,13 +531,15 @@ def _ref_execute_indexed(strategy, index, rng):
 def assert_matches_reference(strategy, index, seed):
     rng = np.random.default_rng(seed)
     ref_rng = np.random.default_rng(seed)
-    executed, pool, cost = execute_indexed(strategy, index, rng)
+    executed, pool, bounds, costs = execute_indexed(strategy, index, [rng])
     ref_executed, ref_pool, ref_cost = _ref_execute_indexed(strategy, index, ref_rng)
     context = f"{render(strategy)!r} at seed {seed}"
-    assert executed.tolist() == ref_executed.tolist(), context
+    assert executed.shape == (1, index.n_operators), context
+    assert executed[0].nonzero()[0].tolist() == ref_executed.tolist(), context
     assert pool.dtype == ref_pool.dtype == np.int32, context
+    assert bounds == [0, ref_pool.size], context
     assert pool.tolist() == ref_pool.tolist(), context
-    assert cost == ref_cost, context
+    assert costs == [ref_cost], context
     # Same number and sizes of draws: the streams end in the same state.
     assert rng.bit_generator.state == ref_rng.bit_generator.state, context
 
@@ -608,6 +613,7 @@ SPANS = span_cache()
 @example([])
 @example([3])
 @example(list(range(len(SPAN_YIELDS))))
+@example([0, 1, 2, 3, 4, 5, 6])  # every owner, without those that own nothing
 @example([0])          # 3 x its mutants is all 9000: the mask pass
 @example([1])          # one mutant fewer: the spans
 @example([1, 2])
@@ -626,13 +632,17 @@ def test_spans_path_only_for_a_third_of_a_large_cache(monkeypatch):
     def refuse(self, ops):
         raise AssertionError("wrong path")
     small = five_operator_cache()
-    for cache, ops, wrong in ((SPANS, [0], "_mutants_from_spans"),
-                              (SPANS, [1, 2], "_mutants_from_spans"),
-                              (SPANS, [1], "_mutants_from_mask"),
-                              (SPANS, [5, 6, 7], "_mutants_from_mask"),
-                              (small, [4], "_mutants_from_spans")):
+    both = ("_mutants_from_spans", "_mutants_from_mask")
+    for cache, ops, wrong in ((SPANS, [0], ("_mutants_from_spans",)),
+                              (SPANS, [1, 2], ("_mutants_from_spans",)),
+                              (SPANS, [1], ("_mutants_from_mask",)),
+                              (SPANS, [5, 6, 7], ("_mutants_from_mask",)),
+                              (SPANS, [0, 1, 2, 3, 4, 5, 6], both),  # they own every mutant
+                              (SPANS, list(range(len(SPAN_YIELDS))), both),
+                              (small, [4], ("_mutants_from_spans",))):
         with monkeypatch.context() as patch:
-            patch.setattr(MutationCache, wrong, refuse)
+            for name in wrong:
+                patch.setattr(MutationCache, name, refuse)
             found = cache.mutants_of_operators(np.array(ops, dtype=np.int32))
         expected = np.flatnonzero(np.isin(cache.mutant_operator, ops))
         assert found.tolist() == expected.tolist()
@@ -698,7 +708,7 @@ def test_render_parse_round_trip_on_arbitrary_node_sequences():
         assert parse_strategy(render(Strategy(nodes))) == Strategy(nodes)
 
 
-@pytest.mark.parametrize("text", [
+EDGE_TEXTS = (
     "Execute Operators 0% → Retain Mutants random 100%",
     "Execute Operators 100% → Retain Mutants random 0%",
     "Execute Operators 100% → Discard Mutants random 100%",
@@ -725,9 +735,158 @@ def test_render_parse_round_trip_on_arbitrary_node_sequences():
     "Discard Operators highest-yield 99 → Execute Operators 100%",
     "Retain Operators random 3 → Discard Operators highest-yield 1 → "
     "Execute Operators 100%",
-])
+)
+
+
+@pytest.mark.parametrize("text", EDGE_TEXTS)
 def test_vm_matches_reference_on_edge_cases(oracle_caches, text):
     strategy = parse_strategy(text)
     for index in oracle_caches + [build_index(tied_yield_cache())]:
         for seed in range(4):
             assert_matches_reference(strategy, index, seed)
+
+
+# ===== batches: every row is a lone run on its own stream =====
+
+def assert_rows_match_reference(strategy, index, seed, n_rows):
+    """Run a batch of ``n_rows`` rows, each on a child stream of ``seed``,
+    and check every row against the oracle run on an equal stream.
+    Returns each row's pool size and whether the row drew."""
+    rngs = np.random.default_rng(seed).spawn(n_rows)
+    fresh = [rng.bit_generator.state for rng in rngs]
+    executed, pool, bounds, costs = execute_indexed(strategy, index, rngs)
+    context = f"{render(strategy)!r} at seed {seed}, {n_rows} rows"
+    assert executed.shape == (n_rows, index.n_operators), context
+    assert pool.dtype == np.int32, context
+    assert len(bounds) == n_rows + 1 and bounds[0] == 0 and bounds[-1] == pool.size, context
+    assert len(costs) == n_rows, context
+    rows = []
+    for r, ref_rng in enumerate(np.random.default_rng(seed).spawn(n_rows)):
+        ref_executed, ref_pool, ref_cost = _ref_execute_indexed(strategy, index, ref_rng)
+        row = f"{context}, row {r}"
+        assert executed[r].nonzero()[0].tolist() == ref_executed.tolist(), row
+        assert pool[bounds[r]:bounds[r + 1]].tolist() == ref_pool.tolist(), row
+        assert costs[r] == ref_cost, row
+        assert rngs[r].bit_generator.state == ref_rng.bit_generator.state, row
+        rows.append((ref_pool.size, rngs[r].bit_generator.state != fresh[r]))
+    return rows
+
+
+@pytest.mark.parametrize("n_rows", [1, 5])
+def test_batch_rows_match_reference_on_grammar_strategies(grammar, oracle_caches, n_rows):
+    rng = np.random.default_rng(707)
+    checked = 0
+    while checked < 150:
+        strategy = strategy_from_chromosome(random_chromosome(rng), grammar)
+        if strategy is None:
+            continue
+        for index in oracle_caches:
+            assert_rows_match_reference(strategy, index, checked, n_rows)
+        checked += 1
+
+
+@pytest.mark.parametrize("n_rows", [1, 5])
+def test_batch_rows_match_reference_on_arbitrary_node_sequences(oracle_caches, n_rows):
+    rng = np.random.default_rng(808)
+    for case in range(120):
+        nodes = tuple(_random_node(rng) for _ in range(int(rng.integers(1, 9))))
+        for index in oracle_caches + [build_index(tied_yield_cache())]:
+            assert_rows_match_reference(Strategy(nodes), index, case, n_rows)
+
+
+# Strategies whose rows keep pools of different sizes: one random operator
+# executed, then a fixed count kept or dropped, so some rows draw and some
+# do not, some pools end empty, and pools pass the 8- and 128-element
+# blocks of pairwise summation.
+ROW_SHAPE_TEXTS = (
+    "Execute Operators 1 → Retain Mutants random 20",
+    "Execute Operators 1 → Discard Mutants random 8",
+    "Execute Operators 2 → Retain Mutants random 130",
+    "Execute Operators 1 → Discard Mutants random 1100",
+    "Retain Operators random 2 → Execute Operators 1 → Group Mutants by Operator → "
+    "Sample Each Group random 9",
+    "Execute Operators 3 → Group Mutants by Operator → Order Groups by Size descending → "
+    "Discard Groups first 1 → Sample Each Group random 50%",
+)
+
+
+def test_batch_rows_cover_uneven_and_empty_pools(oracle_caches):
+    seen = set()
+    for text in ROW_SHAPE_TEXTS:
+        for index in oracle_caches:
+            for seed in range(6):
+                sizes = [size for size, _ in assert_rows_match_reference(
+                    parse_strategy(text), index, seed, 5)]
+                if len(set(sizes)) > 1:
+                    seen.add("sizes differ")
+                if 0 in sizes and max(sizes) > 0:
+                    seen.add("an empty pool beside another")
+                if any(8 < size <= 128 for size in sizes):
+                    seen.add("past 8")
+                if max(sizes) > 128:
+                    seen.add("past 128")
+    assert seen == {"sizes differ", "an empty pool beside another", "past 8", "past 128"}
+
+
+def test_batch_rows_that_draw_nothing_beside_rows_that_draw():
+    # Operators own 30/20/12/8/5 mutants: Retain Mutants random 10 draws
+    # only in the rows whose executed operator owns more than 10.
+    cache = build_index(five_operator_cache())
+    strategy = parse_strategy("Execute Operators 1 → Retain Mutants random 10")
+    execute_only = Strategy(strategy.nodes[:1])
+    mixed = 0
+    for seed in range(20):
+        assert_rows_match_reference(strategy, cache, seed, 5)
+        rngs = np.random.default_rng(seed).spawn(5)
+        execute_indexed(strategy, cache, rngs)
+        bare = np.random.default_rng(seed).spawn(5)
+        execute_indexed(execute_only, cache, bare)
+        drew = [a.bit_generator.state != b.bit_generator.state for a, b in zip(rngs, bare)]
+        mixed += any(drew) and not all(drew)
+    assert mixed > 0
+
+
+@pytest.mark.parametrize("text", EDGE_TEXTS)
+def test_batch_rows_match_reference_on_edge_cases(oracle_caches, text):
+    strategy = parse_strategy(text)
+    for index in oracle_caches + [build_index(tied_yield_cache())]:
+        for seed in range(3):
+            assert_rows_match_reference(strategy, index, seed, 5)
+
+
+# The evaluation as it was before batching: one VM run and one kill count
+# per repetition, each on its own child stream, with the oracle VM and a
+# kill count read straight from the killer lists.
+
+def _ref_kills(index, pool):
+    selected = np.zeros(index.n_tests + 1, dtype=bool)
+    selected[index.first_killer[pool]] = True
+    owner = np.repeat(np.arange(index.n_mutants), np.diff(index.killer_indptr))
+    return np.unique(owner[selected[index.killer_tests]]).size
+
+
+def _ref_evaluate(strategy, index, n, rng):
+    costs, killed = [], 0
+    for sub in rng.spawn(n):
+        _, pool, cost = _ref_execute_indexed(strategy, index, sub)
+        costs.append(cost)
+        killed += _ref_kills(index, pool)
+    time = math.fsum(costs) / math.fsum([index.total_cost] * n)
+    score = killed / (n * index.killable_count) if index.killable_count else 0.0
+    return ObjectivePair(time=time, score=score)
+
+
+def test_evaluate_equals_a_per_repetition_loop_over_the_reference(grammar, oracle_caches):
+    rng = np.random.default_rng(909)
+    checked = 0
+    while checked < 60:
+        strategy = strategy_from_chromosome(random_chromosome(rng), grammar)
+        if strategy is None:
+            continue
+        for index in oracle_caches:
+            for n in (1, 5):
+                seed = 1000 * checked + n
+                assert (evaluate_indexed(strategy, index, n, np.random.default_rng(seed))
+                        == _ref_evaluate(strategy, index, n, np.random.default_rng(seed))), \
+                    f"{render(strategy)!r} at seed {seed}"
+        checked += 1
