@@ -33,7 +33,7 @@ from .cache import MutationCache
 from .index import build_index
 from .objectives import evaluate_indexed
 from .pareto import nondominated
-from .search import EvaluatedStrategy, Front
+from .search import EvaluatedStrategy, Front, derive_seed
 from .strategy import Strategy, parse_strategy
 
 RMS_SWEEP = tuple(range(10, 100, 10))
@@ -115,8 +115,7 @@ def baseline_front(kind: Kind, cache: MutationCache, seed: int,
     entries: list[EvaluatedStrategy] = []
     for spec in sweep(kind):
         parameter = spec.exclusions if spec.kind == "SM" else spec.percentage
-        eval_seed = int(np.random.SeedSequence(
-            entropy=(int(seed), 3, parameter)).generate_state(1, np.uint64)[0])
+        eval_seed = derive_seed((int(seed), 3, parameter))
         pair = evaluate_indexed(spec.strategy(), cache, repetitions,
                                 np.random.default_rng(eval_seed))
         entries.append(EvaluatedStrategy(

@@ -28,11 +28,10 @@ are interchangeable when kills are counted) and ``test_classes`` (the
 same classes test-major, for counts that start from the unselected
 tests; see ``mutreduce._kernels`` for the rule that picks a count
 path). The strategy VM reads ``operator_mutants`` (mutant positions by
-owner, cut into spans by ``op_indptr``), which ``mutants_of_operators``
-joins when the chosen operators own under a third of a large cache, and
-``owner_codes``, the owners in a dtype that radix-sorts. All but
-``first_killer`` and ``op_indptr`` are built on first use. Memory is
-O(mutants + kill nonzeros), never O(tests x mutants).
+owner, cut into spans by ``op_indptr``) and ``owner_codes``, the owners
+in a dtype that radix-sorts. All but ``first_killer`` and ``op_indptr``
+are built on first use. Memory is O(mutants + kill nonzeros), never
+O(tests x mutants).
 
 Costs are abstract non-negative units. They are normalized to at most 9
 significant digits on construction so that the JSON serialization (which
@@ -63,11 +62,6 @@ class CacheError(ValueError):
 
 
 _POW10 = 10.0 ** np.arange(23)
-
-# Below this many mutants, mutants_of_operators always takes the mask pass:
-# joining spans cost 18 against 9 us per call at 600 mutants, and broke
-# even near 10,000.
-SPANS_MIN_MUTANTS = 8192
 
 
 def _quantize(values: np.ndarray) -> np.ndarray:
@@ -274,20 +268,16 @@ class MutationCache:
         return self.mutant_operator.astype(np.min_scalar_type(self.n_operators - 1))
 
     def mutants_of_operators(self, ops: np.ndarray) -> np.ndarray:
-        """Sorted mutant positions generated by the given distinct operator positions.
-
-        On a cache of at least ``SPANS_MIN_MUTANTS`` mutants, operators that
-        own every mutant give them all without a pass, and operators that
-        own under a third of them have their spans of ``operator_mutants``
-        joined and sorted; otherwise one mask pass over every mutant's
-        owner picks them.
-        """
-        if self.n_mutants >= SPANS_MIN_MUTANTS:
-            owned = int((self.op_indptr.take(ops + 1) - self.op_indptr.take(ops)).sum())
-            if owned == self.n_mutants:
-                return np.arange(self.n_mutants, dtype=np.int32)
-            if 3 * owned < self.n_mutants:
-                return self._mutants_from_spans(ops)
+        """Sorted mutant positions generated by the given distinct operator
+        positions: all of them without a pass if the operators own every
+        mutant, their spans of ``operator_mutants`` joined and sorted if
+        they own under a third, otherwise one mask pass over every
+        mutant's owner."""
+        owned = int((self.op_indptr.take(ops + 1) - self.op_indptr.take(ops)).sum())
+        if owned == self.n_mutants:
+            return np.arange(self.n_mutants, dtype=np.int32)
+        if 3 * owned < self.n_mutants:
+            return self._mutants_from_spans(ops)
         return self._mutants_from_mask(ops)
 
     def _mutants_from_spans(self, ops: np.ndarray) -> np.ndarray:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import os
 import platform
-from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Sequence
@@ -79,13 +78,35 @@ def _resolve_jobs(jobs: int | None) -> int:
     return jobs
 
 
-def _utc_now() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
+def _write_outputs(out_dir: Path, texts: dict[str, str]) -> dict[str, str]:
+    """Write each text to its name under out_dir; returns name -> SHA-256."""
+    outputs = {}
+    for name, text in texts.items():
+        path = out_dir / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        runio.atomic_write_text(path, text)
+        outputs[name] = runio.sha256_text(text)
+    return outputs
 
 
-def _versions() -> dict[str, str]:
-    """Manifest provenance: byte-identity rests on numpy's Generator streams."""
-    return {"python": platform.python_version(), "numpy": np.__version__}
+def _write_manifest(out_dir: Path, command: str, cache_file: Path, cache_sha: str,
+                    seeds: list[int], outputs: dict[str, str], **fields) -> None:
+    """Write manifest.json: the provenance every command records, then the
+    command's own fields. Python and numpy versions are recorded because
+    byte-identity rests on numpy's Generator streams."""
+    runio.write_manifest(out_dir / "manifest.json", {
+        "tool": "mutreduce",
+        "version": __version__,
+        "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "command": command,
+        "cache_path": str(Path(cache_file).resolve()),
+        "cache_sha256": cache_sha,
+        "seeds": seeds,
+        "outputs": outputs,
+        **fields,
+    })
 
 
 # ===== cache =====
@@ -189,22 +210,20 @@ def _train_task(task: tuple, data: MutationCache | None = None) -> tuple[int, st
 def _run_training(algorithm: str, config_values: dict, grammar_text: str,
                   cache_file: Path, data: MutationCache, seeds: list[int],
                   jobs: int, out_dir: Path) -> dict[str, str]:
-    out_dir.mkdir(parents=True, exist_ok=True)
     tasks = [(algorithm, {**config_values, "seed": s}, grammar_text, str(cache_file))
              for s in seeds]
     if jobs == 1 or len(tasks) == 1:
         results = [_train_task(task, data) for task in tasks]
     else:
+        # Imported here: it brings in multiprocessing, which only this path needs.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             results = list(pool.map(_train_task, tasks))
-    outputs: dict[str, str] = {}
-    for run_seed, front_text, log_text in results:
-        front_name = f"front_{run_seed}.csv"
-        log_name = f"runlog_{run_seed}.csv"
-        runio.atomic_write_text(out_dir / front_name, front_text)
-        runio.atomic_write_text(out_dir / log_name, log_text)
-        outputs[front_name] = runio.sha256_text(front_text)
-        outputs[log_name] = runio.sha256_text(log_text)
+    outputs = _write_outputs(out_dir, {
+        name: text for run_seed, front_text, log_text in results
+        for name, text in ((f"front_{run_seed}.csv", front_text),
+                           (f"runlog_{run_seed}.csv", log_text))})
+    for run_seed, front_text, _ in results:
         members = front_text.count("\n") - 1
         click.echo(f"seed {run_seed}: {members} front member(s)")
     return outputs
@@ -333,22 +352,9 @@ def train(cache_path: Path | None, algorithm: str | None,
 
     outputs = _run_training(algorithm, config_values, grammar_text,
                             cache_file, data, seeds, jobs, out_dir)
-    runio.write_manifest(out_dir / "manifest.json", {
-        "tool": "mutreduce",
-        "version": __version__,
-        "created_utc": _utc_now(),
-        **_versions(),
-        "command": "train",
-        "algorithm": algorithm,
-        "config": config_values,
-        "grammar_text": grammar_text,
-        "grammar_sha256": runio.sha256_text(grammar_text),
-        "cache_path": str(Path(cache_file).resolve()),
-        "cache_sha256": cache_sha,
-        "seeds": seeds,
-        "jobs": jobs,
-        "outputs": outputs,
-    })
+    _write_manifest(out_dir, "train", cache_file, cache_sha, seeds, outputs,
+                    algorithm=algorithm, config=config_values, grammar_text=grammar_text,
+                    grammar_sha256=runio.sha256_text(grammar_text), jobs=jobs)
     click.echo(f"wrote {len(seeds)} run(s) to {out_dir}")
 
 
@@ -373,8 +379,8 @@ def baselines_command(cache_path: Path, kinds: str, seed: int, runs: int,
     as train output, so report can compare them directly.
     """
     kind_list = [k.strip().upper() for k in kinds.split(",") if k.strip()]
-    unknown = [k for k in kind_list if k not in BASELINE_KINDS]
-    if unknown or not kind_list:
+    if (not kind_list or len(set(kind_list)) < len(kind_list)
+            or not set(kind_list) <= set(BASELINE_KINDS)):
         raise click.UsageError(
             f"--kinds must name a subset of {','.join(BASELINE_KINDS)}")
     if seed < 0:
@@ -385,29 +391,12 @@ def baselines_command(cache_path: Path, kinds: str, seed: int, runs: int,
         raise click.UsageError("--repetitions must be >= 1")
     data = load_cache(cache_path)
     seeds = list(range(seed, seed + runs))
-    outputs: dict[str, str] = {}
-    for kind in kind_list:
-        sub = out_dir / kind.lower()
-        sub.mkdir(parents=True, exist_ok=True)
-        for run_seed in seeds:
-            front = baseline_front(kind, data, run_seed, repetitions)
-            text = runio.front_csv_text(front)
-            name = f"{kind.lower()}/front_{run_seed}.csv"
-            runio.atomic_write_text(out_dir / name, text)
-            outputs[name] = runio.sha256_text(text)
-    runio.write_manifest(out_dir / "manifest.json", {
-        "tool": "mutreduce",
-        "version": __version__,
-        "created_utc": _utc_now(),
-        **_versions(),
-        "command": "baselines",
-        "kinds": kind_list,
-        "repetitions": repetitions,
-        "cache_path": str(cache_path.resolve()),
-        "cache_sha256": runio.sha256_file(cache_path),
-        "seeds": seeds,
-        "outputs": outputs,
-    })
+    outputs = _write_outputs(out_dir, {
+        f"{kind.lower()}/front_{run_seed}.csv":
+            runio.front_csv_text(baseline_front(kind, data, run_seed, repetitions))
+        for kind in kind_list for run_seed in seeds})
+    _write_manifest(out_dir, "baselines", cache_path, runio.sha256_file(cache_path), seeds,
+                    outputs, kinds=kind_list, repetitions=repetitions)
     click.echo(f"wrote {len(kind_list)} baseline sweep(s) x {runs} run(s) to {out_dir}")
 
 

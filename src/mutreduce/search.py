@@ -140,10 +140,10 @@ def fast_nondominated_sort(pairs: Sequence) -> list[list[int]]:
     return [front.tolist() for front in sort_fronts(*_objective_arrays(pairs))]
 
 
-def _crowding(times: np.ndarray, scores: np.ndarray) -> np.ndarray:
-    """Crowding distance, permutation-invariant: identical objective pairs
-    share one distance, boundary pairs per objective get infinity."""
-    n = times.size
+def _crowding(times: np.ndarray, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(crowding distance, pair id) per point. The distance is
+    permutation-invariant: identical objective pairs share one id and one
+    distance, boundary pairs per objective get infinity."""
     pairs = np.stack([times, scores], axis=1)
     unique, inverse = np.unique(pairs, axis=0, return_inverse=True)
     k = unique.shape[0]
@@ -160,11 +160,12 @@ def _crowding(times: np.ndarray, scores: np.ndarray) -> np.ndarray:
             if span > 0:
                 gaps = (ordered[2:] - ordered[:-2]) / span
                 dist[order[1:-1]] += gaps
-    return dist[inverse.ravel()]
+    inverse = inverse.ravel()
+    return dist[inverse], inverse
 
 
 def crowding_distance(pairs: Sequence) -> list[float]:
-    return _crowding(*_objective_arrays(pairs)).tolist()
+    return _crowding(*_objective_arrays(pairs))[0].tolist()
 
 
 # ===== Individuals =====
@@ -186,9 +187,13 @@ class _Individual:
         self.crowding = 0.0
 
 
-def _eval_seed(master: int, generation: int, slot: int) -> int:
-    state = np.random.SeedSequence(entropy=(master, 0, generation, slot))
-    return int(state.generate_state(1, np.uint64)[0])
+def derive_seed(entropy: tuple[int, ...]) -> int:
+    """The 64-bit evaluation seed of an entropy tuple (base seed, stream
+    tag, ...). Stream tags in use: 0 evaluation seeds of search
+    individuals, (seed, 0, generation or block, slot); 1 the initial
+    population; 2 variation; 3 baseline sweeps, (seed, 3, parameter).
+    Tags 1 and 2 seed their generators directly."""
+    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
 def _evaluate_population(individuals: list[_Individual], cache: MutationCache,
@@ -216,24 +221,20 @@ def _assign_fronts(individuals: list[_Individual]) -> list[np.ndarray]:
     scores = np.array([ind.score for ind in individuals])
     fronts = sort_fronts(times, scores)
     for rank, front in enumerate(fronts):
-        crowd = _crowding(times[front], scores[front])
-        by_pair: dict[tuple[float, float], list[int]] = {}
-        for position, member in enumerate(front):
-            pair = (float(times[member]), float(scores[member]))
-            by_pair.setdefault(pair, []).append(position)
-        keeps_distance = set()
-        for positions in by_pair.values():
+        crowd, pair_ids = _crowding(times[front], scores[front])
+        keeps_distance = np.bincount(pair_ids)[pair_ids] == 1
+        duplicated: dict[int, list[int]] = {}
+        for position in np.flatnonzero(~keeps_distance).tolist():
+            duplicated.setdefault(pair_ids[position], []).append(position)
+        for positions in duplicated.values():
             # Only a duplicated pair needs the (serialized) tie-break key.
-            first = positions[0]
-            if len(positions) > 1:
-                first = min(positions, key=lambda p: (
-                    individuals[front[p]].chromosome.serialize(),
-                    individuals[front[p]].eval_seed))
-            keeps_distance.add(first)
-        for position, member in enumerate(front):
+            keeps_distance[min(positions, key=lambda p: (
+                individuals[front[p]].chromosome.serialize(),
+                individuals[front[p]].eval_seed))] = True
+        for position, member in enumerate(front.tolist()):
             individuals[member].rank = rank
             individuals[member].crowding = (
-                float(crowd[position]) if position in keeps_distance else 0.0)
+                float(crowd[position]) if keeps_distance[position] else 0.0)
     return fronts
 
 
@@ -302,7 +303,7 @@ def run_evolution(config: SearchConfig, grammar: Grammar,
 
     population = [
         _Individual(genome.random_chromosome(init_rng, bounds, limits),
-                    grammar, config.max_wraps, _eval_seed(config.seed, 0, slot))
+                    grammar, config.max_wraps, derive_seed((config.seed, 0, 0, slot)))
         for slot in range(config.population_size)
     ]
     _evaluate_population(population, cache, config.repetitions)
@@ -334,7 +335,7 @@ def run_evolution(config: SearchConfig, grammar: Grammar,
                     chromosome = genome.duplicate(chromosome, var_rng, limits)
                 offspring.append(_Individual(
                     chromosome, grammar, config.max_wraps,
-                    _eval_seed(config.seed, generation, len(offspring))))
+                    derive_seed((config.seed, 0, generation, len(offspring)))))
                 if len(offspring) == config.population_size:
                     break
         _evaluate_population(offspring, cache, config.repetitions)
@@ -366,7 +367,7 @@ def run_random_search(config: SearchConfig, grammar: Grammar,
         individuals = [
             _Individual(genome.random_chromosome(init_rng, bounds, limits),
                         grammar, config.max_wraps,
-                        _eval_seed(config.seed, block, slot))
+                        derive_seed((config.seed, 0, block, slot)))
             for slot in range(config.population_size)
         ]
         _evaluate_population(individuals, cache, config.repetitions)

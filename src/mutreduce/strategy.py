@@ -10,11 +10,12 @@ back into the pool. DiscardHighestYield drops the operators with the
 most mutants; the grammar never emits it, it exists so the selective
 mutation baseline runs on this VM like any other strategy.
 
-Pools are canonical sorted index arrays. The draw contract: every random
-selection of k from a pool is one ``rng.choice(len(pool), k,
-replace=False)`` over positions in the sorted pool, turned into a keep-mask
-over it; selecting the whole pool or nothing draws nothing. Draws happen in
-node order and, inside a group pipeline, in group order after reordering.
+Pools are canonical sorted index arrays. The draw contract, implemented
+by ``_mark`` alone: every random selection of k from a pool is one
+``Generator.choice`` of k distinct positions in the sorted pool, turned
+into a keep-mask over it; selecting the whole pool or nothing draws
+nothing. Draws happen in node order and, inside a group pipeline, in
+group order after reordering.
 Percentage counts round half away from zero (computed in exact integer
 arithmetic); quantity counts clip to the pool size. Ties never occur
 because pools are index sets.
@@ -52,7 +53,7 @@ from typing import Iterable, Iterator, Literal, Sequence, Union
 import numpy as np
 
 from . import genome
-from .cache import SPANS_MIN_MUTANTS, MutationCache
+from .cache import MutationCache
 from .index import build_index
 
 
@@ -222,13 +223,21 @@ def render(strategy: Strategy) -> str:
 # elements as boolean or fancy indexing, several times faster on small
 # pools.
 
-def _pick_rows(size: int, k: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-    """(rows x size) keep-mask over sorted pools of ``size``, 0 < k < size:
-    row r keeps the k positions ``rngs[r].choice(size, k, replace=False)``."""
-    mask = np.zeros((len(rngs), size), dtype=bool)
-    for row, rng in zip(mask, rngs):
-        row[rng.choice(size, size=k, replace=False)] = True
-    return mask
+# Below this many mutants, an Execute always takes the membership pass:
+# joining operator spans cost 18 against 9 us per call at 600 mutants, and
+# broke even near 10,000.
+SPANS_MIN_MUTANTS = 8192
+
+
+def _mark(keep: np.ndarray, k: int, rng: np.random.Generator) -> None:
+    """The draw rule: mark k positions of ``keep``, a keep-mask over one
+    sorted pool. k >= the pool size marks all of them and k = 0 none,
+    without drawing; otherwise ``rng.choice(len(keep), k, replace=False)``
+    picks them."""
+    if k >= keep.size:
+        keep[:] = True
+    elif k:
+        keep[rng.choice(keep.size, size=k, replace=False)] = True
 
 
 def _split_operators(op_pool: np.ndarray, selection: Selection,
@@ -240,7 +249,9 @@ def _split_operators(op_pool: np.ndarray, selection: Selection,
         return op_pool, op_pool[:, :0]
     if k == 0:
         return op_pool[:, :0], op_pool
-    keep = _pick_rows(size, k, rngs)
+    keep = np.zeros(op_pool.shape, dtype=bool)
+    for row, rng in zip(keep, rngs):
+        _mark(row, k, rng)
     return op_pool[keep].reshape(rows, k), op_pool[~keep].reshape(rows, size - k)
 
 
@@ -250,34 +261,22 @@ def _select_mutants(pool: np.ndarray, bounds: list[int], selection: Selection, r
     picked = np.zeros(pool.size, dtype=bool)
     sizes = []
     for lo, hi, rng in zip(bounds, bounds[1:], rngs):
-        size = hi - lo
-        k = selection.count(size)
-        if k >= size:
-            picked[lo:hi] = True
-        elif k:
-            picked[lo:hi][rng.choice(size, size=k, replace=False)] = True
-        sizes.append(k if retain else size - k)
+        k = selection.count(hi - lo)
+        _mark(picked[lo:hi], k, rng)
+        sizes.append(k if retain else hi - lo - k)
     return pool.compress(picked if retain else ~picked), list(accumulate(sizes, initial=0))
-
-
-def _union(pool: np.ndarray, added: np.ndarray, n: int) -> np.ndarray:
-    """Sorted union of two sorted index pools over range(n), without a sort."""
-    if not pool.size:
-        return added
-    member = np.zeros(n, dtype=bool)
-    member[pool] = member[added] = True
-    return member.nonzero()[0].astype(np.int32)
 
 
 def _add_mutants(pool: np.ndarray, bounds: list[int], chosen: np.ndarray,
                  owned: np.ndarray, cache: MutationCache) -> tuple[np.ndarray, list[int]]:
     """Each row's mutant pool joined with the mutants of its chosen
     operators (``chosen`` as a rows x k matrix, ``owned`` as a rows x
-    n_operators mask). A small cache takes one membership pass for all
-    rows; on a large one each row pays only for what it chooses."""
-    if cache.n_mutants >= SPANS_MIN_MUTANTS:
-        rows = [_union(pool[lo:hi], cache.mutants_of_operators(ops), cache.n_mutants)
-                for lo, hi, ops in zip(bounds, bounds[1:], chosen)]
+    n_operators mask). An Execute that finds every pool empty on a large
+    cache goes row by row, so that each row pays only for what it
+    chooses; any other takes one membership pass for all rows, which also
+    merges the pools the rows hold."""
+    if not pool.size and cache.n_mutants >= SPANS_MIN_MUTANTS:
+        rows = [cache.mutants_of_operators(ops) for ops in chosen]
         return np.concatenate(rows), list(accumulate(map(len, rows), initial=0))
     member = owned.take(cache.mutant_operator, axis=1)
     if pool.size:
@@ -319,10 +318,7 @@ def _run_group_pipeline(pipeline: GroupPipeline, pool: np.ndarray, bounds: list[
         row_size = 0
         for start, size in groups:
             k = pipeline.sample.count(size)
-            if k >= size:
-                kept[start:start + size] = True
-            elif k:
-                kept[start:start + size][rng.choice(size, size=k, replace=False)] = True
+            _mark(kept[start:start + size], k, rng)
             row_size += k
         row_sizes.append(row_size)
     keep = np.zeros(pool.size, dtype=bool)

@@ -388,6 +388,10 @@ def test_baselines_kind_subset_and_validation(cache_file, tmp_path):
     assert not (out_dir / "sm").exists()
     assert main(["baselines", "--cache", str(cache_file), "--kinds", "XXX",
                  "--out", str(tmp_path / "bad")]) == 2
+    # A kind named twice (in any case) would run twice.
+    assert main(["baselines", "--cache", str(cache_file), "--kinds", "RMS,rms",
+                 "--out", str(tmp_path / "twice")]) == 2
+    assert not (tmp_path / "twice").exists()
 
 
 def test_baselines_negative_seed_is_a_usage_error(cache_file, tmp_path, capsys):

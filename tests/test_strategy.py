@@ -5,14 +5,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mutreduce.cache import (SPANS_MIN_MUTANTS, MutantRecord, MutationCache,
-                             OperatorRecord, TestRecord, synth_cache)
+from mutreduce.cache import (MutantRecord, MutationCache, OperatorRecord,
+                             TestRecord, synth_cache)
 from mutreduce.genome import Chromosome, random_chromosome
 from mutreduce.grammar import DEFAULT_GRAMMAR_TEXT
 from mutreduce.index import build_index
 from mutreduce.objectives import ObjectivePair, evaluate_indexed
-from mutreduce.strategy import (DiscardHighestYield, DiscardMutants,
-                                DiscardOperators,
+from mutreduce.strategy import (SPANS_MIN_MUTANTS, DiscardHighestYield,
+                                DiscardMutants, DiscardOperators,
                                 ExecuteOperators, GroupPipeline,
                                 OrderGroupsBySize, RetainMutants,
                                 RetainOperators, Selection, Strategy,
@@ -628,25 +628,57 @@ def test_operator_spans_and_mask_agree_with_brute_force(ops):
         assert found.tolist() == expected
 
 
-def test_spans_path_only_for_a_third_of_a_large_cache(monkeypatch):
+def test_spans_path_only_for_a_third_of_the_mutants(monkeypatch):
     def refuse(self, ops):
         raise AssertionError("wrong path")
-    small = five_operator_cache()
     both = ("_mutants_from_spans", "_mutants_from_mask")
+    small = five_operator_cache()
     for cache, ops, wrong in ((SPANS, [0], ("_mutants_from_spans",)),
                               (SPANS, [1, 2], ("_mutants_from_spans",)),
                               (SPANS, [1], ("_mutants_from_mask",)),
                               (SPANS, [5, 6, 7], ("_mutants_from_mask",)),
                               (SPANS, [0, 1, 2, 3, 4, 5, 6], both),  # they own every mutant
                               (SPANS, list(range(len(SPAN_YIELDS))), both),
-                              (small, [4], ("_mutants_from_spans",))):
+                              (small, [4], ("_mutants_from_mask",)),  # 5 of 75 mutants
+                              (small, [0, 1], ("_mutants_from_spans",))):
         with monkeypatch.context() as patch:
             for name in wrong:
                 patch.setattr(MutationCache, name, refuse)
             found = cache.mutants_of_operators(np.array(ops, dtype=np.int32))
         expected = np.flatnonzero(np.isin(cache.mutant_operator, ops))
         assert found.tolist() == expected.tolist()
+
+
+def test_execute_goes_row_by_row_only_into_empty_pools_of_a_large_cache(monkeypatch):
+    """The VM decides when an Execute asks the cache for each row's mutants:
+    never on a small cache, and on a large one only while every pool is
+    empty; a later Execute merges into the held pools in one pass."""
+    calls = []
+    query = MutationCache.mutants_of_operators
+
+    def counted(self, ops):
+        calls.append(ops.tolist())
+        return query(self, ops)
+
+    def refuse(self, ops):
+        raise AssertionError("row-by-row Execute on a small cache")
+
+    small = build_index(five_operator_cache())
     assert small.n_mutants < SPANS_MIN_MUTANTS <= SPANS.n_mutants
+    with monkeypatch.context() as patch:
+        patch.setattr(MutationCache, "mutants_of_operators", refuse)
+        for text in ("Execute Operators 2", "Execute Operators 1 → Execute Operators 100%"):
+            for seed in range(3):
+                assert_rows_match_reference(parse_strategy(text), small, seed, 5)
+    # Every choice of three of SPANS's operators owns a mutant, so the
+    # second Execute always finds the pools held.
+    strategy = parse_strategy("Execute Operators 3 → Execute Operators 3")
+    with monkeypatch.context() as patch:
+        patch.setattr(MutationCache, "mutants_of_operators", counted)
+        for seed in range(3):
+            calls.clear()
+            assert_rows_match_reference(strategy, SPANS, seed, 5)
+            assert len(calls) == 5 and all(len(ops) == 3 for ops in calls)
 
 
 def test_operator_spans_view():
