@@ -80,7 +80,7 @@ def hypervolume(points: Iterable[Point], reference: Point = (1.0, 1.0)) -> float
     are clipped onto it and contribute nothing at the reference itself."""
     ref_x, ref_y = reference
     pts = [(min(max(x, 0.0), ref_x), min(max(y, 0.0), ref_y))
-           for x, y in _as_points_min(points)]
+           for x, y in _as_points(points)]
     if not pts:
         return 0.0
     pts.sort()
@@ -93,16 +93,12 @@ def hypervolume(points: Iterable[Point], reference: Point = (1.0, 1.0)) -> float
     return volume
 
 
-def _as_points_min(points: Iterable) -> list[Point]:
-    return [(float(x), float(y)) for x, y in points]
-
-
 def igd(front: Iterable[Point], reference: Iterable[Point]) -> float:
     """Inverted generational distance: mean Euclidean distance from each
     reference point to its nearest front point. Errors on empty inputs
     (an empty evaluated front has no meaningful distance)."""
-    front_pts = np.asarray(_as_points_min(front), dtype=np.float64)
-    ref_pts = np.asarray(_as_points_min(reference), dtype=np.float64)
+    front_pts = np.asarray(_as_points(front), dtype=np.float64)
+    ref_pts = np.asarray(_as_points(reference), dtype=np.float64)
     if ref_pts.size == 0:
         raise ValueError("reference front is empty")
     if front_pts.size == 0:

@@ -13,11 +13,12 @@ Subcommands cover the whole experiment loop:
 
 Exit codes: 0 on success, 2 for usage or input problems (bad flags,
 unreadable files, malformed data), 3 for unexpected internal errors.
+Click checks flag types and ranges, ``MUTREDUCE_JOBS`` included; every
+output file but the manifest goes through ``_write_outputs``.
 """
 
 from __future__ import annotations
 
-import os
 import platform
 from datetime import datetime, timezone
 from pathlib import Path
@@ -25,13 +26,14 @@ from typing import Sequence
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import __version__, runio
 from .analysis import INDICATORS, StatReport, compare_experiment
 from .baselines import BASELINE_KINDS, baseline_front
 from .cache import (MutationCache, dumps_cache, global_score, load_cache,
                     operator_yields, read_kill_matrix_csv, synth_cache)
-from .grammar import DEFAULT_GRAMMAR_TEXT, parse_grammar
+from .grammar import DEFAULT_GRAMMAR_TEXT, Grammar, parse_grammar
 from .search import Front, SearchConfig, run_evolution, run_random_search
 
 
@@ -62,38 +64,21 @@ def main(argv: Sequence[str] | None = None) -> int:
     return 0
 
 
-def _resolve_jobs(jobs: int | None) -> int:
-    if jobs is None:
-        env = os.environ.get("MUTREDUCE_JOBS", "").strip()
-        if env:
-            try:
-                jobs = int(env)
-            except ValueError:
-                raise click.UsageError(
-                    f"MUTREDUCE_JOBS must be an integer, got {env!r}")
-        else:
-            jobs = 1
-    if jobs < 1:
-        raise click.UsageError("--jobs must be >= 1")
-    return jobs
-
-
-def _write_outputs(out_dir: Path, texts: dict[str, str]) -> dict[str, str]:
-    """Write each text to its name under out_dir; returns name -> SHA-256."""
-    outputs = {}
+def _write_outputs(out_dir: Path, texts: dict[str, str]) -> None:
+    """Write each text to its name under out_dir, making directories as
+    needed."""
     for name, text in texts.items():
         path = out_dir / name
         path.parent.mkdir(parents=True, exist_ok=True)
         runio.atomic_write_text(path, text)
-        outputs[name] = runio.sha256_text(text)
-    return outputs
 
 
 def _write_manifest(out_dir: Path, command: str, cache_file: Path, cache_sha: str,
-                    seeds: list[int], outputs: dict[str, str], **fields) -> None:
-    """Write manifest.json: the provenance every command records, then the
-    command's own fields. Python and numpy versions are recorded because
-    byte-identity rests on numpy's Generator streams."""
+                    seeds: list[int], texts: dict[str, str], **fields) -> None:
+    """Write manifest.json: the provenance every command records, the
+    SHA-256 of each output text, then the command's own fields. Python and
+    numpy versions are recorded because byte-identity rests on numpy's
+    Generator streams."""
     runio.write_manifest(out_dir / "manifest.json", {
         "tool": "mutreduce",
         "version": __version__,
@@ -104,7 +89,7 @@ def _write_manifest(out_dir: Path, command: str, cache_file: Path, cache_sha: st
         "cache_path": str(Path(cache_file).resolve()),
         "cache_sha256": cache_sha,
         "seeds": seeds,
-        "outputs": outputs,
+        "outputs": {name: runio.sha256_text(text) for name, text in texts.items()},
         **fields,
     })
 
@@ -138,8 +123,7 @@ def cache_synth(operators: int, mutants: int, tests: int, seed: int,
     data = synth_cache(n_operators=operators, n_mutants=mutants, n_tests=tests,
                        seed=seed, kill_density=kill_density,
                        cost_skew=cost_skew, redundancy=redundancy)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    runio.atomic_write_text(out_path, dumps_cache(data))
+    _write_outputs(out_path.parent, {out_path.name: dumps_cache(data)})
     click.echo(f"wrote {out_path}: {len(data.operator_ids)} operators, "
                f"{len(data.mutant_ids)} mutants, {len(data.test_ids)} tests, "
                f"{data.killable_count} killable")
@@ -179,8 +163,7 @@ def cache_inspect(path: Path) -> None:
 def cache_convert(matrix_path: Path, out_path: Path) -> None:
     """Convert a kill-matrix CSV export into a cache file."""
     data = read_kill_matrix_csv(matrix_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    runio.atomic_write_text(out_path, dumps_cache(data))
+    _write_outputs(out_path.parent, {out_path.name: dumps_cache(data)})
     click.echo(f"wrote {out_path}: {len(data.operator_ids)} operators, "
                f"{len(data.mutant_ids)} mutants, {len(data.test_ids)} tests")
 
@@ -190,28 +173,27 @@ def cache_convert(matrix_path: Path, out_path: Path) -> None:
 def _train_task(task: tuple, data: MutationCache | None = None) -> tuple[int, str, str]:
     """One training run; returns (seed, front csv text, run log csv text).
 
-    Module-level and fed plain data so it can cross a process boundary;
-    a worker loads the cache from the task's path, the sequential path
-    passes the cache it already loaded. The texts are rendered here so
-    parallel and sequential runs go through the identical serialization
-    path.
+    Module-level and fed picklable data (the parsed grammar and config)
+    so it can cross a process boundary; a worker loads the cache from the
+    task's path, the sequential path passes the cache it already loaded.
+    The texts are rendered here so parallel and sequential runs go
+    through the identical serialization path.
     """
-    algorithm, config_values, grammar_text, cache_path = task
+    algorithm, config, grammar, cache_path = task
     if data is None:
         data = load_cache(cache_path)
-    grammar = parse_grammar(grammar_text)
-    config = SearchConfig.from_dict(config_values)
+    # Looked up in this module when the run starts: perfbench patches them here.
     driver = run_evolution if algorithm == "ge" else run_random_search
     result = driver(config, grammar, data)
     return (config.seed, runio.front_csv_text(result.front),
             runio.runlog_csv_text(result.generations))
 
 
-def _run_training(algorithm: str, config_values: dict, grammar_text: str,
-                  cache_file: Path, data: MutationCache, seeds: list[int],
-                  jobs: int, out_dir: Path) -> dict[str, str]:
-    tasks = [(algorithm, {**config_values, "seed": s}, grammar_text, str(cache_file))
-             for s in seeds]
+def _run_training(algorithm: str, configs: list[SearchConfig], grammar: Grammar,
+                  cache_file: Path, data: MutationCache, jobs: int,
+                  out_dir: Path) -> dict[str, str]:
+    """Train one run per config; writes and returns name -> output text."""
+    tasks = [(algorithm, config, grammar, str(cache_file)) for config in configs]
     if jobs == 1 or len(tasks) == 1:
         results = [_train_task(task, data) for task in tasks]
     else:
@@ -219,27 +201,63 @@ def _run_training(algorithm: str, config_values: dict, grammar_text: str,
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             results = list(pool.map(_train_task, tasks))
-    outputs = _write_outputs(out_dir, {
-        name: text for run_seed, front_text, log_text in results
-        for name, text in ((f"front_{run_seed}.csv", front_text),
-                           (f"runlog_{run_seed}.csv", log_text))})
+    texts = {name: text for run_seed, front_text, log_text in results
+             for name, text in ((f"front_{run_seed}.csv", front_text),
+                                (f"runlog_{run_seed}.csv", log_text))}
+    _write_outputs(out_dir, texts)
     for run_seed, front_text, _ in results:
         members = front_text.count("\n") - 1
         click.echo(f"seed {run_seed}: {members} front member(s)")
-    return outputs
+    return texts
 
 
-_TRAIN_OVERRIDE_FLAGS = ("--cache", "--algorithm", "--grammar", "--config",
-                         "--seed", "--runs", "--population-size",
-                         "--max-evaluations", "--repetitions")
+def _read_train_manifest(manifest_path: Path) -> tuple[str, dict, str, Path, list[int]]:
+    """(algorithm, config values, grammar text, cache file, seeds) recorded
+    in a train manifest, after checking its shape and the cache's hash."""
+    manifest = runio.read_manifest(manifest_path)
+    try:
+        algorithm = manifest["algorithm"]
+        config_values = manifest["config"]
+        grammar_text = str(manifest["grammar_text"])
+        recorded_cache = str(manifest["cache_path"])
+        recorded_sha = str(manifest["cache_sha256"])
+        seeds = manifest["seeds"]
+    except KeyError as exc:
+        raise ValueError(f"manifest {manifest_path} is missing key {exc}")
+    if algorithm not in ("ge", "random"):
+        raise click.UsageError(
+            f"manifest {manifest_path} has unknown algorithm {algorithm!r}")
+    if not isinstance(config_values, dict):
+        raise ValueError(f"manifest {manifest_path}: config must be an object")
+    if not (isinstance(seeds, list) and seeds and all(
+            isinstance(s, int) and not isinstance(s, bool) for s in seeds)):
+        raise ValueError(
+            f"manifest {manifest_path}: seeds must be a non-empty list of integers")
+    if len(set(seeds)) < len(seeds):
+        raise ValueError(f"manifest {manifest_path}: seeds must be distinct")
+    recorded_numpy = manifest.get("numpy")
+    if recorded_numpy is not None and recorded_numpy != np.__version__:
+        click.echo(f"warning: {manifest_path} was recorded with numpy "
+                   f"{recorded_numpy}, running numpy {np.__version__}; "
+                   f"outputs may not be byte-identical", err=True)
+    cache_file = Path(recorded_cache)
+    if not cache_file.is_absolute():
+        cache_file = manifest_path.parent / cache_file
+    actual_sha = runio.sha256_file(cache_file)
+    if actual_sha != recorded_sha:
+        raise ValueError(
+            f"cache {cache_file} does not match the manifest "
+            f"(sha256 {actual_sha} != {recorded_sha})")
+    return algorithm, config_values, grammar_text, cache_file, seeds
 
 
 @cli.command("train")
-@click.option("--cache", "cache_path", default=None,
+@click.option("--cache", "cache_file", default=None,
               type=click.Path(exists=True, dir_okay=False, path_type=Path))
-@click.option("--algorithm", type=click.Choice(["ge", "random"]), default=None,
+@click.option("--algorithm", type=click.Choice(["ge", "random"]), default="ge",
+              show_default=True,
               help="Search driver: grammatical evolution or random search "
-                   "on the same budget  [default: ge].")
+                   "on the same budget.")
 @click.option("--grammar", "grammar_path", default=None,
               type=click.Path(exists=True, dir_okay=False, path_type=Path),
               help="BNF grammar file; omit for the built-in strategy language.")
@@ -248,112 +266,72 @@ _TRAIN_OVERRIDE_FLAGS = ("--cache", "--algorithm", "--grammar", "--config",
               help="key = value file; explicit flags override it.")
 @click.option("--seed", type=int, default=None,
               help="Base seed; run i uses seed + i  [default: 1].")
-@click.option("--runs", type=int, default=None,
-              help="Independent runs  [default: 30].")
+@click.option("--runs", type=click.IntRange(min=1), default=30, show_default=True,
+              help="Independent runs.")
 @click.option("--population-size", type=int, default=None)
 @click.option("--max-evaluations", type=int, default=None)
 @click.option("--repetitions", type=int, default=None,
               help="Stochastic repetitions per strategy evaluation.")
-@click.option("--jobs", type=int, default=None,
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
+              envvar="MUTREDUCE_JOBS", show_envvar=True,
               help="Worker processes; runs are spread across them without "
-                   "changing any output byte  [default: $MUTREDUCE_JOBS or 1].")
+                   "changing any output byte.")
 @click.option("--manifest", "manifest_path", default=None,
               type=click.Path(exists=True, dir_okay=False, path_type=Path),
               help="Reproduce a recorded run; only --jobs and --out apply.")
 @click.option("--out", "-o", "out_dir", required=True,
               type=click.Path(file_okay=False, path_type=Path))
-def train(cache_path: Path | None, algorithm: str | None,
-          grammar_path: Path | None, config_path: Path | None,
-          seed: int | None, runs: int | None, population_size: int | None,
-          max_evaluations: int | None, repetitions: int | None,
-          jobs: int | None, manifest_path: Path | None, out_dir: Path) -> None:
+def train(cache_file: Path | None, algorithm: str, grammar_path: Path | None,
+          config_path: Path | None, seed: int | None, runs: int,
+          population_size: int | None, max_evaluations: int | None,
+          repetitions: int | None, jobs: int, manifest_path: Path | None,
+          out_dir: Path) -> None:
     """Search a cache for reduction strategies.
 
     Writes front_<seed>.csv and runlog_<seed>.csv per run plus
     manifest.json recording config, seeds, grammar text, and the cache
-    hash, so the exact outputs can be regenerated later.
+    hash, so the exact outputs can be regenerated later. Flags and a
+    manifest resolve to the same run description; the grammar and every
+    run's config are checked before the first run starts.
     """
-    jobs = _resolve_jobs(jobs)
-
     if manifest_path is not None:
-        overrides = (cache_path, algorithm, grammar_path, config_path, seed,
-                     runs, population_size, max_evaluations, repetitions)
-        if any(value is not None for value in overrides):
-            raise click.UsageError(
-                "--manifest replays a recorded run; it cannot be combined with "
-                + ", ".join(_TRAIN_OVERRIDE_FLAGS))
-        manifest = runio.read_manifest(manifest_path)
-        try:
-            algorithm = manifest["algorithm"]
-            config_values = manifest["config"]
-            grammar_text = str(manifest["grammar_text"])
-            recorded_cache = str(manifest["cache_path"])
-            recorded_sha = str(manifest["cache_sha256"])
-            seeds = manifest["seeds"]
-        except KeyError as exc:
-            raise ValueError(f"manifest {manifest_path} is missing key {exc}")
-        if algorithm not in ("ge", "random"):
-            raise click.UsageError(
-                f"manifest {manifest_path} has unknown algorithm {algorithm!r}")
-        if not isinstance(config_values, dict):
-            raise ValueError(f"manifest {manifest_path}: config must be an object")
-        if not (isinstance(seeds, list) and seeds and all(
-                isinstance(s, int) and not isinstance(s, bool) for s in seeds)):
-            raise ValueError(
-                f"manifest {manifest_path}: seeds must be a non-empty list of integers")
-        recorded_numpy = manifest.get("numpy")
-        if recorded_numpy is not None and recorded_numpy != np.__version__:
-            click.echo(f"warning: {manifest_path} was recorded with numpy "
-                       f"{recorded_numpy}, running numpy {np.__version__}; "
-                       f"outputs may not be byte-identical", err=True)
-        cache_file = Path(recorded_cache)
-        if not cache_file.is_absolute():
-            cache_file = manifest_path.parent / cache_file
-        actual_sha = runio.sha256_file(cache_file)
-        if actual_sha != recorded_sha:
-            raise ValueError(
-                f"cache {cache_file} does not match the manifest "
-                f"(sha256 {actual_sha} != {recorded_sha})")
+        context = click.get_current_context()
+        given = [param.opts[0] for param in context.command.params
+                 if param.name not in ("jobs", "manifest_path", "out_dir")
+                 and context.get_parameter_source(param.name) is ParameterSource.COMMANDLINE]
+        if given:
+            raise click.UsageError("--manifest replays a recorded run; it cannot be "
+                                   "combined with " + ", ".join(given))
+        algorithm, config_values, grammar_text, cache_file, seeds = \
+            _read_train_manifest(manifest_path)
     else:
-        if cache_path is None:
+        if cache_file is None:
             raise click.UsageError("--cache is required (or use --manifest)")
-        cache_file = cache_path
-        algorithm = algorithm or "ge"
-        file_values = {}
-        if config_path is not None:
-            file_values = runio.parse_config_text(
-                config_path.read_text(encoding="utf-8"))
-        file_seed = file_values.pop("seed", None)
+        config_values = {} if config_path is None else runio.parse_config_text(
+            config_path.read_text(encoding="utf-8"))
+        file_seed = config_values.pop("seed", 1)
         for key, value in (("population_size", population_size),
                            ("max_evaluations", max_evaluations),
                            ("repetitions", repetitions)):
             if value is not None:
-                file_values[key] = value
-        base_seed = seed if seed is not None else (
-            file_seed if file_seed is not None else 1)
-        n_runs = runs if runs is not None else 30
-        if n_runs < 1:
-            raise click.UsageError("--runs must be >= 1")
-        seeds = [base_seed + i for i in range(n_runs)]
+                config_values[key] = value
+        base_seed = file_seed if seed is None else seed
+        seeds = [base_seed + i for i in range(runs)]
         grammar_text = (grammar_path.read_text(encoding="utf-8")
                         if grammar_path is not None else DEFAULT_GRAMMAR_TEXT)
-        # Record the fully resolved config so manifests stay reproducible
-        # even if library defaults change.
-        config_values = SearchConfig.from_dict(
-            {**file_values, "seed": seeds[0]}).as_dict()
-        del config_values["seed"]
 
-    # Validate everything once up front; workers revalidate cheaply, and
-    # the sequential path trains on the cache loaded here.
-    parse_grammar(grammar_text)
-    SearchConfig.from_dict({**config_values, "seed": seeds[0]})
+    grammar = parse_grammar(grammar_text)
+    configs = [SearchConfig.from_dict({**config_values, "seed": s}) for s in seeds]
     data = load_cache(cache_file)
     cache_sha = runio.sha256_file(cache_file)
 
-    outputs = _run_training(algorithm, config_values, grammar_text,
-                            cache_file, data, seeds, jobs, out_dir)
-    _write_manifest(out_dir, "train", cache_file, cache_sha, seeds, outputs,
-                    algorithm=algorithm, config=config_values, grammar_text=grammar_text,
+    texts = _run_training(algorithm, configs, grammar, cache_file, data, jobs, out_dir)
+    # The fully resolved config keeps a manifest reproducible even if
+    # library defaults change.
+    config_record = configs[0].as_dict()
+    del config_record["seed"]
+    _write_manifest(out_dir, "train", cache_file, cache_sha, seeds, texts,
+                    algorithm=algorithm, config=config_record, grammar_text=grammar_text,
                     grammar_sha256=runio.sha256_text(grammar_text), jobs=jobs)
     click.echo(f"wrote {len(seeds)} run(s) to {out_dir}")
 
@@ -367,8 +345,8 @@ def train(cache_path: Path | None, algorithm: str | None,
               help="Comma-separated subset of RMS,ROS,SM.")
 @click.option("--seed", type=int, default=1, show_default=True,
               help="Base seed; run i uses seed + i.")
-@click.option("--runs", type=int, default=1, show_default=True)
-@click.option("--repetitions", type=int, default=5, show_default=True)
+@click.option("--runs", type=click.IntRange(min=1), default=1, show_default=True)
+@click.option("--repetitions", type=click.IntRange(min=1), default=5, show_default=True)
 @click.option("--out", "-o", "out_dir", required=True,
               type=click.Path(file_okay=False, path_type=Path))
 def baselines_command(cache_path: Path, kinds: str, seed: int, runs: int,
@@ -385,18 +363,14 @@ def baselines_command(cache_path: Path, kinds: str, seed: int, runs: int,
             f"--kinds must name a subset of {','.join(BASELINE_KINDS)}")
     if seed < 0:
         raise click.UsageError("--seed must be >= 0")
-    if runs < 1:
-        raise click.UsageError("--runs must be >= 1")
-    if repetitions < 1:
-        raise click.UsageError("--repetitions must be >= 1")
     data = load_cache(cache_path)
     seeds = list(range(seed, seed + runs))
-    outputs = _write_outputs(out_dir, {
-        f"{kind.lower()}/front_{run_seed}.csv":
-            runio.front_csv_text(baseline_front(kind, data, run_seed, repetitions))
-        for kind in kind_list for run_seed in seeds})
+    texts = {f"{kind.lower()}/front_{run_seed}.csv":
+             runio.front_csv_text(baseline_front(kind, data, run_seed, repetitions))
+             for kind in kind_list for run_seed in seeds}
+    _write_outputs(out_dir, texts)
     _write_manifest(out_dir, "baselines", cache_path, runio.sha256_file(cache_path), seeds,
-                    outputs, kinds=kind_list, repetitions=repetitions)
+                    texts, kinds=kind_list, repetitions=repetitions)
     click.echo(f"wrote {len(kind_list)} baseline sweep(s) x {runs} run(s) to {out_dir}")
 
 
@@ -407,7 +381,7 @@ def baselines_command(cache_path: Path, kinds: str, seed: int, runs: int,
               type=click.Path(exists=True, dir_okay=False, path_type=Path))
 @click.option("--cache", "cache_path", required=True,
               type=click.Path(exists=True, dir_okay=False, path_type=Path))
-@click.option("--repetitions", type=int, default=5, show_default=True)
+@click.option("--repetitions", type=click.IntRange(min=1), default=5, show_default=True)
 @click.option("--out", "-o", "out_path", required=True,
               type=click.Path(dir_okay=False, path_type=Path))
 def evaluate_command(front_path: Path, cache_path: Path, repetitions: int,
@@ -418,12 +392,9 @@ def evaluate_command(front_path: Path, cache_path: Path, repetitions: int,
     this reproduces time and score exactly; on a different cache it
     measures how the strategies transfer. Row order is preserved.
     """
-    if repetitions < 1:
-        raise click.UsageError("--repetitions must be >= 1")
     front = runio.reevaluated_front(runio.read_front_csv(front_path),
                                     load_cache(cache_path), repetitions)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    runio.atomic_write_text(out_path, runio.front_csv_text(front))
+    _write_outputs(out_path.parent, {out_path.name: runio.front_csv_text(front)})
     click.echo(f"re-evaluated {len(front)} strategies -> {out_path}")
 
 
@@ -524,13 +495,12 @@ def report_command(run_specs: tuple[str, ...], label: str, out_dir: Path) -> Non
         methods[name] = [runio.read_front_csv(path) for path in files]
     stat = compare_experiment(methods)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_outputs(out_dir, {
+        **{f"{indicator}_table.csv": _indicator_table_text(label, indicator, stat)
+           for indicator in INDICATORS},
+        "values.csv": _values_csv_text(stat),
+        "scatter.csv": _scatter_csv_text(methods),
+        "reference_front.csv": _reference_csv_text(stat)})
     for indicator in INDICATORS:
-        runio.atomic_write_text(out_dir / f"{indicator}_table.csv",
-                                _indicator_table_text(label, indicator, stat))
         click.echo(_summary_line(indicator, stat))
-    runio.atomic_write_text(out_dir / "values.csv", _values_csv_text(stat))
-    runio.atomic_write_text(out_dir / "scatter.csv", _scatter_csv_text(methods))
-    runio.atomic_write_text(out_dir / "reference_front.csv",
-                            _reference_csv_text(stat))
     click.echo(f"wrote report to {out_dir}")

@@ -21,8 +21,8 @@ Stochastic strategies are evaluated as an average over n repetitions:
 TIME as the ratio of summed costs, SCORE as the mean of per-repetition
 scores (computed as one exact integer ratio). The repetitions are the
 rows of one batch: one strategy VM pass and one kernel call serve them
-all, each row drawing from its own child stream. select_tests and
-score_objective read a single mutant set as a batch of one row.
+all, each row drawing from its own child stream. select_tests reads a
+single mutant set as a batch of one row; score_objective is its kill count.
 """
 
 from __future__ import annotations
@@ -96,9 +96,7 @@ def score_objective(run: ReductionRun, cache: MutationCache) -> float:
     cache = build_index(cache)
     if cache.killable_count == 0:
         return 0.0
-    mprime = _mutant_indices(cache, run.mutant_ids)
-    _, kills = _kernels.select_and_count(cache, mprime, [0, mprime.size])
-    return kills[0] / cache.killable_count
+    return select_tests(run.mutant_ids, cache).killed_mutants / cache.killable_count
 
 
 def evaluate_indexed(

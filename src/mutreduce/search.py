@@ -60,6 +60,8 @@ class SearchConfig:
             if isinstance(value, bool) or not isinstance(value, kind):
                 raise ValueError(f"{name} must be {'a number' if probability else 'an integer'}, "
                                  f"not {type(value).__name__}")
+            if probability and not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1]")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.population_size < 2 or self.population_size % 2:
@@ -68,11 +70,6 @@ class SearchConfig:
             raise ValueError("max_evaluations must cover the initial population")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-        for name in ("crossover_probability", "mutation_probability",
-                     "prune_probability", "duplicate_probability"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
         if self.min_length < 2:
             raise ValueError("min_length must be >= 2")
         # Constructors validate the remaining relations.

@@ -276,11 +276,16 @@ def test_train_manifest_warns_on_numpy_mismatch(cache_file, tmp_path, capsys,
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
-def test_train_manifest_rejects_overrides(cache_file, tmp_path):
+def test_train_manifest_rejects_overrides(cache_file, tmp_path, capsys):
     out_dir = tmp_path / "base"
     assert main(train_args(cache_file, out_dir, runs=1)) == 0
+    capsys.readouterr()
     assert main(["train", "--manifest", str(out_dir / "manifest.json"),
                  "--seed", "3", "--out", str(tmp_path / "re")]) == 2
+    err = capsys.readouterr().err
+    assert "cannot be combined with --seed" in err
+    assert "--cache" not in err
+    assert not (tmp_path / "re").exists()
 
 
 def test_train_manifest_detects_cache_drift(cache_file, tmp_path):
@@ -312,19 +317,39 @@ def test_train_manifest_rejects_unknown_algorithm(cache_file, tmp_path, capsys):
     assert not (tmp_path / "re").exists()
 
 
-@pytest.mark.parametrize("edit", [
-    lambda m: m.update(config=5),
-    lambda m: m.update(seeds=5),
-    lambda m: m.update(seeds=[]),
-    lambda m: m["config"].update(population_size="4"),
-    lambda m: m["config"].update(crossover_probability="x"),
+@pytest.mark.parametrize("edit,reason", [
+    (lambda m: m.update(config=5), "config must be an object"),
+    (lambda m: m.update(seeds=5), "seeds must be a non-empty list of integers"),
+    (lambda m: m.update(seeds=[]), "seeds must be a non-empty list of integers"),
+    (lambda m: m["config"].update(population_size="4"), "population_size must be an integer"),
+    (lambda m: m["config"].update(crossover_probability="x"),
+     "crossover_probability must be a number"),
+    (lambda m: m.update(seeds=[7, 7]), "manifest.json: seeds must be distinct"),
+    (lambda m: m.update(seeds=[[1]]), "seeds must be a non-empty list of integers"),
+    (lambda m: m.update(seeds=[1, -1]), "seed must be >= 0"),
 ], ids=["config-not-object", "seeds-not-list", "seeds-empty",
-        "population-size-string", "crossover-probability-string"])
+        "population-size-string", "crossover-probability-string",
+        "seeds-repeated", "seeds-nested", "seed-negative-later"])
 def test_train_manifest_malformed_shape_is_bad_input(cache_file, tmp_path, capsys,
-                                                     edit):
+                                                     monkeypatch, edit, reason):
+    """Every run is checked before the first starts: no replay run trains."""
+    import mutreduce.cli as cli_mod
+
+    trained = []
+    run_evolution = cli_mod.run_evolution
+
+    def recording(config, *args):
+        trained.append(config.seed)
+        return run_evolution(config, *args)
+
+    monkeypatch.setattr(cli_mod, "run_evolution", recording)
     assert _replay_edited_manifest(cache_file, tmp_path, edit) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "internal error" not in err
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "internal error" not in captured.err
+    assert reason in captured.err
+    assert "seed 1:" not in captured.out
+    assert trained == [7]  # the recorded run only
+    assert not (tmp_path / "re").exists()
 
 
 def test_train_parallel_output_matches_sequential(cache_file, tmp_path):
@@ -336,14 +361,25 @@ def test_train_parallel_output_matches_sequential(cache_file, tmp_path):
         assert (seq / name).read_bytes() == (par / name).read_bytes()
 
 
-def test_jobs_env_variable(cache_file, tmp_path, monkeypatch):
+def test_jobs_env_variable(cache_file, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("MUTREDUCE_JOBS", "2")
     out_dir = tmp_path / "env"
     assert main(train_args(cache_file, out_dir, runs=1)) == 0
     assert read_manifest(out_dir / "manifest.json")["jobs"] == 2
 
-    monkeypatch.setenv("MUTREDUCE_JOBS", "many")
-    assert main(train_args(cache_file, tmp_path / "env2", runs=1)) == 2
+    monkeypatch.setenv("MUTREDUCE_JOBS", "")  # empty is unset
+    assert main(train_args(cache_file, tmp_path / "empty", runs=1)) == 0
+    assert read_manifest(tmp_path / "empty" / "manifest.json")["jobs"] == 1
+
+    for bad in ("many", "0", "  "):
+        monkeypatch.setenv("MUTREDUCE_JOBS", bad)
+        capsys.readouterr()
+        assert main(train_args(cache_file, tmp_path / "bad", runs=1)) == 2
+        assert "MUTREDUCE_JOBS" in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
+
+    assert main(["train", "--help"]) == 0
+    assert "MUTREDUCE_JOBS" in capsys.readouterr().out
 
 
 def test_train_usage_errors(cache_file, tmp_path):

@@ -145,6 +145,14 @@ def test_config_rejects_wrong_types(field, value):
         SearchConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["crossover_probability", "mutation_probability",
+                                   "prune_probability", "duplicate_probability"])
+@pytest.mark.parametrize("value", [-0.1, 1.5, float("nan")])
+def test_config_rejects_probabilities_outside_the_unit_interval(field, value):
+    with pytest.raises(ValueError, match=rf"^{field} must be in \[0, 1\]$"):
+        SearchConfig(seed=1, **{field: value})
+
+
 def test_config_accepts_integral_probabilities():
     assert SearchConfig(seed=1, crossover_probability=1).crossover_probability == 1
 
