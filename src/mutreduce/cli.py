@@ -211,9 +211,10 @@ def _run_training(algorithm: str, configs: list[SearchConfig], grammar: Grammar,
     return texts
 
 
-def _read_train_manifest(manifest_path: Path) -> tuple[str, dict, str, Path, list[int]]:
-    """(algorithm, config values, grammar text, cache file, seeds) recorded
-    in a train manifest, after checking its shape and the cache's hash."""
+def _read_train_manifest(manifest_path: Path) -> tuple[str, dict, str, Path, str, list[int]]:
+    """(algorithm, config values, grammar text, cache file, cache hash,
+    seeds) recorded in a train manifest, after checking its shape and the
+    cache's hash."""
     manifest = runio.read_manifest(manifest_path)
     try:
         algorithm = manifest["algorithm"]
@@ -248,7 +249,7 @@ def _read_train_manifest(manifest_path: Path) -> tuple[str, dict, str, Path, lis
         raise ValueError(
             f"cache {cache_file} does not match the manifest "
             f"(sha256 {actual_sha} != {recorded_sha})")
-    return algorithm, config_values, grammar_text, cache_file, seeds
+    return algorithm, config_values, grammar_text, cache_file, actual_sha, seeds
 
 
 @cli.command("train")
@@ -302,7 +303,7 @@ def train(cache_file: Path | None, algorithm: str, grammar_path: Path | None,
         if given:
             raise click.UsageError("--manifest replays a recorded run; it cannot be "
                                    "combined with " + ", ".join(given))
-        algorithm, config_values, grammar_text, cache_file, seeds = \
+        algorithm, config_values, grammar_text, cache_file, cache_sha, seeds = \
             _read_train_manifest(manifest_path)
     else:
         if cache_file is None:
@@ -319,11 +320,13 @@ def train(cache_file: Path | None, algorithm: str, grammar_path: Path | None,
         seeds = [base_seed + i for i in range(runs)]
         grammar_text = (grammar_path.read_text(encoding="utf-8")
                         if grammar_path is not None else DEFAULT_GRAMMAR_TEXT)
+        cache_sha = None
 
     grammar = parse_grammar(grammar_text)
     configs = [SearchConfig.from_dict({**config_values, "seed": s}) for s in seeds]
     data = load_cache(cache_file)
-    cache_sha = runio.sha256_file(cache_file)
+    if cache_sha is None:  # a manifest replay has checked the hash already
+        cache_sha = runio.sha256_file(cache_file)
 
     texts = _run_training(algorithm, configs, grammar, cache_file, data, jobs, out_dir)
     # The fully resolved config keeps a manifest reproducible even if
@@ -365,9 +368,9 @@ def baselines_command(cache_path: Path, kinds: str, seed: int, runs: int,
         raise click.UsageError("--seed must be >= 0")
     data = load_cache(cache_path)
     seeds = list(range(seed, seed + runs))
-    texts = {f"{kind.lower()}/front_{run_seed}.csv":
-             runio.front_csv_text(baseline_front(kind, data, run_seed, repetitions))
-             for kind in kind_list for run_seed in seeds}
+    texts = {f"{kind.lower()}/front_{run_seed}.csv": runio.front_csv_text(front)
+             for kind in kind_list
+             for run_seed, front in zip(seeds, baseline_front(kind, data, seeds, repetitions))}
     _write_outputs(out_dir, texts)
     _write_manifest(out_dir, "baselines", cache_path, runio.sha256_file(cache_path), seeds,
                     texts, kinds=kind_list, repetitions=repetitions)

@@ -21,15 +21,18 @@ Stochastic strategies are evaluated as an average over n repetitions:
 TIME as the ratio of summed costs, SCORE as the mean of per-repetition
 scores (computed as one exact integer ratio). The repetitions are the
 rows of one batch: one strategy VM pass and one kernel call serve them
-all, each row drawing from its own child stream. select_tests reads a
-single mutant set as a batch of one row; score_objective is its kill count.
+all, each row drawing from its own child stream. A batch may hold
+several runs of one strategy, n rows each (a baseline's runs over many
+seeds); each run's objectives are read from its own rows, so a run in a
+batch scores exactly as it does alone. select_tests reads a single
+mutant set as a batch of one row; score_objective is its kill count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -103,18 +106,24 @@ def evaluate_indexed(
     strategy: Strategy,
     cache: MutationCache,
     n: int,
-    rng: np.random.Generator,
-) -> ObjectivePair:
-    """Hot path used by the search loop; see evaluate for the contract.
-    The repetitions are the rows of one VM batch and one kernel call."""
-    _, mutant_pools, bounds, costs = execute_indexed(strategy, cache, rng.spawn(n))
+    rows: Sequence[np.random.Generator],
+) -> list[ObjectivePair]:
+    """Hot path used by the search loop and the baselines; see evaluate for
+    the contract. ``rows`` holds the generators of one or more runs of n
+    repetitions, run by run; returns one pair per run. Every row is one
+    row of a single VM batch and kernel call."""
+    _, mutant_pools, bounds, costs = execute_indexed(strategy, cache, rows)
     _, kills = _kernels.select_and_count(cache, mutant_pools, bounds)
-    time = math.fsum(costs) / math.fsum([cache.total_cost] * n)
-    if cache.killable_count == 0:
-        score = 0.0
-    else:
-        score = sum(kills) / (n * cache.killable_count)
-    return ObjectivePair(time=time, score=score)
+    full_cost = math.fsum([cache.total_cost] * n)
+    pairs = []
+    for lo in range(0, len(rows), n):
+        time = math.fsum(costs[lo:lo + n]) / full_cost
+        if cache.killable_count == 0:
+            score = 0.0
+        else:
+            score = sum(kills[lo:lo + n]) / (n * cache.killable_count)
+        pairs.append(ObjectivePair(time=time, score=score))
+    return pairs
 
 
 def evaluate(
@@ -134,4 +143,4 @@ def evaluate(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return evaluate_indexed(strategy, build_index(cache), n, rng)
+    return evaluate_indexed(strategy, build_index(cache), n, rng.spawn(n))[0]

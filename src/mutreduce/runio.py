@@ -27,14 +27,13 @@ from dataclasses import fields, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from . import objectives
 from .baselines import BaselineSpec
 from .cache import MutationCache
 from .genome import Chromosome
 from .search import EvaluatedStrategy, Front, GenerationStat, SearchConfig
 from .strategy import parse_strategy
+from .streams import row_generators
 
 FRONT_COLUMNS = ("seed", "chromosome", "strategy_text", "time", "score")
 RUNLOG_COLUMNS = ("generation", "evaluations", "front_size", "front_hypervolume")
@@ -109,6 +108,8 @@ def read_front_csv(path: str | Path) -> Front:
                     chromosome=Chromosome.deserialize(chromosome) if chromosome else None)
                 if entry.eval_seed < 0:
                     raise ValueError(f"seed must be non-negative, got {entry.eval_seed}")
+                if entry.eval_seed >= 2**64:
+                    raise ValueError(f"seed must be below 2**64, got {entry.eval_seed}")
                 if not (math.isfinite(entry.time) and math.isfinite(entry.score)):
                     raise ValueError(f"time and score must be finite, got "
                                      f"{entry.time!r} and {entry.score!r}")
@@ -126,21 +127,26 @@ def reevaluate_row(row: EvaluatedStrategy, cache: MutationCache,
     objectives exactly (same seed, same repetition streams); on another
     cache it measures how the strategy transfers.
     """
-    if row.text.startswith("Baseline "):
-        strategy = BaselineSpec.parse(row.text).strategy()
-    else:
-        strategy = parse_strategy(row.text)
-    pair = objectives.evaluate(strategy, cache, repetitions,
-                               rng=np.random.default_rng(row.eval_seed))
-    return pair.time, pair.score
+    [replayed] = reevaluated_front([row], cache, repetitions)
+    return replayed.time, replayed.score
 
 
 def reevaluated_front(front: Front, cache: MutationCache,
                       repetitions: int = 5) -> Front:
+    """reevaluate_row of every row; one seeding pass builds the
+    repetition rows of all of them."""
+    if repetitions < 1:
+        raise ValueError("repetitions must be >= 1")
+    rows = row_generators([row.eval_seed for row in front], repetitions)
     replayed: Front = []
-    for row in front:
-        time, score = reevaluate_row(row, cache, repetitions)
-        replayed.append(replace(row, time=time, score=score))
+    for i, row in enumerate(front):
+        if row.text.startswith("Baseline "):
+            strategy = BaselineSpec.parse(row.text).strategy()
+        else:
+            strategy = parse_strategy(row.text)
+        [pair] = objectives.evaluate_indexed(strategy, cache, repetitions,
+                                             rows[i * repetitions:(i + 1) * repetitions])
+        replayed.append(replace(row, time=pair.time, score=pair.score))
     return replayed
 
 

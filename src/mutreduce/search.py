@@ -34,6 +34,7 @@ from .index import build_index
 from .objectives import evaluate_indexed
 from .pareto import nondominated, point, sort_fronts
 from .strategy import render, strategy_from_chromosome
+from .streams import derive_seed, row_generators
 
 
 @dataclass(frozen=True)
@@ -184,22 +185,16 @@ class _Individual:
         self.crowding = 0.0
 
 
-def derive_seed(entropy: tuple[int, ...]) -> int:
-    """The 64-bit evaluation seed of an entropy tuple (base seed, stream
-    tag, ...). Stream tags in use: 0 evaluation seeds of search
-    individuals, (seed, 0, generation or block, slot); 1 the initial
-    population; 2 variation; 3 baseline sweeps, (seed, 3, parameter).
-    Tags 1 and 2 seed their generators directly."""
-    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
-
-
 def _evaluate_population(individuals: list[_Individual], cache: MutationCache,
                          repetitions: int) -> None:
-    for ind in individuals:
-        if ind.failed:
-            continue  # penalty objectives were set at construction
-        rng = np.random.default_rng(ind.eval_seed)
-        pair = evaluate_indexed(ind.strategy, cache, repetitions, rng)
+    """Evaluate the individuals that mapped; one seeding pass builds every
+    one's repetition rows."""
+    live = [ind for ind in individuals if not ind.failed]
+    # Failed individuals keep the penalty objectives set at construction.
+    rows = row_generators([ind.eval_seed for ind in live], repetitions)
+    for i, ind in enumerate(live):
+        [pair] = evaluate_indexed(ind.strategy, cache, repetitions,
+                                  rows[i * repetitions:(i + 1) * repetitions])
         ind.time = pair.time
         ind.score = pair.score
 

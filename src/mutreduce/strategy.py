@@ -21,10 +21,11 @@ arithmetic); quantity counts clip to the pool size. Ties never occur
 because pools are index sets.
 
 The VM runs a batch: one row per generator, each row one run of the
-strategy, so that the repetitions of an evaluation share one pass. The
-operator pools form a (rows x size) int32 matrix, since selection counts
-depend only on pool sizes and so every row's pool has the same size at
-every node; the executed operators form a (rows x n_operators) mask; the
+strategy, so that the repetitions of an evaluation (or of several
+evaluations of one strategy) share one pass. The operator pools form a
+(rows x size) int32 matrix, since selection counts depend only on pool
+sizes and so every row's pool has the same size at every node; the
+executed operators form a (rows x n_operators) mask; the
 mutant pools, whose sizes differ, are the rows' sorted pools
 concatenated, cut by rows + 1 bounds. At a drawing node the rows draw in
 row order, each from its own generator (inside a group pipeline, in its

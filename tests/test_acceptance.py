@@ -260,7 +260,7 @@ def test_criterion_07_baseline_comparison_report_shape(
             kind_dir = base / kind.lower()
             kind_dir.mkdir()
             for seed in range(1, REPLICATION_RUNS + 1):
-                front = baseline_front(kind, cache, seed)
+                front = baseline_front(kind, cache, [seed])[0]
                 assert 1 <= len(front) <= len(grids[kind])
                 points = [(m.time, m.score) for m in front]
                 assert peel(points)[0] == list(range(len(points)))
@@ -276,7 +276,7 @@ def test_criterion_07_baseline_comparison_report_shape(
                 write_front_csv(kind_dir / f"front_{seed}.csv", front)
 
         sm_fronts = [[(m.time, m.score, m.text)
-                      for m in baseline_front("SM", cache, seed)]
+                      for m in baseline_front("SM", cache, [seed])[0]]
                      for seed in (1, 2, 3)]
         assert sm_fronts[0] == sm_fronts[1] == sm_fronts[2]
 

@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from mutreduce.baselines import (BASELINE_KINDS, BaselineSpec, RMS_SWEEP,
+from mutreduce import baselines
+from mutreduce.baselines import (BASELINE_KINDS, BATCH_MAX_CELLS, BaselineSpec, RMS_SWEEP,
                                  ROS_SWEEP, SM_SWEEP, baseline_front, sweep)
 from mutreduce.cache import (MutantRecord, MutationCache, OperatorRecord,
                              TestRecord, synth_cache)
-from mutreduce.objectives import ObjectivePair, evaluate, select_tests
+from mutreduce.objectives import ObjectivePair, evaluate, evaluate_indexed, select_tests
 from mutreduce.pareto import dominates
 from mutreduce.runio import front_csv_text
 from mutreduce.strategy import execute, render
@@ -166,7 +167,7 @@ def test_sweep_grids():
 
 def test_front_sizes_bounded_by_sweep(bench_cache):
     for kind, bound in (("RMS", 9), ("ROS", 9), ("SM", 6)):
-        front = baseline_front(kind, bench_cache, seed=3)
+        front = baseline_front(kind, bench_cache, [3])[0]
         assert 1 <= len(front) <= bound
         for member in front:
             assert member.text.startswith(f"Baseline {kind}")
@@ -174,7 +175,7 @@ def test_front_sizes_bounded_by_sweep(bench_cache):
 
 def test_fronts_are_mutually_nondominated(bench_cache):
     for kind in BASELINE_KINDS:
-        front = baseline_front(kind, bench_cache, seed=4)
+        front = baseline_front(kind, bench_cache, [4])[0]
         for a in front:
             for b in front:
                 if a is not b:
@@ -183,15 +184,15 @@ def test_fronts_are_mutually_nondominated(bench_cache):
 
 
 def test_front_deterministic_per_seed(bench_cache):
-    a = baseline_front("RMS", bench_cache, seed=6)
-    b = baseline_front("RMS", bench_cache, seed=6)
+    a = baseline_front("RMS", bench_cache, [6])[0]
+    b = baseline_front("RMS", bench_cache, [6])[0]
     assert a == b
-    c = baseline_front("RMS", bench_cache, seed=7)
+    c = baseline_front("RMS", bench_cache, [7])[0]
     assert a != c
 
 
 def test_sm_front_identical_across_seeds(bench_cache):
-    fronts = [baseline_front("SM", bench_cache, seed=s) for s in range(4)]
+    fronts = [baseline_front("SM", bench_cache, [s])[0] for s in range(4)]
     points = [[(m.time, m.score) for m in f] for f in fronts]
     assert all(p == points[0] for p in points)
 
@@ -199,9 +200,27 @@ def test_sm_front_identical_across_seeds(bench_cache):
 def test_rms_fronts_vary_but_counts_hold(bench_cache):
     rng_points = set()
     for seed in range(4):
-        front = baseline_front("RMS", bench_cache, seed=seed)
+        front = baseline_front("RMS", bench_cache, [seed])[0]
         rng_points.add(tuple((m.time, m.score) for m in front))
     assert len(rng_points) > 1
+
+
+def test_runs_of_many_seeds_equal_single_seed_calls(monkeypatch):
+    """Two runs of five rows fill a batch on this cache, so three seeds
+    take batches of 10 and 5 rows; each run scores as it does alone."""
+    cache = synth_cache(6, BATCH_MAX_CELLS // 10, 40, seed=11, kill_density=0.8)
+    batch_rows = []
+
+    def spy(strategy, cache, n, rows):
+        batch_rows.append(len(rows))
+        return evaluate_indexed(strategy, cache, n, rows)
+
+    monkeypatch.setattr(baselines, "evaluate_indexed", spy)
+    for kind in BASELINE_KINDS:
+        batch_rows.clear()
+        together = baseline_front(kind, cache, [3, 4, 5])
+        assert batch_rows == [10, 5] * len(sweep(kind))
+        assert together == [baseline_front(kind, cache, [seed])[0] for seed in (3, 4, 5)]
 
 
 # ===== evaluation aggregation =====
@@ -246,7 +265,7 @@ def test_rms_means_are_monotone_in_percentage(bench_cache):
 
 # ===== byte identity =====
 
-# SHA-256 of front_csv_text(baseline_front(kind, bench_cache, seed)),
+# SHA-256 of front_csv_text(baseline_front(kind, bench_cache, [seed])[0]),
 # recorded when baselines still had their own evaluator. Running them as
 # strategies on the VM must not change a byte.
 PINNED_FRONT_DIGESTS = {
@@ -264,6 +283,6 @@ PINNED_FRONT_DIGESTS = {
 
 @pytest.mark.parametrize("kind,seed", sorted(PINNED_FRONT_DIGESTS))
 def test_front_bytes_match_pinned_digest(bench_cache, kind, seed):
-    text = front_csv_text(baseline_front(kind, bench_cache, seed))
+    text = front_csv_text(baseline_front(kind, bench_cache, [seed])[0])
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     assert digest == PINNED_FRONT_DIGESTS[(kind, seed)]

@@ -288,6 +288,26 @@ def test_train_manifest_rejects_overrides(cache_file, tmp_path, capsys):
     assert not (tmp_path / "re").exists()
 
 
+def test_train_hashes_the_cache_once(cache_file, tmp_path, monkeypatch):
+    """A flag run hashes the cache for its manifest; a manifest replay
+    reuses the hash it checked."""
+    import mutreduce.runio as runio_mod
+
+    hashed = []
+    sha256_file = runio_mod.sha256_file
+    monkeypatch.setattr(runio_mod, "sha256_file",
+                        lambda path: hashed.append(Path(path).resolve()) or sha256_file(path))
+    first = tmp_path / "first"
+    assert main(train_args(cache_file, first, runs=1)) == 0
+    assert hashed == [cache_file.resolve()]
+    hashed.clear()
+    assert main(["train", "--manifest", str(first / "manifest.json"),
+                 "--out", str(tmp_path / "second")]) == 0
+    assert hashed == [cache_file.resolve()]
+    assert (read_manifest(tmp_path / "second" / "manifest.json")["cache_sha256"]
+            == read_manifest(first / "manifest.json")["cache_sha256"])
+
+
 def test_train_manifest_detects_cache_drift(cache_file, tmp_path):
     out_dir = tmp_path / "base"
     assert main(train_args(cache_file, out_dir, runs=1)) == 0
@@ -668,3 +688,19 @@ def test_cli_import_leaves_scipy_unloaded():
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "False"
+
+
+def test_cli_import_loads_neither_multiprocessing_nor_scipy():
+    """Only ``train --jobs`` with several runs needs multiprocessing, only
+    the tests need SciPy, and numpy.random is first needed by a draw:
+    importing the CLI loads none of them."""
+    import mutreduce
+
+    package_root = str(Path(mutreduce.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": package_root}
+    probe = ("import sys, mutreduce.cli\n"
+             "print(sorted(name for name in ('multiprocessing', 'numpy.random', 'scipy')\n"
+             "             if name in sys.modules))")
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

@@ -5,10 +5,13 @@ import pytest
 
 from mutreduce.cache import (MutantRecord, MutationCache, OperatorRecord,
                              TestRecord, synth_cache)
-from mutreduce.objectives import (evaluate, score_objective, select_tests,
-                                  time_objective)
-from mutreduce.strategy import (ExecuteOperators, ReductionRun, RetainMutants,
-                                Selection, Strategy, execute, parse_strategy)
+from mutreduce.genome import random_chromosome
+from mutreduce.objectives import (evaluate, evaluate_indexed, score_objective,
+                                  select_tests, time_objective)
+from mutreduce.strategy import (SPANS_MIN_MUTANTS, ExecuteOperators, ReductionRun,
+                                RetainMutants, Selection, Strategy, execute,
+                                parse_strategy, render, strategy_from_chromosome)
+from mutreduce.streams import row_generators
 
 
 def pct(value):
@@ -217,8 +220,6 @@ def test_evaluate_rejects_zero_repetitions(tiny_cache):
 
 
 def test_objectives_stay_in_unit_interval(grammar):
-    from mutreduce.genome import random_chromosome
-    from mutreduce.strategy import strategy_from_chromosome
     cache = synth_cache(5, 80, 30, seed=47, kill_density=0.5)
     rng = np.random.default_rng(6)
     checked = 0
@@ -229,4 +230,27 @@ def test_objectives_stay_in_unit_interval(grammar):
         pair = evaluate(strategy, cache, 3, rng=rng)
         assert 0.0 <= pair.time <= 1.0
         assert 0.0 <= pair.score <= 1.0
+        checked += 1
+
+
+@pytest.mark.parametrize("cache", [
+    synth_cache(5, 60, 20, seed=7, kill_density=0.8),
+    # Large enough for the VM's row-by-row Execute and the kernel's
+    # unselected-side count.
+    synth_cache(6, SPANS_MIN_MUTANTS + 1000, 200, seed=3, kill_density=0.8),
+], ids=["small", "large"])
+def test_a_batch_of_runs_scores_each_run_as_it_scores_alone(grammar, cache):
+    rng = np.random.default_rng(2024)
+    checked = 0
+    while checked < 25:
+        strategy = strategy_from_chromosome(random_chromosome(rng), grammar)
+        if strategy is None:
+            continue
+        seeds = [int(s) for s in rng.integers(0, 2**63, size=3)]
+        for n in (1, 4):
+            alone = [evaluate_indexed(strategy, cache, n,
+                                      np.random.default_rng(s).spawn(n))[0]
+                     for s in seeds]
+            assert evaluate_indexed(strategy, cache, n, row_generators(seeds, n)) == alone, \
+                render(strategy)
         checked += 1

@@ -88,7 +88,9 @@ def test_front_csv_reports_bad_line(tmp_path):
     ("1,,x,0.5", "expected 5 cells, got 4"),
     ('1,"3,,4",x,0.5,0.5', "bad chromosome text '3,,4'"),
     ("1,genes,x,0.5,0.5", "bad chromosome text 'genes'"),
-], ids=["negative seed", "sixth cell", "missing cell", "empty gene", "not a number"])
+    (f"{2**64},,x,0.5,0.5", f"seed must be below 2**64, got {2**64}"),
+], ids=["negative seed", "sixth cell", "missing cell", "empty gene", "not a number",
+        "seed past uint64"])
 def test_front_csv_rejects_bad_rows(tmp_path, line, reason):
     path = tmp_path / "front.csv"
     path.write_text(",".join(FRONT_COLUMNS) + "\n1,,ok,0.5,0.5\n" + line + "\n")
@@ -113,6 +115,21 @@ def test_reevaluate_baseline_row_replays_exactly(tiny_cache):
     row = EvaluatedStrategy(time=expected[0], score=expected[1], eval_seed=9,
                             text=spec.describe())
     assert reevaluate_row(row, tiny_cache) == expected
+
+
+def test_reevaluated_front_equals_evaluations_with_the_row_seeds(small_synth):
+    text = "Execute Operators 50% -> Retain Mutants random 2"
+    spec = BaselineSpec(kind="RMS", percentage=30)
+    cases = [(0, text, parse_strategy(text)),
+             (2**64 - 1, spec.describe(), spec.strategy()),
+             (2**32, text, parse_strategy(text))]
+    rows = [EvaluatedStrategy(time=0.0, score=0.0, eval_seed=seed, text=row_text)
+            for seed, row_text, _ in cases]
+    for repetitions in (1, 4):
+        expected = [evaluate(strategy, small_synth, repetitions, rng=np.random.default_rng(seed))
+                    for seed, _, strategy in cases]
+        assert ([(r.time, r.score) for r in reevaluated_front(rows, small_synth, repetitions)]
+                == [(pair.time, pair.score) for pair in expected])
 
 
 def test_reevaluated_front_restores_chromosomes(tiny_cache):

@@ -918,7 +918,7 @@ def test_evaluate_equals_a_per_repetition_loop_over_the_reference(grammar, oracl
         for index in oracle_caches:
             for n in (1, 5):
                 seed = 1000 * checked + n
-                assert (evaluate_indexed(strategy, index, n, np.random.default_rng(seed))
+                assert (evaluate_indexed(strategy, index, n, np.random.default_rng(seed).spawn(n))[0]
                         == _ref_evaluate(strategy, index, n, np.random.default_rng(seed))), \
                     f"{render(strategy)!r} at seed {seed}"
         checked += 1
