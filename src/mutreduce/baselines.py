@@ -33,7 +33,7 @@ from .objectives import evaluate_indexed
 from .pareto import nondominated
 from .search import EvaluatedStrategy, Front
 from .strategy import Strategy, parse_strategy
-from .streams import derive_seed, row_generators
+from .streams import derive_seeds, row_generators
 
 RMS_SWEEP = tuple(range(10, 100, 10))
 ROS_SWEEP = tuple(range(10, 100, 10))
@@ -117,18 +117,22 @@ def baseline_front(kind: Kind, cache: MutationCache, seeds: Sequence[int],
 
     Each swept parameter gets its own evaluation seed derived from
     (seed, parameter), recorded on the returned entries so rows can be
-    re-evaluated independently later. A parameter's runs over all seeds
-    are seeded in one pass and run as the rows of as few VM batches as
+    re-evaluated independently later; the whole sweep's evaluation seeds
+    are derived in one pass. A parameter's runs over all seeds are seeded
+    in one pass and run as the rows of as few VM batches as
     ``BATCH_MAX_CELLS`` allows; every run scores as it would alone.
     """
     cache = build_index(cache)
     runs_per_batch = max(1, BATCH_MAX_CELLS // (repetitions * cache.n_mutants))
     rows_per_batch = runs_per_batch * repetitions
     entries: list[list[EvaluatedStrategy]] = [[] for _ in seeds]
-    for spec in sweep(kind):
-        parameter = spec.exclusions if spec.kind == "SM" else spec.percentage
+    specs = sweep(kind)
+    parameters = [spec.exclusions if spec.kind == "SM" else spec.percentage for spec in specs]
+    sweep_seeds = derive_seeds([(int(seed), 3, parameter)
+                                for parameter in parameters for seed in seeds])
+    for i, spec in enumerate(specs):
         strategy, text = spec.strategy(), spec.describe()
-        eval_seeds = [derive_seed((int(seed), 3, parameter)) for seed in seeds]
+        eval_seeds = sweep_seeds[i * len(seeds):(i + 1) * len(seeds)]
         rows = row_generators(eval_seeds, repetitions)
         pairs = [pair for lo in range(0, len(rows), rows_per_batch)
                  for pair in evaluate_indexed(strategy, cache, repetitions,

@@ -5,7 +5,9 @@ the grammar depth-first, leftmost first; every rule with two or more
 alternatives consumes one gene and picks alternative ``gene mod
 n_alternatives``. Single-alternative rules consume nothing. When the
 genes run out, reading wraps to the front, up to ``max_wraps`` times;
-needing one more wrap fails the mapping.
+needing one more wrap fails the mapping. The walk runs over the grammar's
+integer tables (``Grammar.tables``), compiled once per grammar, not over
+its rule objects.
 
 Variation operators (crossover, mutate, prune, duplicate) are pure
 functions of their inputs and the supplied generator, and always respect
@@ -14,13 +16,14 @@ the configured gene bounds and length limits.
 
 from __future__ import annotations
 
+import numbers
 import re
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .grammar import Grammar, Terminal
+from .grammar import Grammar
 
 GENE_LOW = 0
 GENE_HIGH = 179
@@ -58,12 +61,38 @@ DEFAULT_LIMITS = LengthLimits()
 
 @dataclass(frozen=True)
 class Chromosome:
+    """A non-empty tuple of genes, each an integer >= 0 stored as ``int``.
+
+    The constructor checks every gene: a bool, a float, a string or a
+    negative number is a ``ValueError``, never truncated or converted, so
+    every chromosome serializes to text ``deserialize`` reads back. numpy
+    integers are accepted and stored as ``int``. Variation builds its
+    chromosomes from genes already known to be valid ints, through
+    ``_of_ints``, which skips the check.
+    """
+
     genes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.genes:
+        genes = tuple(self.genes)
+        if not genes:
             raise ValueError("chromosome must have at least one gene")
-        object.__setattr__(self, "genes", tuple(int(g) for g in self.genes))
+        if {*map(type, genes)} != {int}:  # numpy integers, or bad genes
+            for position, gene in enumerate(genes):
+                if isinstance(gene, bool) or not isinstance(gene, numbers.Integral):
+                    raise ValueError(f"gene {position} is {gene!r}, not an integer >= 0")
+            genes = tuple(map(int, genes))
+        if min(genes) < 0:
+            position = next(i for i, gene in enumerate(genes) if gene < 0)
+            raise ValueError(f"gene {position} is {genes[position]!r}, not an integer >= 0")
+        object.__setattr__(self, "genes", genes)
+
+    @classmethod
+    def _of_ints(cls, genes: tuple[int, ...]) -> "Chromosome":
+        """A chromosome of genes known to be ints >= 0 (one or more)."""
+        chromosome = object.__new__(cls)
+        object.__setattr__(chromosome, "genes", genes)
+        return chromosome
 
     def __len__(self) -> int:
         return len(self.genes)
@@ -104,7 +133,7 @@ def random_chromosome(
 ) -> Chromosome:
     length = int(rng.integers(limits.min, limits.max + 1))
     genes = rng.integers(bounds.low, bounds.high + 1, size=length)
-    return Chromosome(tuple(int(g) for g in genes))
+    return Chromosome._of_ints(tuple(genes.tolist()))
 
 
 def map_chromosome(
@@ -121,35 +150,28 @@ def map_chromosome(
     genes = chromosome.genes
     n = len(genes)
     budget = (max_wraps + 1) * n
-    rules = grammar.by_name
-    stack: list = [grammar.start]
+    productions, terminals = grammar.tables
+    stack = [0]
     tokens: list[str] = []
     reads = 0
     while stack:
         symbol = stack.pop()
-        if isinstance(symbol, str):
-            productions = rules[symbol].productions
-            if len(productions) == 1:
-                chosen = productions[0]
-            else:
-                if reads >= budget:
-                    return MappingResult(
-                        status=MappingStatus.FAILED,
-                        tokens=None,
-                        genes_consumed=reads,
-                        wraps_used=max_wraps + 1,
-                    )
-                gene = genes[reads % n]
-                reads += 1
-                chosen = productions[gene % len(productions)]
-            for sym in reversed(chosen.symbols):
-                if isinstance(sym, Terminal):
-                    if sym.text:
-                        stack.append(sym)
-                else:
-                    stack.append(sym.name)
-        else:
-            tokens.append(symbol.text)
+        if symbol < 0:
+            tokens.append(terminals[~symbol])
+            continue
+        choices = productions[symbol]
+        if len(choices) == 1:
+            stack += choices[0]
+            continue
+        if reads >= budget:
+            return MappingResult(
+                status=MappingStatus.FAILED,
+                tokens=None,
+                genes_consumed=reads,
+                wraps_used=max_wraps + 1,
+            )
+        stack += choices[genes[reads % n] % len(choices)]
+        reads += 1
     wraps = 0 if reads == 0 else (reads - 1) // n
     return MappingResult(
         status=MappingStatus.MAPPED,
@@ -193,8 +215,8 @@ def _clamp(
         genes = genes[:limits.max]
     if len(genes) < limits.min:
         pad = rng.integers(bounds.low, bounds.high + 1, size=limits.min - len(genes))
-        genes = genes + tuple(int(g) for g in pad)
-    return Chromosome(genes)
+        genes = genes + tuple(pad.tolist())
+    return Chromosome._of_ints(genes)
 
 
 def mutate(
@@ -207,14 +229,14 @@ def mutate(
     the given probability (the new value may equal the old one)."""
     n = len(chromosome)
     mask = rng.random(n) < probability
-    hits = int(mask.sum())
+    hits = int(np.count_nonzero(mask))
     if hits == 0:
         return chromosome
     replacements = rng.integers(bounds.low, bounds.high + 1, size=hits)
     genes = list(chromosome.genes)
-    for position, value in zip(np.flatnonzero(mask), replacements):
-        genes[int(position)] = int(value)
-    return Chromosome(tuple(genes))
+    for position, value in zip(np.flatnonzero(mask).tolist(), replacements.tolist()):
+        genes[position] = value
+    return Chromosome._of_ints(tuple(genes))
 
 
 def prune(
@@ -255,4 +277,4 @@ def duplicate(
     start = int(rng.integers(0, n))
     seg_len = int(rng.integers(1, n - start + 1))
     segment = chromosome.genes[start:start + min(seg_len, room)]
-    return Chromosome(chromosome.genes + segment)
+    return Chromosome._of_ints(chromosome.genes + segment)

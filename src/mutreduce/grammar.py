@@ -74,6 +74,24 @@ class Grammar:
     def by_name(self) -> dict[str, Rule]:
         return {rule.name: rule for rule in self.rules}
 
+    @cached_property
+    def tables(self) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], tuple[str, ...]]:
+        """(productions, terminals): the grammar as integers, for genotype
+        mapping. ``productions[r]`` lists rule r's productions, each as its
+        symbols reversed (ready to push on a stack): a rule index >= 0 for
+        a non-terminal, ``~t`` for terminal text ``terminals[t]``. Empty
+        terminals expand to nothing and are dropped. Rule 0 is the start."""
+        index = {rule.name: i for i, rule in enumerate(self.rules)}
+        terminals: dict[str, int] = {}
+        productions = tuple(
+            tuple(tuple(index[s.name] if isinstance(s, NonTerminal)
+                        else ~terminals.setdefault(s.text, len(terminals))
+                        for s in reversed(production.symbols)
+                        if isinstance(s, NonTerminal) or s.text)
+                  for production in rule.productions)
+            for rule in self.rules)
+        return productions, tuple(terminals)
+
     def render(self) -> str:
         lines = []
         for rule in self.rules:

@@ -34,7 +34,7 @@ from .index import build_index
 from .objectives import evaluate_indexed
 from .pareto import nondominated, point, sort_fronts
 from .strategy import render, strategy_from_chromosome
-from .streams import derive_seed, row_generators
+from .streams import derive_seeds, row_generators
 
 
 @dataclass(frozen=True)
@@ -169,7 +169,7 @@ def crowding_distance(pairs: Sequence) -> list[float]:
 # ===== Individuals =====
 
 class _Individual:
-    __slots__ = ("chromosome", "strategy", "text", "eval_seed",
+    __slots__ = ("chromosome", "strategy", "eval_seed",
                  "time", "score", "failed", "rank", "crowding")
 
     def __init__(self, chromosome: Chromosome, grammar: Grammar,
@@ -177,7 +177,6 @@ class _Individual:
         self.chromosome = chromosome
         self.strategy = strategy_from_chromosome(chromosome, grammar, max_wraps)
         self.failed = self.strategy is None
-        self.text = "" if self.failed else render(self.strategy)
         self.eval_seed = eval_seed
         self.time = 1.0
         self.score = 0.0
@@ -278,11 +277,18 @@ def _chromosome_key(ind: _Individual) -> str:
 def _final_front(individuals: list[_Individual]) -> Front:
     members = [ind for ind in individuals if ind.rank == 0 and not ind.failed]
     return [EvaluatedStrategy(time=ind.time, score=ind.score, eval_seed=ind.eval_seed,
-                              text=ind.text, chromosome=ind.chromosome)
+                              text=render(ind.strategy), chromosome=ind.chromosome)
             for ind in nondominated(members, key=_chromosome_key)]
 
 
 # ===== Search drivers =====
+
+def _evaluation_seeds(config: SearchConfig, generation: int) -> list[int]:
+    """The evaluation seeds of a generation's (or block's) slots, derived
+    from (seed, 0, generation, slot) in one pass."""
+    return derive_seeds([(config.seed, 0, generation, slot)
+                         for slot in range(config.population_size)])
+
 
 def run_evolution(config: SearchConfig, grammar: Grammar,
                   cache: MutationCache) -> SearchResult:
@@ -295,8 +301,8 @@ def run_evolution(config: SearchConfig, grammar: Grammar,
 
     population = [
         _Individual(genome.random_chromosome(init_rng, bounds, limits),
-                    grammar, config.max_wraps, derive_seed((config.seed, 0, 0, slot)))
-        for slot in range(config.population_size)
+                    grammar, config.max_wraps, eval_seed)
+        for eval_seed in _evaluation_seeds(config, 0)
     ]
     _evaluate_population(population, cache, config.repetitions)
     evaluations = config.population_size
@@ -306,6 +312,7 @@ def run_evolution(config: SearchConfig, grammar: Grammar,
     generation = 0
     while evaluations + config.population_size <= config.max_evaluations:
         generation += 1
+        eval_seeds = _evaluation_seeds(config, generation)
         offspring: list[_Individual] = []
         while len(offspring) < config.population_size:
             parent_a = _tournament(population, var_rng)
@@ -325,9 +332,8 @@ def run_evolution(config: SearchConfig, grammar: Grammar,
                         config.max_wraps)
                 if var_rng.random() < config.duplicate_probability:
                     chromosome = genome.duplicate(chromosome, var_rng, limits)
-                offspring.append(_Individual(
-                    chromosome, grammar, config.max_wraps,
-                    derive_seed((config.seed, 0, generation, len(offspring)))))
+                offspring.append(_Individual(chromosome, grammar, config.max_wraps,
+                                             eval_seeds[len(offspring)]))
                 if len(offspring) == config.population_size:
                     break
         _evaluate_population(offspring, cache, config.repetitions)
@@ -358,9 +364,8 @@ def run_random_search(config: SearchConfig, grammar: Grammar,
     while evaluations + config.population_size <= config.max_evaluations:
         individuals = [
             _Individual(genome.random_chromosome(init_rng, bounds, limits),
-                        grammar, config.max_wraps,
-                        derive_seed((config.seed, 0, block, slot)))
-            for slot in range(config.population_size)
+                        grammar, config.max_wraps, eval_seed)
+            for eval_seed in _evaluation_seeds(config, block)
         ]
         _evaluate_population(individuals, cache, config.repetitions)
         evaluations += config.population_size

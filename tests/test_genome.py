@@ -7,7 +7,9 @@ from mutreduce.genome import (Chromosome, GeneBounds, LengthLimits,
                               MappingStatus, crossover, duplicate,
                               map_chromosome, mutate, prune,
                               random_chromosome)
-from mutreduce.grammar import parse_grammar
+from mutreduce.grammar import default_grammar, parse_grammar
+
+from mapping_oracle import oracle_map
 
 
 def options_grammar(k):
@@ -32,6 +34,39 @@ class StubRng:
 def test_chromosome_requires_genes():
     with pytest.raises(ValueError):
         Chromosome(())
+
+
+@pytest.mark.parametrize("genes", [
+    (1.7, 2), (np.float64(2.9),), ("7",), (True, 4), (4, np.bool_(True)), (-5, 3),
+    (3, np.int64(-1)), (None,),
+])
+def test_chromosome_rejects_genes_it_cannot_serialize(genes):
+    with pytest.raises(ValueError, match="not an integer >= 0"):
+        Chromosome(genes)
+
+
+def test_chromosome_stores_numpy_integer_genes_as_int():
+    c = Chromosome((np.int64(3), np.uint8(200), 7))
+    assert c.genes == (3, 200, 7)
+    assert all(type(g) is int for g in c.genes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(genes=st.lists(st.integers(0, 2**70), min_size=1, max_size=120))
+def test_chromosome_text_round_trips(genes):
+    c = Chromosome(tuple(genes))
+    assert Chromosome.deserialize(c.serialize()) == c
+
+
+def test_variation_builds_chromosomes_of_int_genes(grammar):
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        a, b = random_chromosome(rng), random_chromosome(rng)
+        for child in crossover(a, b, rng):
+            for c in (child, mutate(child, rng, 0.2), prune(child, grammar, rng),
+                      duplicate(child, rng)):
+                assert all(type(g) is int for g in c.genes)
+                assert Chromosome(c.genes) == c
 
 
 def test_chromosome_serialization_round_trip():
@@ -149,6 +184,50 @@ def test_wrap_budget_boundary():
     assert over.status is MappingStatus.FAILED
     assert over.tokens is None
     assert over.wraps_used == 11
+
+
+def chain(m):
+    """m two-option choice points in a row."""
+    return parse_grammar(
+        "<s> ::= " + " ".join("<c>" for _ in range(m)) + '\n<c> ::= "a" | "b"'
+    )
+
+
+ORACLE_GRAMMARS = {
+    "default": default_grammar(),
+    # An empty terminal inside an alternative, and one standing alone.
+    "empty terminal": parse_grammar(
+        '<s> ::= "x" "" <t> | "" | <t> "" "y"\n'
+        '<t> ::= "a" "" | "b" <s> ""'),
+    "single-alternative chain": parse_grammar(
+        '<a> ::= "p" <b>\n<b> ::= <c> "q"\n<c> ::= "r" | <d>\n<d> ::= "s"'),
+    "chain(165)": chain(165),
+    "chain(166)": chain(166),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GRAMMARS))
+@settings(max_examples=150, deadline=None)
+@given(genes=st.lists(st.integers(0, 179), min_size=1, max_size=100),
+       max_wraps=st.integers(0, 10))
+def test_table_mapping_equals_the_tree_walk(name, genes, max_wraps):
+    grammar = ORACLE_GRAMMARS[name]
+    c = Chromosome(tuple(genes))
+    assert map_chromosome(c, grammar, max_wraps) == oracle_map(c, grammar, max_wraps)
+
+
+def test_table_mapping_equals_the_tree_walk_at_the_wrap_limit():
+    c = Chromosome((1,) * 15)
+    for m in (165, 166):
+        assert map_chromosome(c, chain(m)) == oracle_map(c, chain(m), 10)
+
+
+def test_table_mapping_equals_the_tree_walk_on_random_chromosomes(grammar):
+    rng = np.random.default_rng(21)
+    for _ in range(2000):
+        c = random_chromosome(rng)
+        max_wraps = int(rng.integers(0, 11))
+        assert map_chromosome(c, grammar, max_wraps) == oracle_map(c, grammar, max_wraps)
 
 
 def test_mapping_is_deterministic(grammar):

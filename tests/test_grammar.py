@@ -146,3 +146,20 @@ def _derivable(grammar, tokens):
         return False
 
     return match([NonTerminal(grammar.start)], 0)
+
+
+def test_grammar_tables_survive_pickling(grammar):
+    """Worker processes receive the grammar pickled, tables and all."""
+    import pickle
+
+    tables = grammar.tables
+    copy = pickle.loads(pickle.dumps(grammar))
+    assert copy == grammar
+    assert copy.tables == tables
+
+
+def test_grammar_tables_reverse_symbols_and_drop_empty_terminals():
+    grammar = parse_grammar('<s> ::= "x" "" <t> | ""\n<t> ::= "a" <s> "b"')
+    productions, terminals = grammar.tables
+    assert terminals == ("x", "b", "a")
+    assert productions == (((1, ~0), ()), ((~1, 0, ~2),))

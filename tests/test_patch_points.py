@@ -26,3 +26,26 @@ def _patch_points():
 def test_patch_point_is_a_callable_module_attribute(module_name, attribute):
     module = importlib.import_module(module_name)
     assert callable(getattr(module, attribute, None)), f"{module_name}.{attribute}"
+
+
+def test_strategy_building_and_prune_map_through_the_genome_attribute(monkeypatch, grammar):
+    """The trace counts genome.map_calls by patching mutreduce.genome's
+    map_chromosome; building a strategy and pruning must both look it up
+    there, not hold their own reference."""
+    import numpy as np
+
+    from mutreduce import genome, strategy
+
+    calls = []
+    original = genome.map_chromosome
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(genome, "map_chromosome", counted)
+    chromosome = genome.Chromosome((0,) * 40)
+    assert strategy.strategy_from_chromosome(chromosome, grammar) is not None
+    assert calls == [chromosome]
+    genome.prune(chromosome, grammar, np.random.default_rng(0))
+    assert calls == [chromosome, chromosome]
