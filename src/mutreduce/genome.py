@@ -74,18 +74,16 @@ class Chromosome:
     genes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        genes = tuple(self.genes)
+        genes = []
+        for position, gene in enumerate(self.genes):
+            if (type(gene) is not int  # numpy integers, or bad genes
+                    and (isinstance(gene, bool) or not isinstance(gene, numbers.Integral))
+                    or gene < 0):
+                raise ValueError(f"gene {position} is {gene!r}, not an integer >= 0")
+            genes.append(int(gene))
         if not genes:
             raise ValueError("chromosome must have at least one gene")
-        if {*map(type, genes)} != {int}:  # numpy integers, or bad genes
-            for position, gene in enumerate(genes):
-                if isinstance(gene, bool) or not isinstance(gene, numbers.Integral):
-                    raise ValueError(f"gene {position} is {gene!r}, not an integer >= 0")
-            genes = tuple(map(int, genes))
-        if min(genes) < 0:
-            position = next(i for i, gene in enumerate(genes) if gene < 0)
-            raise ValueError(f"gene {position} is {genes[position]!r}, not an integer >= 0")
-        object.__setattr__(self, "genes", genes)
+        object.__setattr__(self, "genes", tuple(genes))
 
     @classmethod
     def _of_ints(cls, genes: tuple[int, ...]) -> "Chromosome":

@@ -71,10 +71,6 @@ class Grammar:
         return self.rules[0].name
 
     @cached_property
-    def by_name(self) -> dict[str, Rule]:
-        return {rule.name: rule for rule in self.rules}
-
-    @cached_property
     def tables(self) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], tuple[str, ...]]:
         """(productions, terminals): the grammar as integers, for genotype
         mapping. ``productions[r]`` lists rule r's productions, each as its

@@ -126,29 +126,17 @@ def _int_words(value: int) -> list[int]:
 def derive_seeds(entropies: Sequence[Sequence[int]]) -> list[int]:
     """The 64-bit evaluation seed of each entropy tuple, in one pass:
     ``SeedSequence(e).generate_state(1, np.uint64)[0]`` for each e. The
-    stream tags are listed in the module docstring.
-
-    Tuples whose integers all lie below 2**32 are read as one table;
-    others, or tuples of different lengths, are split into words row by
-    row, and their rows may hold different numbers of words.
-    """
+    stream tags are listed in the module docstring. Each tuple is split
+    into its uint32 words, so tuples may hold integers of any size and
+    differ in length."""
     if not len(entropies):
         return []
-    try:
-        table = np.array(entropies, dtype=np.int64)
-    except (OverflowError, ValueError):  # above 2**63, or ragged
-        table = None
-    if table is not None and table.ndim == 2 and table.min() >= 0 and table.max() <= _WORD:
-        words = np.zeros((max(_POOL_SIZE, table.shape[1]), len(table)), dtype=np.uint32)
-        words[:table.shape[1]] = table.T
-        lengths = None
-    else:
-        rows = [[w for value in entropy for w in _int_words(int(value))]
-                for entropy in entropies]
-        lengths = np.array([len(row) for row in rows])
-        words = np.zeros((max(_POOL_SIZE, lengths.max()), len(rows)), dtype=np.uint32)
-        for i, row in enumerate(rows):
-            words[:len(row), i] = row
+    rows = [[w for value in entropy for w in _int_words(int(value))]
+            for entropy in entropies]
+    lengths = np.array([len(row) for row in rows])
+    words = np.zeros((max(_POOL_SIZE, lengths.max()), len(rows)), dtype=np.uint32)
+    for i, row in enumerate(rows):
+        words[:len(row), i] = row
     return _state_words(_mix_entropy(words, lengths), 1)[:, 0].tolist()
 
 

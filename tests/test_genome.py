@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mutreduce.genome import (Chromosome, GeneBounds, LengthLimits,
@@ -167,14 +167,16 @@ def test_wrapping_counts_passes_over_the_genes():
     assert result.wraps_used == 1
 
 
+def chain(m):
+    """m two-option choice points in a row."""
+    return parse_grammar(
+        "<s> ::= " + " ".join("<c>" for _ in range(m)) + '\n<c> ::= "a" | "b"'
+    )
+
+
 def test_wrap_budget_boundary():
     # A length-15 chromosome under the default wrap limit 10 affords
     # (10 + 1) * 15 = 165 gene reads: 165 choice points map, 166 fail.
-    def chain(m):
-        return parse_grammar(
-            "<s> ::= " + " ".join("<c>" for _ in range(m)) + '\n<c> ::= "a" | "b"'
-        )
-
     fits = map_chromosome(Chromosome((1,) * 15), chain(165))
     assert fits.mapped
     assert fits.genes_consumed == 165
@@ -184,13 +186,6 @@ def test_wrap_budget_boundary():
     assert over.status is MappingStatus.FAILED
     assert over.tokens is None
     assert over.wraps_used == 11
-
-
-def chain(m):
-    """m two-option choice points in a row."""
-    return parse_grammar(
-        "<s> ::= " + " ".join("<c>" for _ in range(m)) + '\n<c> ::= "a" | "b"'
-    )
 
 
 ORACLE_GRAMMARS = {
@@ -210,16 +205,11 @@ ORACLE_GRAMMARS = {
 @settings(max_examples=150, deadline=None)
 @given(genes=st.lists(st.integers(0, 179), min_size=1, max_size=100),
        max_wraps=st.integers(0, 10))
+@example(genes=[1] * 15, max_wraps=10)  # the wrap limit of chain(165), chain(166)
 def test_table_mapping_equals_the_tree_walk(name, genes, max_wraps):
     grammar = ORACLE_GRAMMARS[name]
     c = Chromosome(tuple(genes))
     assert map_chromosome(c, grammar, max_wraps) == oracle_map(c, grammar, max_wraps)
-
-
-def test_table_mapping_equals_the_tree_walk_at_the_wrap_limit():
-    c = Chromosome((1,) * 15)
-    for m in (165, 166):
-        assert map_chromosome(c, chain(m)) == oracle_map(c, chain(m), 10)
 
 
 def test_table_mapping_equals_the_tree_walk_on_random_chromosomes(grammar):

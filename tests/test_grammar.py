@@ -13,11 +13,15 @@ TRIM_RULES = """\
 """
 
 
+def rules_by_name(grammar):
+    return {rule.name: rule for rule in grammar.rules}
+
+
 def test_hand_written_rules_parse():
     grammar = parse_grammar(TRIM_RULES)
     assert len(grammar.rules) == 3
     assert grammar.start == "mutantStage"
-    assert len(grammar.by_name["mutantOperation"].productions) == 2
+    assert len(rules_by_name(grammar)["mutantOperation"].productions) == 2
 
 
 def test_single_terminal_rule():
@@ -46,7 +50,7 @@ def test_nonterminating_rule_rejected():
 
 def test_empty_terminal_allows_termination():
     grammar = parse_grammar('<list> ::= "" | "item" <list>')
-    assert len(grammar.by_name["list"].productions) == 2
+    assert len(rules_by_name(grammar)["list"].productions) == 2
 
 
 def test_unquoted_terminal_rejected():
@@ -71,7 +75,7 @@ def test_comments_and_continuations():
         '      | "two" <b>\n'
         '<b> ::= "x"\n'
     )
-    assert len(grammar.by_name["a"].productions) == 2
+    assert len(rules_by_name(grammar)["a"].productions) == 2
 
 
 def test_hash_inside_quotes_is_not_a_comment():
@@ -88,7 +92,7 @@ def test_render_parse_round_trip():
 
 def test_default_grammar_validates(grammar):
     assert grammar.start == "strategy"
-    assert "selection" in grammar.by_name
+    assert "selection" in rules_by_name(grammar)
 
 
 def test_default_grammar_option_counts_fit_gene_bounds(grammar):
@@ -128,7 +132,7 @@ def test_default_grammar_derives_the_six_step_showcase(grammar):
 
 def _derivable(grammar, tokens):
     """Depth-first search: can the grammar's start symbol yield ``tokens``?"""
-    rules = grammar.by_name
+    rules = rules_by_name(grammar)
 
     def match(stack, position):
         if not stack:
