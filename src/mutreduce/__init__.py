@@ -20,7 +20,7 @@ is O(nnz), the number of recorded kills, never O(tests x mutants).
 
 from .analysis import (A12Result, StatReport, a12, compare_experiment,
                        hypervolume, igd, kruskal_wallis, reference_front)
-from .baselines import BASELINE_KINDS, BaselineSpec, baseline_front
+from .baselines import BASELINE_KINDS, baseline_front
 from .cache import (CacheError, MutantRecord, MutationCache, OperatorRecord,
                     TestRecord, dumps_cache, global_score, load_cache,
                     loads_cache, operator_yields, read_kill_matrix_csv,
@@ -28,7 +28,6 @@ from .cache import (CacheError, MutantRecord, MutationCache, OperatorRecord,
 from .genome import (Chromosome, GeneBounds, LengthLimits, MappingResult,
                      MappingStatus, map_chromosome, random_chromosome)
 from .grammar import DEFAULT_GRAMMAR_TEXT, Grammar, GrammarError, default_grammar, parse_grammar
-from .index import build_index
 from .objectives import (ObjectivePair, evaluate, score_objective,
                          select_tests, time_objective)
 from .search import (EvaluatedStrategy, SearchConfig, SearchResult,
@@ -43,13 +42,13 @@ __version__ = "0.1.0"
 KERNEL_BACKEND = "pure"
 
 __all__ = [
-    "A12Result", "BASELINE_KINDS", "BaselineSpec", "CacheError",
+    "A12Result", "BASELINE_KINDS", "CacheError",
     "Chromosome", "DEFAULT_GRAMMAR_TEXT", "EvaluatedStrategy", "GeneBounds",
     "Grammar", "GrammarError", "KERNEL_BACKEND", "LengthLimits",
     "MappingResult", "MappingStatus", "MutantRecord", "MutationCache",
     "ObjectivePair", "OperatorRecord", "ReductionRun", "SearchConfig",
     "SearchResult", "StatReport", "Strategy", "StrategyParseError",
-    "TestRecord", "a12", "baseline_front", "build_index", "compare_experiment",
+    "TestRecord", "a12", "baseline_front", "compare_experiment",
     "default_grammar", "dumps_cache", "evaluate", "execute", "global_score",
     "hypervolume", "igd", "kruskal_wallis", "load_cache", "loads_cache",
     "map_chromosome", "operator_yields", "parse_grammar", "parse_strategy",

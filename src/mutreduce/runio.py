@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import objectives
-from .baselines import BaselineSpec
+from .baselines import baseline_strategy
 from .cache import MutationCache
 from .genome import Chromosome
 from .search import EvaluatedStrategy, Front, GenerationStat, SearchConfig
@@ -83,10 +83,6 @@ def front_csv_text(front: Front) -> str:
          entry.text, repr(entry.time), repr(entry.score)] for entry in front))
 
 
-def write_front_csv(path: str | Path, front: Front) -> None:
-    atomic_write_text(path, front_csv_text(front))
-
-
 def read_front_csv(path: str | Path) -> Front:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -119,29 +115,22 @@ def read_front_csv(path: str | Path) -> Front:
     return front
 
 
-def reevaluate_row(row: EvaluatedStrategy, cache: MutationCache,
-                   repetitions: int = 5) -> tuple[float, float]:
-    """Re-run a front row against a cache with the row's own seed.
+def reevaluated_front(front: Front, cache: MutationCache,
+                      repetitions: int = 5) -> Front:
+    """Re-run each front row against a cache with the row's own seed; one
+    seeding pass builds the repetition rows of all of them.
 
-    On the cache the row was trained on this reproduces the recorded
+    On the cache a row was trained on this reproduces its recorded
     objectives exactly (same seed, same repetition streams); on another
     cache it measures how the strategy transfers.
     """
-    [replayed] = reevaluated_front([row], cache, repetitions)
-    return replayed.time, replayed.score
-
-
-def reevaluated_front(front: Front, cache: MutationCache,
-                      repetitions: int = 5) -> Front:
-    """reevaluate_row of every row; one seeding pass builds the
-    repetition rows of all of them."""
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     rows = row_generators([row.eval_seed for row in front], repetitions)
     replayed: Front = []
     for i, row in enumerate(front):
         if row.text.startswith("Baseline "):
-            strategy = BaselineSpec.parse(row.text).strategy()
+            strategy = baseline_strategy(row.text)
         else:
             strategy = parse_strategy(row.text)
         [pair] = objectives.evaluate_indexed(strategy, cache, repetitions,
@@ -156,10 +145,6 @@ def runlog_csv_text(stats: Sequence[GenerationStat]) -> str:
     return csv_text(RUNLOG_COLUMNS, (
         [stat.generation, stat.evaluations, stat.front_size, repr(stat.front_hypervolume)]
         for stat in stats))
-
-
-def write_runlog_csv(path: str | Path, stats: Sequence[GenerationStat]) -> None:
-    atomic_write_text(path, runlog_csv_text(stats))
 
 
 # ===== Config files =====

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import asdict, dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -32,7 +31,7 @@ from .genome import Chromosome, GeneBounds, LengthLimits
 from .grammar import Grammar
 from .index import build_index
 from .objectives import evaluate_indexed
-from .pareto import nondominated, point, sort_fronts
+from .pareto import nondominated, sort_fronts
 from .strategy import render, strategy_from_chromosome
 from .streams import derive_seeds, row_generators
 
@@ -126,18 +125,6 @@ class SearchResult:
 
 # ===== Ranking and crowding =====
 
-def _objective_arrays(items: Sequence) -> tuple[np.ndarray, np.ndarray]:
-    """(times, scores) of items with time/score attributes or (time, score) pairs."""
-    pairs = np.array([point(item) for item in items], dtype=np.float64).reshape(-1, 2)
-    return pairs[:, 0], pairs[:, 1]
-
-
-def fast_nondominated_sort(pairs: Sequence) -> list[list[int]]:
-    """Partition points into fronts: rank 0 is non-dominated, rank k+1 is
-    non-dominated once ranks <= k are removed. Returns index lists."""
-    return [front.tolist() for front in sort_fronts(*_objective_arrays(pairs))]
-
-
 def _crowding(times: np.ndarray, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(crowding distance, pair id) per point. The distance is
     permutation-invariant: identical objective pairs share one id and one
@@ -160,10 +147,6 @@ def _crowding(times: np.ndarray, scores: np.ndarray) -> tuple[np.ndarray, np.nda
                 dist[order[1:-1]] += gaps
     inverse = inverse.ravel()
     return dist[inverse], inverse
-
-
-def crowding_distance(pairs: Sequence) -> list[float]:
-    return _crowding(*_objective_arrays(pairs))[0].tolist()
 
 
 # ===== Individuals =====

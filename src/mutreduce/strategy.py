@@ -3,8 +3,9 @@
 A strategy is an ordered pipeline of operations. It starts from the full
 operator pool and an empty mutant pool; ExecuteOperators moves operators
 from the pool into the executed set and adds their mutants to the mutant
-pool. Operator-level and mutant-level retain/discard steps shrink the
-pools; a group pipeline partitions the mutant pool by operator, reorders
+pool. A Select step shrinks either pool, retaining or discarding a
+random selection of it (four phrases: Retain or Discard, Operators or
+Mutants); a group pipeline partitions the mutant pool by operator, reorders
 or drops groups, samples each remaining group, and flattens the result
 back into the pool. DiscardHighestYield drops the operators with the
 most mutants; the grammar never emits it, it exists so the selective
@@ -48,6 +49,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate
 from typing import Iterable, Iterator, Literal, Sequence, Union
 
@@ -88,19 +90,21 @@ class Selection:
 
 
 @dataclass(frozen=True)
-class RetainOperators:
+class Select:
+    """Retain (``keep``) or discard a random selection of the operator or
+    mutant pool."""
+
+    pool: Literal["operators", "mutants"]
+    keep: bool
     selection: Selection
 
-    def render(self) -> str:
-        return f"Retain Operators {self.selection.render()}"
-
-
-@dataclass(frozen=True)
-class DiscardOperators:
-    selection: Selection
+    def __post_init__(self) -> None:
+        if self.pool not in ("operators", "mutants"):
+            raise ValueError(f"bad pool {self.pool!r}")
 
     def render(self) -> str:
-        return f"Discard Operators {self.selection.render()}"
+        verb = "Retain" if self.keep else "Discard"
+        return f"{verb} {self.pool.capitalize()} {self.selection.render()}"
 
 
 @dataclass(frozen=True)
@@ -125,22 +129,6 @@ class ExecuteOperators:
     def render(self) -> str:
         suffix = "%" if self.selection.kind == "percentage" else ""
         return f"Execute Operators {self.selection.value}{suffix}"
-
-
-@dataclass(frozen=True)
-class RetainMutants:
-    selection: Selection
-
-    def render(self) -> str:
-        return f"Retain Mutants {self.selection.render()}"
-
-
-@dataclass(frozen=True)
-class DiscardMutants:
-    selection: Selection
-
-    def render(self) -> str:
-        return f"Discard Mutants {self.selection.render()}"
 
 
 @dataclass(frozen=True)
@@ -179,17 +167,13 @@ class GroupPipeline:
     operations: tuple[GroupOperation, ...]
     sample: Selection
 
-    def render_parts(self) -> list[str]:
-        parts = ["Group Mutants by Operator"]
-        parts.extend(op.render() for op in self.operations)
-        parts.append(f"Sample Each Group {self.sample.render()}")
-        return parts
+    def render(self) -> str:
+        return " → ".join(["Group Mutants by Operator",
+                           *(op.render() for op in self.operations),
+                           f"Sample Each Group {self.sample.render()}"])
 
 
-Operation = Union[
-    RetainOperators, DiscardOperators, ExecuteOperators,
-    RetainMutants, DiscardMutants, GroupPipeline, DiscardHighestYield,
-]
+Operation = Union[Select, ExecuteOperators, GroupPipeline, DiscardHighestYield]
 
 
 @dataclass(frozen=True)
@@ -207,14 +191,8 @@ class ReductionRun:
 
 
 def render(strategy: Strategy) -> str:
-    """One phrase per operation, joined by arrows; parse_strategy inverts it."""
-    parts: list[str] = []
-    for node in strategy.nodes:
-        if isinstance(node, GroupPipeline):
-            parts.extend(node.render_parts())
-        else:
-            parts.append(node.render())
-    return " → ".join(parts)
+    """The operations' phrases joined by arrows; parse_strategy inverts it."""
+    return " → ".join(node.render() for node in strategy.nodes)
 
 
 # ===== Execution =====
@@ -256,16 +234,16 @@ def _split_operators(op_pool: np.ndarray, selection: Selection,
     return op_pool[keep].reshape(rows, k), op_pool[~keep].reshape(rows, size - k)
 
 
-def _select_mutants(pool: np.ndarray, bounds: list[int], selection: Selection, retain: bool,
+def _select_mutants(pool: np.ndarray, bounds: list[int], selection: Selection, keep: bool,
                     rngs: Sequence[np.random.Generator]) -> tuple[np.ndarray, list[int]]:
-    """Retain (or discard) the selection's count of each row's mutant pool."""
+    """Retain (``keep``) or discard the selection's count of each row's mutant pool."""
     picked = np.zeros(pool.size, dtype=bool)
     sizes = []
     for lo, hi, rng in zip(bounds, bounds[1:], rngs):
         k = selection.count(hi - lo)
         _mark(picked[lo:hi], k, rng)
-        sizes.append(k if retain else hi - lo - k)
-    return pool.compress(picked if retain else ~picked), list(accumulate(sizes, initial=0))
+        sizes.append(k if keep else hi - lo - k)
+    return pool.compress(picked if keep else ~picked), list(accumulate(sizes, initial=0))
 
 
 def _add_mutants(pool: np.ndarray, bounds: list[int], chosen: np.ndarray,
@@ -350,14 +328,10 @@ def execute_indexed(
                 owned[np.arange(n_rows)[:, None], chosen] = True
                 executed |= owned
                 pool, bounds = _add_mutants(pool, bounds, chosen, owned, cache)
-        elif isinstance(node, RetainOperators):
-            op_pool = _split_operators(op_pool, node.selection, rngs)[0]
-        elif isinstance(node, DiscardOperators):
-            op_pool = _split_operators(op_pool, node.selection, rngs)[1]
-        elif isinstance(node, RetainMutants):
-            pool, bounds = _select_mutants(pool, bounds, node.selection, True, rngs)
-        elif isinstance(node, DiscardMutants):
-            pool, bounds = _select_mutants(pool, bounds, node.selection, False, rngs)
+        elif isinstance(node, Select) and node.pool == "operators":
+            op_pool = _split_operators(op_pool, node.selection, rngs)[not node.keep]
+        elif isinstance(node, Select):
+            pool, bounds = _select_mutants(pool, bounds, node.selection, node.keep, rngs)
         elif isinstance(node, GroupPipeline):
             pool, bounds = _run_group_pipeline(node, pool, bounds, cache, rngs)
         elif isinstance(node, DiscardHighestYield):
@@ -396,13 +370,10 @@ def execute(
 
 # ===== Reading strategies: grammar tokens and rendered text =====
 
-_SELECTION_HEADS = {
-    "Retain Operators": RetainOperators,
-    "Discard Operators": DiscardOperators,
-    "Execute Operators": ExecuteOperators,
-    "Retain Mutants": RetainMutants,
-    "Discard Mutants": DiscardMutants,
-}
+# Heads followed by a selection, each with the node it builds from it.
+_SELECTION_HEADS = {"Execute Operators": ExecuteOperators} | {
+    f"{verb} {pool.capitalize()}": partial(Select, pool, verb == "Retain")
+    for verb in ("Retain", "Discard") for pool in ("operators", "mutants")}
 _HEADS = {*_SELECTION_HEADS, "Group Mutants by Operator", "Order Groups by Size",
           "Retain Groups", "Discard Groups", "Sample Each Group"}
 # Argument words that rendered text spells in lower case.

@@ -20,7 +20,7 @@ import pytest
 from kw_permutation import kruskal_wallis_permutation
 from mutreduce.analysis import (a12, compare_experiment, hypervolume, igd,
                                 kruskal_wallis)
-from mutreduce.baselines import BaselineSpec, baseline_front, sweep
+from mutreduce.baselines import BASELINES, baseline_front, baseline_strategy
 from mutreduce.cache import (MutantRecord, MutationCache, OperatorRecord,
                              TestRecord, dumps_cache, global_score,
                              reroll_killers, synth_cache)
@@ -30,9 +30,9 @@ from mutreduce.genome import (Chromosome, MAX_WRAPS, MappingStatus, crossover,
                               random_chromosome)
 from mutreduce.grammar import parse_grammar
 from mutreduce.objectives import evaluate, score_objective, time_objective
-from mutreduce.runio import reevaluate_row, write_front_csv
-from mutreduce.search import (SearchConfig, fast_nondominated_sort,
-                              run_evolution, run_random_search)
+from mutreduce.pareto import sort_fronts
+from mutreduce.runio import atomic_write_text, front_csv_text, reevaluated_front
+from mutreduce.search import SearchConfig, run_evolution, run_random_search
 from mutreduce.strategy import ReductionRun
 
 # Synthetic caches for the scaled-down experiment replication. The seeds
@@ -167,14 +167,15 @@ def test_criterion_03_indicator_oracles():
 
 
 def test_criterion_04_sort_matches_brute_force_peeling():
-    """fast_nondominated_sort equals exhaustive peeling on 200 random
+    """pareto.sort_fronts equals exhaustive peeling on 200 random
     populations of size up to 64, duplicates included. Tolerance 0."""
     rng = np.random.default_rng(271)
     for _ in range(200):
         n = int(rng.integers(1, 65))
         points = [(float(rng.integers(0, 12)) / 10.0,
                    float(rng.integers(0, 12)) / 10.0) for _ in range(n)]
-        assert fast_nondominated_sort(points) == peel(points)
+        times, scores = np.array(points).T
+        assert [front.tolist() for front in sort_fronts(times, scores)] == peel(points)
 
 
 def test_criterion_05_statistics_oracles():
@@ -243,7 +244,7 @@ def test_criterion_07_baseline_comparison_report_shape(
     command produces the indicator tables; the sweeps hold exactly 9, 9,
     and 6 candidates whose fronts are their non-dominated, replayable
     subsets; SM objectives do not depend on the seed."""
-    assert [len(sweep(k)) for k in ("RMS", "ROS", "SM")] == [9, 9, 6]
+    assert [len(BASELINES[k][2]) for k in ("RMS", "ROS", "SM")] == [9, 9, 6]
     per_cache, _ = replication_runs
     for cache_no, (cache, (evolution, _)) in enumerate(
             zip(replication_caches, per_cache)):
@@ -251,29 +252,24 @@ def test_criterion_07_baseline_comparison_report_shape(
         ge_dir = base / "evolution"
         ge_dir.mkdir(parents=True)
         for i, front in enumerate(evolution):
-            write_front_csv(ge_dir / f"front_{i + 1}.csv", front)
+            atomic_write_text(ge_dir / f"front_{i + 1}.csv", front_csv_text(front))
 
-        grids = {"RMS": [s.percentage for s in sweep("RMS")],
-                 "ROS": [s.percentage for s in sweep("ROS")],
-                 "SM": [s.exclusions for s in sweep("SM")]}
         for kind in ("RMS", "ROS", "SM"):
             kind_dir = base / kind.lower()
             kind_dir.mkdir()
             for seed in range(1, REPLICATION_RUNS + 1):
                 front = baseline_front(kind, cache, [seed])[0]
-                assert 1 <= len(front) <= len(grids[kind])
+                row_text, _, parameters = BASELINES[kind]
+                assert 1 <= len(front) <= len(parameters)
                 points = [(m.time, m.score) for m in front]
                 assert peel(points)[0] == list(range(len(points)))
                 for member in front:
-                    spec = BaselineSpec.parse(member.text)
-                    parameter = (spec.exclusions if kind == "SM"
-                                 else spec.percentage)
-                    assert parameter in grids[kind]
+                    assert member.text in [row_text.format(p) for p in parameters]
                     replay = evaluate(
-                        spec.strategy(), cache, 5,
+                        baseline_strategy(member.text), cache, 5,
                         rng=np.random.default_rng(member.eval_seed))
                     assert (replay.time, replay.score) == (member.time, member.score)
-                write_front_csv(kind_dir / f"front_{seed}.csv", front)
+                atomic_write_text(kind_dir / f"front_{seed}.csv", front_csv_text(front))
 
         sm_fronts = [[(m.time, m.score, m.text)
                       for m in baseline_front("SM", cache, [seed])[0]]
@@ -308,10 +304,10 @@ def test_criterion_08_transfer_to_perturbed_cache(
     perturbed = reroll_killers(cache, 0.05, seed=4242)
     assert perturbed != cache
     for member in evolution[0]:
-        assert reevaluate_row(member, cache) == (member.time, member.score)
-        time_p, score_p = reevaluate_row(member, perturbed)
-        assert 0.0 <= time_p <= 1.0
-        assert 0.0 <= score_p <= 1.0
+        assert reevaluated_front([member], cache) == [member]
+        [replayed] = reevaluated_front([member], perturbed)
+        assert 0.0 <= replayed.time <= 1.0
+        assert 0.0 <= replayed.score <= 1.0
 
 
 def test_criterion_09_manifest_rerun_is_byte_identical(tmp_path):

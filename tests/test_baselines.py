@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from mutreduce import baselines
-from mutreduce.baselines import (BASELINE_KINDS, BATCH_MAX_CELLS, BaselineSpec, RMS_SWEEP,
-                                 ROS_SWEEP, SM_SWEEP, baseline_front, sweep)
+from mutreduce.baselines import (BASELINE_KINDS, BASELINES, BATCH_MAX_CELLS, baseline_front,
+                                 baseline_strategy)
 from mutreduce.cache import (MutantRecord, MutationCache, OperatorRecord,
                              TestRecord, synth_cache)
 from mutreduce.objectives import ObjectivePair, evaluate, evaluate_indexed, select_tests
@@ -32,71 +32,76 @@ def yields_cache():
     return MutationCache.from_records(operators=ops, tests=tests, mutants=tuple(mutants))
 
 
-# ===== spec construction and text =====
+# ===== row texts and strategy texts =====
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        BaselineSpec(kind="RMS")
-    with pytest.raises(ValueError):
-        BaselineSpec(kind="RMS", percentage=101)
-    with pytest.raises(ValueError):
-        BaselineSpec(kind="SM", percentage=10)
-    with pytest.raises(ValueError):
-        BaselineSpec(kind="SM", exclusions=-1)
-    with pytest.raises(ValueError):
-        BaselineSpec(kind="XXX", percentage=10)
+    """Texts with a missing, out-of-range or foreign parameter, or an
+    unknown family, name no baseline."""
+    for text in ("Baseline RMS random", "Baseline RMS random 101%", "Baseline SM random 10%",
+                 "Baseline SM exclude -1", "Baseline XXX random 10%"):
+        with pytest.raises(ValueError):
+            baseline_strategy(text)
 
 
 @pytest.mark.parametrize("spec,text", [
-    (BaselineSpec(kind="RMS", percentage=30), "Baseline RMS random 30%"),
-    (BaselineSpec(kind="ROS", percentage=90), "Baseline ROS random 90%"),
-    (BaselineSpec(kind="SM", exclusions=2), "Baseline SM exclude 2"),
+    (("RMS", 30), "Baseline RMS random 30%"),
+    (("ROS", 90), "Baseline ROS random 90%"),
+    (("SM", 2), "Baseline SM exclude 2"),
 ])
 def test_describe_parse_round_trip(spec, text):
-    assert spec.describe() == text
-    assert BaselineSpec.parse(text) == spec
+    kind, parameter = spec
+    row_text, strategy_text, _ = BASELINES[kind]
+    assert row_text.format(parameter) == text
+    assert render(baseline_strategy(text)) == strategy_text.format(parameter)
 
 
 @pytest.mark.parametrize("spec,text", [
-    (BaselineSpec(kind="RMS", percentage=30),
-     "Execute Operators 100% → Retain Mutants random 30%"),
-    (BaselineSpec(kind="ROS", percentage=90), "Execute Operators 90%"),
-    (BaselineSpec(kind="SM", exclusions=2),
-     "Discard Operators highest-yield 2 → Execute Operators 100%"),
+    (("RMS", 30), "Execute Operators 100% → Retain Mutants random 30%"),
+    (("ROS", 90), "Execute Operators 90%"),
+    (("SM", 2), "Discard Operators highest-yield 2 → Execute Operators 100%"),
 ])
 def test_spec_strategy_text(spec, text):
-    assert render(spec.strategy()) == text
+    kind, parameter = spec
+    assert render(baseline_strategy(BASELINES[kind][0].format(parameter))) == text
+
+
+def test_every_swept_row_text_reads_back_to_its_strategy():
+    for kind, (row_text, strategy_text, parameters) in BASELINES.items():
+        for parameter in parameters:
+            strategy = baseline_strategy(row_text.format(parameter))
+            assert render(strategy) == strategy_text.format(parameter)
+
+
+def test_front_rows_carry_the_table_texts(bench_cache, monkeypatch):
+    """With the non-dominated filter off, a front holds one row per swept
+    parameter, in sweep order, each with the table's row text."""
+    monkeypatch.setattr(baselines, "nondominated", lambda run, key: run)
+    for kind, (row_text, _, parameters) in BASELINES.items():
+        front = baseline_front(kind, bench_cache, [3])[0]
+        assert [member.text for member in front] == [row_text.format(p) for p in parameters]
 
 
 def test_parse_rejects_garbage():
-    with pytest.raises(ValueError):
-        BaselineSpec.parse("Baseline SM random 10%")
-    with pytest.raises(ValueError):
-        BaselineSpec.parse("just a strategy")
-    with pytest.raises(ValueError):
-        BaselineSpec.parse("Baseline SM exclude 2 junk")
-    with pytest.raises(ValueError):
-        BaselineSpec.parse("Baseline RMS random 10% x")
-    with pytest.raises(ValueError):
-        BaselineSpec.parse("Baseline SM exclude +2")
-    with pytest.raises(ValueError):
-        BaselineSpec.parse("Baseline RMS random 1_0%")
-    with pytest.raises(ValueError):
-        BaselineSpec.parse("Baseline ROS random 120%")
+    for text in ("Baseline SM random 10%", "just a strategy", "Baseline SM exclude 2 junk",
+                 "Baseline RMS random 10% x", "Baseline SM exclude +2",
+                 "Baseline RMS random 1_0%", "Baseline ROS random 120%",
+                 "Baseline ROS random 50% → Retain Mutants random 10%"):
+        with pytest.raises(ValueError):
+            baseline_strategy(text)
 
 
 # ===== reduction semantics =====
 
 def test_rms_keeps_exact_count(bench_cache):
-    spec = BaselineSpec(kind="RMS", percentage=10)
-    run = execute(spec.strategy(), bench_cache, np.random.default_rng(0))
+    run = execute(baseline_strategy("Baseline RMS random 10%"), bench_cache,
+                  np.random.default_rng(0))
     assert len(run.mutant_ids) == 10
     assert len(run.operator_ids) == 6  # RMS executes every operator
 
 
 def test_rms_pays_all_generation_costs(bench_cache):
-    spec = BaselineSpec(kind="RMS", percentage=10)
-    run = execute(spec.strategy(), bench_cache, np.random.default_rng(1))
+    run = execute(baseline_strategy("Baseline RMS random 10%"), bench_cache,
+                  np.random.default_rng(1))
     generation = sum(op.generation_cost for op in bench_cache.operators)
     cost_of = {m.id: m.exec_cost for m in bench_cache.mutants}
     expected = generation + sum(cost_of[m] for m in run.mutant_ids)
@@ -104,15 +109,15 @@ def test_rms_pays_all_generation_costs(bench_cache):
 
 
 def test_ros_full_percentage_is_identity(bench_cache):
-    spec = BaselineSpec(kind="ROS", percentage=100)
-    run = execute(spec.strategy(), bench_cache, np.random.default_rng(0))
+    run = execute(baseline_strategy("Baseline ROS random 100%"), bench_cache,
+                  np.random.default_rng(0))
     assert run.mutant_ids == tuple(m.id for m in bench_cache.mutants)
     assert run.strategy_cost == pytest.approx(bench_cache.total_cost, rel=1e-12)
 
 
 def test_ros_keeps_whole_operators(bench_cache):
-    spec = BaselineSpec(kind="ROS", percentage=50)
-    run = execute(spec.strategy(), bench_cache, np.random.default_rng(5))
+    run = execute(baseline_strategy("Baseline ROS random 50%"), bench_cache,
+                  np.random.default_rng(5))
     assert len(run.operator_ids) == 3  # (50 * 6 + 50) // 100
     owner = {m.id: m.operator_id for m in bench_cache.mutants}
     expected = {m.id for m in bench_cache.mutants
@@ -122,30 +127,27 @@ def test_ros_keeps_whole_operators(bench_cache):
 
 def test_sm_excludes_highest_yield_with_id_tie_break():
     cache = yields_cache()
-    spec = BaselineSpec(kind="SM", exclusions=2)
-    run = execute(spec.strategy(), cache, np.random.default_rng(0))
+    run = execute(baseline_strategy("Baseline SM exclude 2"), cache, np.random.default_rng(0))
     # A and C tie at 5; both outrank B, so both go.
     assert run.operator_ids == ("B",)
     assert len(run.mutant_ids) == 3
     assert all(m.startswith("B") for m in run.mutant_ids)
     # Excluding one of the tied pair drops the lower id.
-    run = execute(BaselineSpec(kind="SM", exclusions=1).strategy(), cache,
-                  np.random.default_rng(0))
+    run = execute(baseline_strategy("Baseline SM exclude 1"), cache, np.random.default_rng(0))
     assert run.operator_ids == ("B", "C")
 
 
 def test_sm_is_deterministic_whatever_the_seed():
     cache = yields_cache()
-    spec = BaselineSpec(kind="SM", exclusions=1)
-    runs = [execute(spec.strategy(), cache, np.random.default_rng(seed))
+    strategy = baseline_strategy("Baseline SM exclude 1")
+    runs = [execute(strategy, cache, np.random.default_rng(seed))
             for seed in range(5)]
     assert all(r == runs[0] for r in runs)
 
 
 def test_sm_can_exclude_everything():
     cache = yields_cache()
-    run = execute(BaselineSpec(kind="SM", exclusions=99).strategy(), cache,
-                  np.random.default_rng(0))
+    run = execute(baseline_strategy("Baseline SM exclude 99"), cache, np.random.default_rng(0))
     assert run.operator_ids == ()
     assert run.mutant_ids == ()
     assert run.strategy_cost == 0.0
@@ -153,15 +155,12 @@ def test_sm_can_exclude_everything():
 
 # ===== sweeps =====
 
-def test_sweep_grids():
-    assert RMS_SWEEP == (10, 20, 30, 40, 50, 60, 70, 80, 90)
-    assert ROS_SWEEP == (10, 20, 30, 40, 50, 60, 70, 80, 90)
-    assert SM_SWEEP == (1, 2, 3, 4, 5, 6)
-    assert [s.percentage for s in sweep("RMS")] == list(RMS_SWEEP)
-    assert [s.percentage for s in sweep("ROS")] == list(ROS_SWEEP)
-    assert [s.exclusions for s in sweep("SM")] == list(SM_SWEEP)
+def test_sweep_grids(bench_cache):
+    assert BASELINES["RMS"][2] == (10, 20, 30, 40, 50, 60, 70, 80, 90)
+    assert BASELINES["ROS"][2] == (10, 20, 30, 40, 50, 60, 70, 80, 90)
+    assert BASELINES["SM"][2] == (1, 2, 3, 4, 5, 6)
     with pytest.raises(ValueError):
-        sweep("SMX")
+        baseline_front("SMX", bench_cache, [1])
     assert BASELINE_KINDS == ("RMS", "ROS", "SM")
 
 
@@ -219,16 +218,16 @@ def test_runs_of_many_seeds_equal_single_seed_calls(monkeypatch):
     for kind in BASELINE_KINDS:
         batch_rows.clear()
         together = baseline_front(kind, cache, [3, 4, 5])
-        assert batch_rows == [10, 5] * len(sweep(kind))
+        assert batch_rows == [10, 5] * len(BASELINES[kind][2])
         assert together == [baseline_front(kind, cache, [seed])[0] for seed in (3, 4, 5)]
 
 
 # ===== evaluation aggregation =====
 
 def test_evaluate_baseline_matches_external_aggregation(bench_cache):
-    spec = BaselineSpec(kind="RMS", percentage=40)
+    strategy = baseline_strategy("Baseline RMS random 40%")
     seed = 777
-    pair = evaluate(spec.strategy(), bench_cache, 5,
+    pair = evaluate(strategy, bench_cache, 5,
                     rng=np.random.default_rng(seed))
     time, score = pair.time, pair.score
 
@@ -236,7 +235,7 @@ def test_evaluate_baseline_matches_external_aggregation(bench_cache):
     costs = []
     kills = 0
     for sub in substreams:
-        run = execute(spec.strategy(), bench_cache, sub)
+        run = execute(strategy, bench_cache, sub)
         costs.append(run.strategy_cost)
         kills += select_tests(run.mutant_ids, bench_cache).killed_mutants
     killable = sum(1 for m in bench_cache.mutants if m.killers)
@@ -249,11 +248,11 @@ def test_rms_means_are_monotone_in_percentage(bench_cache):
     averaged objectives are non-decreasing along the sweep."""
     mean_time = []
     mean_score = []
-    for p in RMS_SWEEP:
-        spec = BaselineSpec(kind="RMS", percentage=p)
+    for p in BASELINES["RMS"][2]:
+        strategy = baseline_strategy(f"Baseline RMS random {p}%")
         times, scores = [], []
         for seed in range(30):
-            pair = evaluate(spec.strategy(), bench_cache, 3,
+            pair = evaluate(strategy, bench_cache, 3,
                             rng=np.random.default_rng(seed))
             times.append(pair.time)
             scores.append(pair.score)

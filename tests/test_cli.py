@@ -526,6 +526,22 @@ def test_evaluate_rejects_a_bad_front_row(cache_file, tmp_path, capsys, row, rea
     assert not replay.exists()
 
 
+@pytest.mark.parametrize("text,reason", [
+    ("Baseline ROS random 120%",
+     "baseline text 'Baseline ROS random 120%': "
+     "Execute Operators percentage '120%' is above 100%"),
+    ("Baseline XYZ random 5%", "unparseable baseline text 'Baseline XYZ random 5%'"),
+])
+def test_evaluate_rejects_a_bad_baseline_row(cache_file, tmp_path, capsys, text, reason):
+    front = tmp_path / "front.csv"
+    front.write_text(f"seed,chromosome,strategy_text,time,score\n3,,{text},0.5,0.5\n")
+    replay = tmp_path / "replay.csv"
+    assert main(["evaluate", "--front", str(front), "--cache", str(cache_file),
+                 "--out", str(replay)]) == 2
+    assert capsys.readouterr().err == f"error: {reason}\n"
+    assert not replay.exists()
+
+
 # ===== report =====
 
 def write_point_front(path, seed, points):

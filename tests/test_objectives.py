@@ -9,7 +9,7 @@ from mutreduce.genome import random_chromosome
 from mutreduce.objectives import (evaluate, evaluate_indexed, score_objective,
                                   select_tests, time_objective)
 from mutreduce.strategy import (SPANS_MIN_MUTANTS, ExecuteOperators, ReductionRun,
-                                RetainMutants, Selection, Strategy, execute,
+                                Select, Selection, Strategy, execute,
                                 parse_strategy, render, strategy_from_chromosome)
 from mutreduce.streams import row_generators
 
@@ -98,7 +98,7 @@ def test_time_is_cost_ratio(tiny_cache):
 
 
 def test_identity_run_costs_everything(tiny_cache):
-    strategy = Strategy((ExecuteOperators(pct(100)), RetainMutants(pct(100))))
+    strategy = Strategy((ExecuteOperators(pct(100)), Select("mutants", True, pct(100))))
     run = execute(strategy, tiny_cache, np.random.default_rng(0))
     assert time_objective(run, tiny_cache) == 1.0
     assert score_objective(run, tiny_cache) == 1.0
@@ -167,7 +167,7 @@ def test_objectives_monotone_under_inclusion():
 # ===== repetition-averaged evaluation =====
 
 def test_identity_strategy_evaluates_to_unity(tiny_cache):
-    strategy = Strategy((ExecuteOperators(pct(100)), RetainMutants(pct(100))))
+    strategy = Strategy((ExecuteOperators(pct(100)), Select("mutants", True, pct(100))))
     for n in (1, 3, 5):
         pair = evaluate(strategy, tiny_cache, n, rng=np.random.default_rng(4))
         assert pair.time == 1.0

@@ -4,15 +4,13 @@ import stat
 import numpy as np
 import pytest
 
-from mutreduce.baselines import BaselineSpec
+from mutreduce.baselines import baseline_strategy
 from mutreduce.genome import Chromosome
 from mutreduce.objectives import evaluate
 from mutreduce.runio import (FRONT_COLUMNS, atomic_write_text, front_csv_text,
-                             manifest_text, parse_config_text,
-                             read_front_csv, read_manifest, reevaluate_row,
-                             reevaluated_front, runlog_csv_text, sha256_file,
-                             sha256_text, write_front_csv, write_manifest,
-                             write_runlog_csv)
+                             manifest_text, parse_config_text, read_front_csv,
+                             read_manifest, reevaluated_front, runlog_csv_text,
+                             sha256_file, sha256_text, write_manifest)
 from mutreduce.search import EvaluatedStrategy, GenerationStat, SearchConfig
 from mutreduce.strategy import parse_strategy
 
@@ -40,7 +38,7 @@ def test_front_csv_text_layout():
 
 def test_front_csv_round_trip(tmp_path):
     path = tmp_path / "front.csv"
-    write_front_csv(path, sample_front())
+    atomic_write_text(path, front_csv_text(sample_front()))
     assert read_front_csv(path) == sample_front()
 
 
@@ -62,7 +60,7 @@ def test_front_floats_survive_round_trip(tmp_path):
     front = [EvaluatedStrategy(time=v, score=v, eval_seed=0, text="x")
              for v in awkward]
     path = tmp_path / "front.csv"
-    write_front_csv(path, front)
+    atomic_write_text(path, front_csv_text(front))
     assert [r.time for r in read_front_csv(path)] == awkward
 
 
@@ -105,23 +103,23 @@ def test_reevaluate_strategy_row_replays_exactly(tiny_cache):
                     rng=np.random.default_rng(123))
     row = EvaluatedStrategy(time=pair.time, score=pair.score, eval_seed=123,
                             text=text)
-    assert reevaluate_row(row, tiny_cache) == (pair.time, pair.score)
+    [replayed] = reevaluated_front([row], tiny_cache)
+    assert (replayed.time, replayed.score) == (pair.time, pair.score)
 
 
 def test_reevaluate_baseline_row_replays_exactly(tiny_cache):
-    spec = BaselineSpec(kind="ROS", percentage=50)
-    pair = evaluate(spec.strategy(), tiny_cache, 5, rng=np.random.default_rng(9))
-    expected = (pair.time, pair.score)
-    row = EvaluatedStrategy(time=expected[0], score=expected[1], eval_seed=9,
-                            text=spec.describe())
-    assert reevaluate_row(row, tiny_cache) == expected
+    text = "Baseline ROS random 50%"
+    pair = evaluate(baseline_strategy(text), tiny_cache, 5, rng=np.random.default_rng(9))
+    row = EvaluatedStrategy(time=pair.time, score=pair.score, eval_seed=9, text=text)
+    [replayed] = reevaluated_front([row], tiny_cache)
+    assert (replayed.time, replayed.score) == (pair.time, pair.score)
 
 
 def test_reevaluated_front_equals_evaluations_with_the_row_seeds(small_synth):
     text = "Execute Operators 50% -> Retain Mutants random 2"
-    spec = BaselineSpec(kind="RMS", percentage=30)
+    baseline = "Baseline RMS random 30%"
     cases = [(0, text, parse_strategy(text)),
-             (2**64 - 1, spec.describe(), spec.strategy()),
+             (2**64 - 1, baseline, baseline_strategy(baseline)),
              (2**32, text, parse_strategy(text))]
     rows = [EvaluatedStrategy(time=0.0, score=0.0, eval_seed=seed, text=row_text)
             for seed, row_text, _ in cases]
@@ -149,16 +147,13 @@ def test_reevaluated_front_restores_chromosomes(tiny_cache):
 
 # ===== run logs =====
 
-def test_runlog_csv_layout(tmp_path):
+def test_runlog_csv_layout():
     stats = [GenerationStat(0, 40, 3, 0.125),
              GenerationStat(1, 80, 5, 1 / 3)]
     text = runlog_csv_text(stats)
     assert text == ("generation,evaluations,front_size,front_hypervolume\n"
                     "0,40,3,0.125\n"
                     "1,80,5,0.3333333333333333\n")
-    path = tmp_path / "runlog.csv"
-    write_runlog_csv(path, stats)
-    assert path.read_text() == text
 
 
 # ===== config =====

@@ -6,11 +6,9 @@ import pytest
 from mutreduce.cache import synth_cache
 from mutreduce.genome import random_chromosome
 from mutreduce.objectives import ObjectivePair, evaluate
-from mutreduce.pareto import dominates
+from mutreduce.pareto import dominates, point, sort_fronts
 from mutreduce.runio import front_csv_text, runlog_csv_text
-from mutreduce.search import (SearchConfig, crowding_distance,
-                              fast_nondominated_sort, run_evolution,
-                              run_random_search)
+from mutreduce.search import SearchConfig, _crowding, run_evolution, run_random_search
 from mutreduce.strategy import parse_strategy, strategy_from_chromosome
 
 
@@ -48,6 +46,19 @@ def test_dominates_on_one_axis_with_tie():
 
 
 # ===== non-dominated sorting =====
+
+def objective_arrays(items):
+    """(times, scores) of (time, score) pairs or objects with those attributes."""
+    return np.array([point(item) for item in items], dtype=np.float64).reshape(-1, 2).T
+
+
+def fast_nondominated_sort(items):
+    return [front.tolist() for front in sort_fronts(*objective_arrays(items))]
+
+
+def crowding_distance(items):
+    return _crowding(*objective_arrays(items))[0].tolist()
+
 
 def brute_force_peel(points):
     """Iteratively remove the non-dominated layer; O(n^3) reference."""

@@ -12,10 +12,8 @@ from mutreduce.grammar import DEFAULT_GRAMMAR_TEXT
 from mutreduce.index import build_index
 from mutreduce.objectives import ObjectivePair, evaluate_indexed
 from mutreduce.strategy import (SPANS_MIN_MUTANTS, DiscardHighestYield,
-                                DiscardMutants, DiscardOperators,
                                 ExecuteOperators, GroupPipeline,
-                                OrderGroupsBySize, RetainMutants,
-                                RetainOperators, Selection, Strategy,
+                                OrderGroupsBySize, Select, Selection, Strategy,
                                 StrategyParseError, TakeGroups, execute,
                                 execute_indexed, parse_strategy, render,
                                 strategy_from_chromosome,
@@ -81,10 +79,17 @@ def test_selection_validates():
         Selection(kind="percentage", value=101)
 
 
+def test_select_validates_its_pool():
+    with pytest.raises(ValueError):
+        Select("groups", True, pct(10))
+    with pytest.raises(ValueError):
+        Select("Operators", False, pct(10))
+
+
 # ===== rendering and parsing =====
 
 def test_identity_strategy_renders_canonically():
-    strategy = Strategy((ExecuteOperators(pct(100)), RetainMutants(pct(100))))
+    strategy = Strategy((ExecuteOperators(pct(100)), Select("mutants", True, pct(100))))
     assert render(strategy) == "Execute Operators 100% → Retain Mutants random 100%"
 
 
@@ -94,7 +99,7 @@ def test_six_step_showcase_round_trip():
             "Discard Groups first 2 → Sample Each Group random 10%")
     strategy = parse_strategy(text)
     assert strategy == Strategy((
-        RetainOperators(pct(80)),
+        Select("operators", True, pct(80)),
         ExecuteOperators(pct(100)),
         GroupPipeline(
             operations=(
@@ -214,7 +219,7 @@ def test_strategy_from_chromosome_all_zero(grammar):
 
 def test_identity_strategy_keeps_everything():
     cache = five_operator_cache()
-    strategy = Strategy((ExecuteOperators(pct(100)), RetainMutants(pct(100))))
+    strategy = Strategy((ExecuteOperators(pct(100)), Select("mutants", True, pct(100))))
     run = execute(strategy, cache, np.random.default_rng(0))
     assert run.mutant_ids == tuple(m.id for m in cache.mutants)
     assert run.operator_ids == tuple(op.id for op in cache.operators)
@@ -223,7 +228,7 @@ def test_identity_strategy_keeps_everything():
 
 def test_retain_zero_operators_yields_nothing():
     cache = five_operator_cache()
-    strategy = Strategy((RetainOperators(qty(0)),))
+    strategy = Strategy((Select("operators", True, qty(0)),))
     run = execute(strategy, cache, np.random.default_rng(0))
     assert run.mutant_ids == ()
     assert run.operator_ids == ()
@@ -232,7 +237,7 @@ def test_retain_zero_operators_yields_nothing():
 
 def test_execute_after_empty_pool_yields_nothing():
     cache = five_operator_cache()
-    strategy = Strategy((RetainOperators(qty(0)), ExecuteOperators(pct(100))))
+    strategy = Strategy((Select("operators", True, qty(0)), ExecuteOperators(pct(100))))
     run = execute(strategy, cache, np.random.default_rng(0))
     assert run.mutant_ids == ()
     assert run.strategy_cost == 0.0
@@ -252,7 +257,7 @@ def test_full_pool_selections_consume_no_randomness():
     cache = five_operator_cache()
     strategy = Strategy((
         ExecuteOperators(pct(100)),
-        RetainMutants(pct(100)),
+        Select("mutants", True, pct(100)),
         GroupPipeline(
             operations=(OrderGroupsBySize(descending=False),),
             sample=pct(100)),
@@ -265,9 +270,9 @@ def test_full_pool_selections_consume_no_randomness():
 def test_discard_then_retain_shrinks_both_pools():
     cache = five_operator_cache()
     strategy = Strategy((
-        DiscardOperators(qty(1)),
+        Select("operators", False, qty(1)),
         ExecuteOperators(pct(100)),
-        DiscardMutants(pct(50)),
+        Select("mutants", False, pct(50)),
     ))
     run = execute(strategy, cache, np.random.default_rng(5))
     assert len(run.operator_ids) == 4
@@ -287,7 +292,7 @@ def test_discard_highest_yield_drops_largest_without_drawing():
     assert render(strategy) == text
     assert "highest-yield" not in DEFAULT_GRAMMAR_TEXT
     for seed in range(6):
-        retained = execute(Strategy((RetainOperators(pct(80)),
+        retained = execute(Strategy((Select("operators", True, pct(80)),
                                      ExecuteOperators(pct(100)))),
                            cache, np.random.default_rng(seed)).operator_ids
         expected = sorted(sorted(retained, key=lambda op: -sizes[op])[2:])
@@ -419,7 +424,7 @@ def test_sampled_subsets_have_exact_sizes():
     cache = five_operator_cache()
     rng = np.random.default_rng(33)
     for p in (10, 30, 50, 70, 90):
-        strategy = Strategy((ExecuteOperators(pct(100)), RetainMutants(pct(p))))
+        strategy = Strategy((ExecuteOperators(pct(100)), Select("mutants", True, pct(p))))
         run = execute(strategy, cache, rng)
         assert len(run.mutant_ids) == (p * 75 + 50) // 100
 
@@ -502,16 +507,12 @@ def _ref_execute_indexed(strategy, index, rng):
                 new_mutants = np.sort(np.concatenate(parts))
                 mutant_pool = (np.sort(np.concatenate([mutant_pool, new_mutants]))
                                if mutant_pool.size else new_mutants)
-        elif isinstance(node, RetainOperators):
-            op_pool = _ref_pick(op_pool, node.selection.count(op_pool.size), rng)
-        elif isinstance(node, DiscardOperators):
-            dropped = _ref_pick(op_pool, node.selection.count(op_pool.size), rng)
-            op_pool = _ref_setdiff(op_pool, dropped)
-        elif isinstance(node, RetainMutants):
-            mutant_pool = _ref_pick(mutant_pool, node.selection.count(mutant_pool.size), rng)
-        elif isinstance(node, DiscardMutants):
-            dropped = _ref_pick(mutant_pool, node.selection.count(mutant_pool.size), rng)
-            mutant_pool = _ref_setdiff(mutant_pool, dropped)
+        elif isinstance(node, Select) and node.pool == "operators":
+            picked = _ref_pick(op_pool, node.selection.count(op_pool.size), rng)
+            op_pool = picked if node.keep else _ref_setdiff(op_pool, picked)
+        elif isinstance(node, Select):
+            picked = _ref_pick(mutant_pool, node.selection.count(mutant_pool.size), rng)
+            mutant_pool = picked if node.keep else _ref_setdiff(mutant_pool, picked)
         elif isinstance(node, GroupPipeline):
             mutant_pool = _ref_run_group_pipeline(node, mutant_pool, index, rng)
         elif isinstance(node, DiscardHighestYield):
@@ -702,10 +703,11 @@ def _random_selection(rng):
 
 def _random_node(rng):
     kind = int(rng.integers(0, 7))
+    if kind == 2:
+        return ExecuteOperators(_random_selection(rng))
     if kind < 5:
-        node_type = (RetainOperators, DiscardOperators, ExecuteOperators,
-                     RetainMutants, DiscardMutants)[kind]
-        return node_type(_random_selection(rng))
+        return Select("operators" if kind < 2 else "mutants", kind in (0, 3),
+                      _random_selection(rng))
     if kind == 5:
         return DiscardHighestYield(int(rng.integers(0, 7)))
     operations = []
@@ -733,11 +735,14 @@ def test_vm_matches_reference_on_arbitrary_node_sequences(oracle_caches):
 def test_render_parse_round_trip_on_arbitrary_node_sequences():
     """Text of sequences the grammar never emits reads back to the same
     strategy: several Executes, DiscardHighestYield, 0% and over-sized
-    quantities, empty group pipelines."""
+    quantities, empty group pipelines, Select on both pools either way."""
     rng = np.random.default_rng(606)
+    selects = set()
     for _ in range(500):
         nodes = tuple(_random_node(rng) for _ in range(int(rng.integers(1, 9))))
         assert parse_strategy(render(Strategy(nodes))) == Strategy(nodes)
+        selects |= {(node.pool, node.keep) for node in nodes if isinstance(node, Select)}
+    assert selects == {(pool, keep) for pool in ("operators", "mutants") for keep in (True, False)}
 
 
 EDGE_TEXTS = (
