@@ -8,6 +8,13 @@ compute per-run hypervolume against reference point (1, 1) and inverted
 generational distance against the reference front. Methods are compared
 per indicator with a Kruskal-Wallis omnibus test and pairwise
 Vargha-Delaney A12 effect sizes.
+
+The indicators compute on (n, 2) float64 point arrays. Each takes such an
+array or, as before, any iterable of pairs or of objects with ``time``
+and ``score``; compare_experiment converts every front once and
+normalizes the reference front once. The results are bit for bit those
+of per-point Python loops: elementwise arithmetic is the same IEEE
+operations, and hypervolume adds its terms one after another.
 """
 
 from __future__ import annotations
@@ -18,23 +25,21 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .pareto import nondominated, point
+from .pareto import nondominated_points, points_array
 
 Point = tuple[float, float]
-
-
-def _as_points(front: Iterable) -> list[Point]:
-    return [point(element) for element in front]
 
 
 def reference_front(fronts: Iterable[Iterable]) -> list[Point]:
     """Non-dominated subset of the union of the given fronts.
 
     Points are (time, score) with time minimized and score maximized.
-    Duplicates collapse; the result is sorted by ascending time.
+    Duplicates collapse to the earliest; the result is sorted by
+    ascending time.
     """
-    pool = [p for front in fronts for p in _as_points(front)]
-    return nondominated(pool, key=lambda pair: pair)
+    arrays = [points_array(front) for front in fronts]
+    pool = np.concatenate(arrays) if arrays else np.empty((0, 2))
+    return list(map(tuple, nondominated_points(pool).tolist()))
 
 
 # ===== Normalization =====
@@ -53,58 +58,71 @@ class Normalizer:
     score_max: float
 
     @classmethod
-    def from_points(cls, points: Iterable[Point]) -> "Normalizer":
-        pts = list(points)
-        if not pts:
+    def from_points(cls, points) -> "Normalizer":
+        pts = points_array(points)
+        if not pts.size:
             raise ValueError("cannot normalize an empty point set")
-        times = [p[0] for p in pts]
-        scores = [p[1] for p in pts]
-        return cls(min(times), max(times), min(scores), max(scores))
+        # argmin and argmax keep the first of equal values, 0.0 or -0.0 as
+        # given; np.min and np.max do not promise which.
+        times, scores = pts[:, 0], pts[:, 1]
+        return cls(float(times[times.argmin()]), float(times[times.argmax()]),
+                   float(scores[scores.argmin()]), float(scores[scores.argmax()]))
 
-    def __call__(self, points: Iterable[Point]) -> list[Point]:
-        out = []
+    def __call__(self, points):
+        """The normalized points: an (n, 2) array for an array, else a
+        list of pairs."""
+        pts = points_array(points)
+        out = np.zeros(pts.shape)
         time_range = self.time_max - self.time_min
         score_range = self.score_max - self.score_min
-        for time, score in points:
-            t = (time - self.time_min) / time_range if time_range > 0 else 0.0
-            s = 1.0 - (score - self.score_min) / score_range if score_range > 0 else 0.0
-            out.append((t, s))
-        return out
+        if time_range > 0:
+            np.divide(pts[:, 0] - self.time_min, time_range, out=out[:, 0])
+        if score_range > 0:
+            np.subtract(1.0, (pts[:, 1] - self.score_min) / score_range, out=out[:, 1])
+        if isinstance(points, np.ndarray):
+            return out
+        return list(map(tuple, out.tolist()))
 
 
 # ===== Indicators (minimization space, unit square) =====
 
-def hypervolume(points: Iterable[Point], reference: Point = (1.0, 1.0)) -> float:
+def hypervolume(points, reference: Point = (1.0, 1.0)) -> float:
     """Exact 2-D hypervolume of the region dominated by ``points`` within
     [0, reference]. Points are minimization pairs; ones outside the box
-    are clipped onto it and contribute nothing at the reference itself."""
+    are clipped onto it and contribute nothing at the reference itself.
+
+    Sorted by (x, y), a point adds a slab where its y is below every y
+    before it; the slabs are added one after another, in that order."""
     ref_x, ref_y = reference
-    pts = [(min(max(x, 0.0), ref_x), min(max(y, 0.0), ref_y))
-           for x, y in _as_points(points)]
-    if not pts:
+    pts = points_array(points)
+    if not pts.size:
         return 0.0
-    pts.sort()
+    x, y = np.minimum(np.maximum(pts, 0.0), reference).T
+    order = np.lexsort((y, x))
+    x, y = x.take(order), y.take(order)
+    best_before = np.minimum.accumulate(np.concatenate(([ref_y], y[:-1])))
+    slab = y < best_before
+    terms = (ref_x - x[slab]) * (best_before[slab] - y[slab])
     volume = 0.0
-    best_y = ref_y
-    for x, y in pts:
-        if y < best_y:
-            volume += (ref_x - x) * (best_y - y)
-            best_y = y
+    for term in terms.tolist():
+        volume += term
     return volume
 
 
-def igd(front: Iterable[Point], reference: Iterable[Point]) -> float:
+def igd(front, reference) -> float:
     """Inverted generational distance: mean Euclidean distance from each
     reference point to its nearest front point. Errors on empty inputs
     (an empty evaluated front has no meaningful distance)."""
-    front_pts = np.asarray(_as_points(front), dtype=np.float64)
-    ref_pts = np.asarray(_as_points(reference), dtype=np.float64)
+    front_pts = points_array(front)
+    ref_pts = points_array(reference)
     if ref_pts.size == 0:
         raise ValueError("reference front is empty")
     if front_pts.size == 0:
         raise ValueError("evaluated front is empty")
-    deltas = ref_pts[:, None, :] - front_pts[None, :, :]
-    dists = np.sqrt((deltas ** 2).sum(axis=2)).min(axis=1)
+    # The square root, being monotone, is taken after the minimum.
+    dx = ref_pts[:, :1] - front_pts[:, 0]
+    dy = ref_pts[:, 1:] - front_pts[:, 1]
+    dists = np.sqrt((dx * dx + dy * dy).min(axis=1))
     return float(dists.mean())
 
 
@@ -193,16 +211,14 @@ def a12(sample_a: Sequence[float], sample_b: Sequence[float]) -> A12Result:
     0.5 means no difference; the magnitude labels follow the customary
     0.56 / 0.64 / 0.71 thresholds on the distance from 0.5.
     """
-    if not sample_a or not sample_b:
+    a = np.asarray(sample_a, dtype=np.float64)[:, None]
+    b = np.asarray(sample_b, dtype=np.float64)
+    if not a.size or not b.size:
         raise ValueError("samples must be non-empty")
-    more = ties = 0
-    for a in sample_a:
-        for b in sample_b:
-            if a > b:
-                more += 1
-            elif a == b:
-                ties += 1
-    value = (more + 0.5 * ties) / (len(sample_a) * len(sample_b))
+    # Counted over every pair at once; a NaN is neither a win nor a tie.
+    more = int(np.count_nonzero(a > b))
+    ties = int(np.count_nonzero(a == b))
+    value = (more + 0.5 * ties) / (a.size * b.size)
     scaled = 0.5 + abs(value - 0.5)
     magnitude = "negligible"
     for threshold, label in A12_THRESHOLDS:
@@ -242,8 +258,10 @@ def compare_experiment(runs: Mapping[str, Sequence[Iterable]]) -> StatReport:
     """Compare methods on one experiment (same cache, repeated runs).
 
     ``runs`` maps method name -> per-run fronts of (time, score) solutions
-    (EvaluatedStrategy lists work). All methods need the same run count,
-    and every front must be non-empty.
+    (EvaluatedStrategy lists and (n, 2) arrays work). All methods need the
+    same run count, and every front must be non-empty. Each front becomes
+    one point array here; the reference front is found in the pooled
+    array and normalized once.
     """
     methods = tuple(runs.keys())
     if len(methods) < 2:
@@ -254,21 +272,21 @@ def compare_experiment(runs: Mapping[str, Sequence[Iterable]]) -> StatReport:
     if next(iter(run_counts.values())) == 0:
         raise ValueError("need at least one run per method")
 
-    per_method_points: dict[str, list[list[Point]]] = {}
+    per_method_points: dict[str, list[np.ndarray]] = {}
     for method in methods:
         fronts = []
         for i, front in enumerate(runs[method]):
-            pts = _as_points(front)
-            if not pts:
+            pts = points_array(front)
+            if not pts.size:
                 raise ValueError(f"method {method!r} run {i} has an empty front")
             fronts.append(pts)
         per_method_points[method] = fronts
 
-    pooled = [p for fronts in per_method_points.values() for front in fronts for p in front]
+    pooled = np.concatenate([front for fronts in per_method_points.values()
+                             for front in fronts])
     normalizer = Normalizer.from_points(pooled)
-    reference = reference_front(front for fronts in per_method_points.values()
-                                for front in fronts)
-    reference_norm = normalizer(reference)
+    reference = reference_front([pooled])
+    reference_norm = normalizer(np.array(reference))
 
     values: dict[str, dict[str, list[float]]] = {ind: {} for ind in INDICATORS}
     for method in methods:

@@ -2,13 +2,15 @@
 
 The one place the package decides what "non-dominated" means. Items are
 objects with ``time`` and ``score`` attributes or plain (time, score)
-pairs. sort_fronts ranks every point, as NSGA-II selection needs;
-nondominated keeps only the first front, deduplicated, with a 2-D sweep.
+pairs; points_array turns them, once, into the (n, 2) float64 array the
+array functions take. sort_fronts ranks every point, as NSGA-II selection
+needs. The first front, deduplicated, comes from one 2-D sweep,
+_beats_all_before: nondominated sweeps items sorted with a tie-breaking
+key, nondominated_points sweeps a point array sorted by lexsort.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Any, Callable, Iterable, TypeVar
 
 import numpy as np
@@ -52,23 +54,49 @@ def point(item) -> tuple[float, float]:
     return float(item[0]), float(item[1])
 
 
+def points_array(items) -> np.ndarray:
+    """The items' (time, score) points as an (n, 2) float64 array. An
+    array of pairs passes through without a copy when it is float64."""
+    if isinstance(items, np.ndarray):
+        return items.astype(np.float64, copy=False).reshape(-1, 2)
+    items = list(items)
+    points = np.empty((len(items), 2))
+    try:  # a column at a time, when every item has the attributes
+        points[:, 0] = [item.time for item in items]
+        points[:, 1] = [item.score for item in items]
+    except AttributeError:
+        points[:] = [point(item) for item in items]
+    return points
+
+
+def _beats_all_before(scores: np.ndarray) -> np.ndarray:
+    """The sweep: which scores, in the given order, beat every score
+    before them. Sorted by (time, -score), a point beating all before it
+    is exactly a point nothing dominates, and only the first of equal
+    points survives. A NaN score beats nothing and bars nothing."""
+    best_before = np.fmax.accumulate(np.concatenate(([-np.inf], scores[:-1])))
+    return scores > best_before
+
+
 def nondominated(items: Iterable[T], key: Callable[[T], Any]) -> list[T]:
     """The non-dominated items, one per distinct point, in ascending time.
 
     Among items at the same point the one with the smallest key is kept
-    (the first given, if keys tie too). Sorting by (time, -score, key)
-    puts every dominating or duplicate point before the points it beats,
-    so an item survives exactly when its score beats all before it.
+    (the first given, if keys tie too): sorting by (time, -score, key)
+    puts every dominating or duplicate point before the points it beats.
     """
     def order(item):
         time, score = point(item)
         return time, -score, key(item)
 
-    front: list[T] = []
-    best = -math.inf
-    for item in sorted(items, key=order):
-        score = point(item)[1]
-        if score > best:
-            front.append(item)
-            best = score
-    return front
+    ordered = sorted(items, key=order)
+    keep = _beats_all_before(points_array(ordered)[:, 1])
+    return [item for item, kept in zip(ordered, keep.tolist()) if kept]
+
+
+def nondominated_points(points: np.ndarray) -> np.ndarray:
+    """The non-dominated rows of an (n, 2) array of (time, score) points,
+    one per distinct point (the earliest given), in ascending time."""
+    order = np.lexsort((-points[:, 1], points[:, 0]))
+    ordered = points.take(order, axis=0)
+    return ordered[_beats_all_before(ordered[:, 1])]

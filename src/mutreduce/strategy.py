@@ -36,7 +36,12 @@ make; a single run is a batch of one row.
 The executed operators pay their generation cost once; the mutants left
 in the final pool pay their execution cost. Mutants that were generated
 and later discarded cost nothing extra: their generation is already part
-of the owning operator's cost.
+of the owning operator's cost. For the same reason as the operator
+pools, every row of a batch executes as many operators, so the rows'
+generation costs are the row sums of one (rows x executed) matrix; their
+mutant costs are too when every row keeps as many mutants, as the RMS and
+SM baselines always do. numpy sums a matrix row to the same bits as that
+row alone, so a batch's costs equal its rows' costs run one at a time.
 
 Text and tokens share one reader. strategy_from_tokens builds a strategy
 from the terminal tokens of a grammar derivation. parse_strategy reads
@@ -318,6 +323,7 @@ def execute_indexed(
     op_pool = np.empty((n_rows, cache.n_operators), dtype=np.int32)
     op_pool[:] = np.arange(cache.n_operators, dtype=np.int32)
     executed = np.zeros(op_pool.shape, dtype=bool)
+    n_executed = 0  # per row: every row executes as many operators
     pool = np.empty(0, dtype=np.int32)
     bounds = [0] * (n_rows + 1)
     for node in strategy.nodes:
@@ -327,6 +333,7 @@ def execute_indexed(
                 owned = np.zeros(executed.shape, dtype=bool)
                 owned[np.arange(n_rows)[:, None], chosen] = True
                 executed |= owned
+                n_executed += chosen.shape[1]
                 pool, bounds = _add_mutants(pool, bounds, chosen, owned, cache)
         elif isinstance(node, Select) and node.pool == "operators":
             op_pool = _split_operators(op_pool, node.selection, rngs)[not node.keep]
@@ -342,10 +349,17 @@ def execute_indexed(
             op_pool = op_pool[keep].reshape(n_rows, -1)
         else:
             raise TypeError(f"unknown strategy node {node!r}")
-    costs = [float(cache.generation_cost.compress(row).sum())
-             + float(cache.exec_cost.take(pool[lo:hi]).sum())
-             for row, lo, hi in zip(executed, bounds, bounds[1:])]
-    return executed, pool, bounds, costs
+    # Generation costs sum in operator order and mutant costs in pool order,
+    # as matrix rows where the rows are equally long (see the docstring).
+    generation = cache.generation_cost.take(executed.nonzero()[1])
+    generation = generation.reshape(n_rows, n_executed).sum(axis=1)
+    kept = cache.exec_cost.take(pool)
+    width = bounds[1] if n_rows else 0
+    if all(hi - lo == width for lo, hi in zip(bounds, bounds[1:])):
+        mutant = kept.reshape(n_rows, width).sum(axis=1)
+    else:
+        mutant = np.array([kept[lo:hi].sum() for lo, hi in zip(bounds, bounds[1:])])
+    return executed, pool, bounds, (generation + mutant).tolist()
 
 
 def execute(

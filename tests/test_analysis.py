@@ -4,7 +4,12 @@ from collections import namedtuple
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from analysis_oracle import (oracle_a12, oracle_compare_experiment, oracle_hypervolume,
+                             oracle_igd, oracle_normalize, oracle_normalizer,
+                             oracle_reference_front)
 from kw_permutation import kruskal_wallis_permutation
 from mutreduce.analysis import (A12_THRESHOLDS, Normalizer, _average_ranks,
                                 _chi2_sf, a12, compare_experiment,
@@ -442,3 +447,140 @@ def test_compare_experiment_input_validation():
         compare_experiment({"a": ok, "b": [[(0.1, 0.9)], []]})
     with pytest.raises(ValueError, match="at least one run"):
         compare_experiment({"a": [], "b": []})
+
+
+# ===== the array indicators against the per-point oracle =====
+# Coordinates come from a small grid, so that ties, duplicates and
+# degenerate axes are common; it holds -0.0 beside 0.0 and values outside
+# the unit box. Results must equal the oracle's bit for bit, so repr is
+# compared as well as ==.
+
+GRID = (-0.5, -0.0, 0.0, 0.125, 0.25, 0.5, 0.75, 1.0, 1.5, 3.0)
+
+
+def grid_points(max_size=8, min_size=1):
+    """Lists of (time, score) pairs over a random sub-grid of GRID."""
+    def over(sub):
+        coords = st.sampled_from(sub)
+        return st.lists(st.tuples(coords, coords), min_size=min_size, max_size=max_size)
+    return st.lists(st.sampled_from(GRID), min_size=1, max_size=4, unique=True).flatmap(over)
+
+
+def as_objects(points):
+    return [ObjectivePair(t, s) for t, s in points]
+
+
+def assert_same_bits(got, want):
+    assert got == want
+    assert repr(got) == repr(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(grid_points(min_size=0), max_size=5))
+@example([[(0.0, 0.5), (-0.0, 0.5)]])
+@example([[(-0.0, 0.5)], [(0.0, 0.5)]])
+@example([[(0.5, 0.5)]])
+@example([])
+def test_reference_front_equals_the_oracle(fronts):
+    want = oracle_reference_front(fronts)
+    assert_same_bits(reference_front(fronts), want)
+    assert_same_bits(reference_front([as_objects(f) for f in fronts]), want)
+    assert_same_bits(reference_front([np.array(f, dtype=np.float64).reshape(-1, 2)
+                                      for f in fronts]), want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_points(), grid_points(min_size=0))
+@example([(0.0, 1.0), (-0.0, 1.0)], [(-0.0, -0.0)])
+@example([(2.0, 0.5)], [(2.0, 0.5), (3.0, -0.5)])  # both axes degenerate
+def test_normalizer_equals_the_oracle(pooled, points):
+    want = oracle_normalizer(pooled)
+    for given_points in (pooled, as_objects(pooled), np.array(pooled)):
+        assert_same_bits(Normalizer.from_points(given_points), want)
+    normalizer = Normalizer.from_points(pooled)
+    expected = oracle_normalize(want, points)
+    assert_same_bits(normalizer(points), expected)
+    as_array = normalizer(np.array(points, dtype=np.float64).reshape(-1, 2))
+    assert isinstance(as_array, np.ndarray) and as_array.shape == (len(points), 2)
+    assert_same_bits(list(map(tuple, as_array.tolist())), expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_points(max_size=12, min_size=0),
+       st.sampled_from([(1.0, 1.0), (2.0, 2.0), (0.5, 1.5), (1.0, 0.0)]))
+@example([(-0.0, 0.25), (0.0, -0.0), (0.25, 0.25)], (1.0, 1.0))
+@example([(0.5, 0.5)], (1.0, 1.0))
+def test_hypervolume_equals_the_oracle(points, reference):
+    want = oracle_hypervolume(points, reference)
+    assert_same_bits(hypervolume(points, reference), want)
+    assert_same_bits(hypervolume(np.array(points, dtype=np.float64).reshape(-1, 2),
+                                 reference), want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_points(max_size=12), grid_points(max_size=12))
+@example([(0.5, 0.5)], [(0.5, 0.5)])
+@example([(-0.0, 3.0), (1.5, -0.5)], [(0.0, 0.0)])
+def test_igd_equals_the_oracle(front, reference):
+    want = oracle_igd(front, reference)
+    assert_same_bits(igd(front, reference), want)
+    assert_same_bits(igd(np.array(front), np.array(reference)), want)
+
+
+def grid_runs():
+    """Two or three methods, one to four runs each, fronts of one to six
+    points over one sub-grid."""
+    def build(sub):
+        coords = st.sampled_from(sub)
+        front = st.lists(st.tuples(coords, coords), min_size=1, max_size=6)
+        return st.integers(1, 4).flatmap(lambda n: st.lists(
+            st.lists(front, min_size=n, max_size=n), min_size=2, max_size=3))
+    return st.lists(st.sampled_from(GRID), min_size=1, max_size=4, unique=True).flatmap(build)
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_runs())
+@example([[[(0.5, 0.5)]], [[(0.5, 0.5)]]])                     # one point, no range
+@example([[[(-0.0, 0.0), (0.0, -0.0)]], [[(0.0, 0.0)]]])
+@example([[[(0.0, 1.0), (1.0, 3.0)], [(3.0, 3.0)]], [[(-0.5, 0.0)], [(0.5, 0.5)]]])
+def test_compare_experiment_equals_the_oracle(per_method):
+    runs = {f"m{i}": fronts for i, fronts in enumerate(per_method)}
+    want = oracle_compare_experiment(runs)
+    assert_same_bits(compare_experiment(runs), want)
+    objects = {m: [as_objects(f) for f in fronts] for m, fronts in runs.items()}
+    assert_same_bits(compare_experiment(objects), want)
+    report = compare_experiment({m: [np.array(f) for f in fronts]
+                                 for m, fronts in runs.items()})
+    assert_same_bits(report, want)
+    assert all(type(p) is tuple and list(map(type, p)) == [float, float]
+               for p in report.reference)
+    assert all(type(v) is float for per_method_values in report.values.values()
+               for values in per_method_values.values() for v in values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(GRID + (math.nan,)), min_size=1, max_size=9),
+       st.lists(st.sampled_from(GRID + (math.nan,)), min_size=1, max_size=9))
+def test_a12_equals_the_loop(sample_a, sample_b):
+    assert_same_bits(a12(sample_a, sample_b), oracle_a12(sample_a, sample_b))
+
+
+# Fronts of up to 60 floats of nine decimals: enough slabs and distances
+# that a different order of additions would show in the last bits, and no
+# range so small that normalizing overflows.
+wide_coordinate = st.floats(-0.25, 1.25).map(lambda value: round(value, 9))
+wide_points = st.lists(st.tuples(wide_coordinate, wide_coordinate), min_size=1, max_size=60)
+# Nine to sixty mutually non-dominated points, so that each adds a slab.
+staircases = st.lists(wide_coordinate, min_size=9, max_size=60).map(
+    lambda xs: [(x, round(1.0 - x * abs(x), 9)) for x in xs])
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_points, wide_points, staircases)
+def test_indicators_on_wide_fronts_equal_the_oracle(front, reference, staircase):
+    assert_same_bits(hypervolume(np.array(front)), oracle_hypervolume(front))
+    assert_same_bits(hypervolume(np.array(staircase)), oracle_hypervolume(staircase))
+    assert_same_bits(igd(np.array(front), np.array(reference)), oracle_igd(front, reference))
+    normalizer = Normalizer.from_points(np.array(reference))
+    assert_same_bits(normalizer, oracle_normalizer(reference))
+    assert_same_bits(normalizer(front), oracle_normalize(normalizer, front))

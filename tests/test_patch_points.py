@@ -49,3 +49,25 @@ def test_strategy_building_and_prune_map_through_the_genome_attribute(monkeypatc
     assert calls == [chromosome]
     genome.prune(chromosome, grammar, np.random.default_rng(0))
     assert calls == [chromosome, chromosome]
+
+
+def test_report_calls_the_indicators_through_the_analysis_module(monkeypatch):
+    """The trace times analysis.reference_front, igd and hypervolume by
+    patching mutreduce.analysis; compare_experiment must look all three up
+    there, once per front for the indicators and once per report for the
+    reference front."""
+    from mutreduce import analysis
+
+    calls = {name: 0 for name in ("reference_front", "igd", "hypervolume")}
+    for name in calls:
+        original = getattr(analysis, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, name, counted)
+    runs = {"a": [[(0.1, 0.9), (0.5, 0.95)], [(0.2, 0.8)], [(0.3, 0.7)]],
+            "b": [[(0.4, 0.6)], [(0.5, 0.5), (0.1, 0.1)], [(0.6, 0.4)]]}
+    analysis.compare_experiment(runs)
+    assert calls == {"reference_front": 1, "igd": 6, "hypervolume": 6}

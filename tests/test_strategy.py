@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mutreduce.cache import (MutantRecord, MutationCache, OperatorRecord,
                              TestRecord, synth_cache)
 from mutreduce.genome import Chromosome, random_chromosome
-from mutreduce.grammar import DEFAULT_GRAMMAR_TEXT
+from mutreduce.grammar import DEFAULT_GRAMMAR_TEXT, default_grammar
 from mutreduce.index import build_index
 from mutreduce.objectives import ObjectivePair, evaluate_indexed
 from mutreduce.strategy import (SPANS_MIN_MUTANTS, DiscardHighestYield,
@@ -927,3 +927,47 @@ def test_evaluate_equals_a_per_repetition_loop_over_the_reference(grammar, oracl
                         == _ref_evaluate(strategy, index, n, np.random.default_rng(seed))), \
                     f"{render(strategy)!r} at seed {seed}"
         checked += 1
+
+
+# ===== batch costs =====
+
+# The baselines' shapes beside grammar strategies: RMS keeps as many
+# mutants in every row, SM runs identical rows, ROS rows differ, and the
+# last three leave pools empty.
+COST_TEXTS = (
+    "Execute Operators 100% → Retain Mutants random 7",
+    "Discard Operators highest-yield 3 → Execute Operators 100%",
+    "Execute Operators 35%",
+    "Execute Operators 100% → Retain Mutants random 0",
+    "Retain Operators random 0 → Execute Operators 100%",
+    "Retain Mutants random 50%",
+)
+GRAMMAR = default_grammar()
+# Forty operators, so that a row's generation costs are more than the
+# eight numpy sums one after another before it adds pairwise.
+COST_CACHES = (five_operator_cache(), synth_cache(40, 1200, 30, seed=23, cost_skew=2.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from((1, 5, 150)),
+       st.sampled_from(COST_CACHES),
+       st.one_of(st.none(), st.sampled_from(COST_TEXTS)))
+@example(0, 150, COST_CACHES[1], COST_TEXTS[0])
+@example(0, 5, COST_CACHES[1], COST_TEXTS[2])
+@example(0, 1, COST_CACHES[0], COST_TEXTS[4])
+def test_batch_costs_equal_the_per_row_formula(seed, rows, cache, text):
+    """Each row's cost is its executed operators' generation costs summed
+    alone plus its kept mutants' execution costs summed alone, bit for
+    bit, whether the batch sums them as matrix rows or row by row."""
+    rng = np.random.default_rng(seed)
+    strategy = None
+    while strategy is None:
+        strategy = (parse_strategy(text) if text else
+                    strategy_from_chromosome(random_chromosome(rng), GRAMMAR))
+    executed, pool, bounds, costs = execute_indexed(strategy, cache, rng.spawn(rows))
+    expected = [float(cache.generation_cost.compress(row).sum())
+                + float(cache.exec_cost.take(pool[lo:hi]).sum())
+                for row, lo, hi in zip(executed, bounds, bounds[1:])]
+    assert costs == expected
+    assert repr(costs) == repr(expected)
+    assert all(type(cost) is float for cost in costs)
