@@ -19,10 +19,15 @@ to file-order columns, validates them with vectorised checks (so errors
 name the first bad record in file order), then reorders them once;
 ``MutationCache.from_records`` runs the same steps on record objects.
 Saving writes index order, so a cache equals any reordering of its
-records. ``operators``, ``tests`` and ``mutants`` rebuild the records on
-demand. The cache also derives the views the kill kernel reads:
-``first_killer`` (each mutant's first killer, ``n_tests`` for one no test
-kills), ``kill_classes`` (each distinct killer row of the killable
+records, and a saved file loads without a reorder: ids that ascend
+strictly are distinct, so they skip the duplicate search and the sort;
+ranks that ascend strictly are distinct and are their own test order;
+killer rows that ascend strictly name no test twice and need no sort.
+Any other file is checked and reordered in full. ``operators``,
+``tests`` and ``mutants`` rebuild the records on demand. The cache
+also derives the views the kill kernel reads: ``first_killer`` (each
+mutant's first killer, ``n_tests`` for one no test kills),
+``kill_classes`` (each distinct killer row of the killable
 mutants once, with the number of mutants sharing it: duplicate mutants
 are interchangeable when kills are counted) and ``test_classes`` (the
 same classes test-major, for counts that start from the unselected
@@ -50,7 +55,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
-from operator import itemgetter
+from operator import itemgetter, lt
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -467,20 +472,30 @@ def _plain_types(allowed: set) -> Callable[[list], bool]:
     return lambda column: set(map(type, column)) <= allowed
 
 
-def _all_lists_of_strings(column: list) -> bool:
-    return (set(map(type, column)) <= {list, tuple}
-            and set(map(type, chain.from_iterable(column))) <= {str})
-
-
 def _costs(column: list) -> np.ndarray:
     return _quantize(np.array(column, dtype=np.float64))
+
+
+def _killer_csr(column: list) -> tuple[np.ndarray, list[str]]:
+    """A killers column as (row offsets, the killer names of all rows in order).
+
+    The one flattening of the rows is also their type test: a name that
+    is not a string raises TypeError, which sends the section to the
+    record-by-record path of ``_fields``.
+    """
+    indptr = _csr(np.fromiter(map(len, column), dtype=np.int64, count=len(column)))
+    names = list(chain.from_iterable(column))
+    if not set(map(type, names)) <= {str}:
+        raise TypeError("killer test ids must be strings")
+    return indptr, names
 
 
 class _Field(NamedTuple):
     name: str
     fast: Callable[[list], bool]   # whole-column type test for the common case
     check: Callable                # per-value test naming the offending record
-    convert: Callable              # column of checked values -> stored column
+    convert: Callable              # column of checked values -> stored column; may
+                                   # raise TypeError on a value ``fast`` let through
 
 
 _OPERATOR_FIELDS = (
@@ -496,7 +511,7 @@ _MUTANT_FIELDS = (
     _Field("id", _plain_types({str}), _check_string, tuple),
     _Field("operator_id", _plain_types({str}), _check_string, list),
     _Field("exec_cost", _plain_types({int, float}), _check_number, _costs),
-    _Field("killers", _all_lists_of_strings, _check_killers, list),
+    _Field("killers", _plain_types({list, tuple}), _check_killers, _killer_csr),
 )
 
 
@@ -595,10 +610,31 @@ def _unknown_reference(mutant_ids, operator_names, op_codes, n_operators,
     return CacheError(f"mutant {mutant_ids[i]!r}: unknown killer test {killer_names[j]!r}")
 
 
+def _increasing(values) -> bool:
+    """Is each value strictly less than the next? Such values are distinct."""
+    return all(map(lt, values, values[1:]))
+
+
+def _rows_increasing(indptr: np.ndarray, codes: np.ndarray) -> bool:
+    """Is every CSR row of codes strictly increasing? Such a row holds no code twice."""
+    opens = np.zeros(codes.size + 1, dtype=bool)
+    opens[indptr] = True
+    return bool(((codes[1:] > codes[:-1]) | opens[1:-1]).all())
+
+
 def _ascending(ids: tuple[str, ...]) -> np.ndarray:
     """Positions of ids in ascending (code point) order."""
     return np.fromiter(sorted(range(len(ids)), key=ids.__getitem__),
                        dtype=np.int64, count=len(ids))
+
+
+def _gather(column, order: np.ndarray | None):
+    """column reordered to order, or column itself if order is None (already in order)."""
+    if order is None:
+        return column
+    if isinstance(column, tuple):
+        return tuple(map(column.__getitem__, order.tolist()))
+    return column[order]
 
 
 def _from_document(doc: dict) -> MutationCache:
@@ -611,6 +647,19 @@ def _from_document(doc: dict) -> MutationCache:
     once its columns are built. The checked file-order columns are then
     reordered once: the sections by id and rank, and the killer rows
     gathered into mutant order, each sorted by test position.
+
+    A section already in index order skips what that order makes
+    redundant; one neighbour comparison per section tells. Ids that
+    ascend strictly are distinct and sorted, so they skip the duplicate
+    search, the sort and the gather (for mutants, of their killer rows
+    too). Ranks that ascend strictly are distinct, so they skip the rank
+    set, and are their own test order. Killer rows that each ascend
+    strictly in file-order test position hold no test twice, so they
+    skip the duplicate-killer check; with ranks in order, that position
+    is the index-order one and the rows skip their sort. Every file
+    ``dumps_cache`` writes takes all of these. A section that fails its
+    test takes the full check and reorder, so every error and the order
+    errors come in are the same either way.
     """
     (operator_ids, generation_cost), malformed = _fields(
         doc.pop("operators"), "operator", _OPERATOR_FIELDS)
@@ -625,28 +674,29 @@ def _from_document(doc: dict) -> MutationCache:
     if malformed is not None:
         raise malformed
 
-    (mutant_ids, operator_names, exec_cost, killers), malformed = _fields(
+    (mutant_ids, operator_names, exec_cost, (killer_indptr, killer_names)), malformed = _fields(
         doc.pop("mutants"), "mutant", _MUTANT_FIELDS)
-    killer_indptr = _csr(np.fromiter(map(len, killers), dtype=np.int64, count=len(killers)))
-    killer_names = list(chain.from_iterable(killers))
-    del killers
     killer_codes = _codes(killer_names, test_ids)
-    _check_records("mutant", mutant_ids, [
-        ("exec_cost must be finite and > 0", ~(np.isfinite(exec_cost) & (exec_cost > 0))),
-        ("duplicate killer test id", _rows_with_duplicates(killer_indptr, killer_codes))])
+    rows_increasing = _rows_increasing(killer_indptr, killer_codes)
+    checks = [("exec_cost must be finite and > 0", ~(np.isfinite(exec_cost) & (exec_cost > 0)))]
+    if not rows_increasing:
+        checks.append(("duplicate killer test id",
+                       _rows_with_duplicates(killer_indptr, killer_codes)))
+    _check_records("mutant", mutant_ids, checks)
     if malformed is not None:
         raise malformed
 
-    for section, ids in (("operators", operator_ids), ("tests", test_ids),
-                         ("mutants", mutant_ids)):
+    sections = (("operator", operator_ids), ("test", test_ids), ("mutant", mutant_ids))
+    for section, ids in sections:
         if not ids:
-            raise CacheError(f"cache has no {section}")
-    for section, ids in (("operator", operator_ids), ("test", test_ids),
-                         ("mutant", mutant_ids)):
-        duplicate = _first_duplicate(ids)
+            raise CacheError(f"cache has no {section}s")
+    in_order = {section: _increasing(ids) for section, ids in sections}
+    for section, ids in sections:
+        duplicate = None if in_order[section] else _first_duplicate(ids)
         if duplicate is not None:
             raise CacheError(f"duplicate {section} id {duplicate!r}")
-    if len(set(priority_rank.tolist())) != priority_rank.size:
+    ranks_in_order = bool((priority_rank[1:] > priority_rank[:-1]).all())
+    if not ranks_in_order and len(set(priority_rank.tolist())) != priority_rank.size:
         raise CacheError("duplicate priority_rank among tests")
     op_codes = _codes(operator_names, operator_ids)
     unknown = _unknown_reference(mutant_ids, operator_names, op_codes, len(operator_ids),
@@ -655,23 +705,30 @@ def _from_document(doc: dict) -> MutationCache:
         raise unknown
     del operator_names, killer_names
 
-    op_order = _ascending(operator_ids)
-    test_order = np.argsort(priority_rank, kind="stable")
-    mutant_order = _ascending(mutant_ids)
-    counts = np.diff(killer_indptr)[mutant_order]
-    tests = _inverse(test_order)[_rows(killer_indptr, killer_codes, mutant_order)]
-    # One sort of (row, test) keys sorts each row and keeps rows in place.
-    row_keys = np.repeat(np.arange(len(mutant_ids)) * len(test_ids), counts)
+    op_order = None if in_order["operator"] else _ascending(operator_ids)
+    test_order = None if ranks_in_order else np.argsort(priority_rank, kind="stable")
+    mutant_order = None if in_order["mutant"] else _ascending(mutant_ids)
+    if op_order is not None:
+        op_codes = _inverse(op_order)[op_codes]
+    if mutant_order is not None:
+        killer_codes = _rows(killer_indptr, killer_codes, mutant_order)
+        killer_indptr = _csr(np.diff(killer_indptr)[mutant_order])
+    if test_order is not None:
+        killer_codes = _inverse(test_order)[killer_codes]
+    if test_order is not None or not rows_increasing:
+        # One sort of (row, test) keys sorts each row and keeps rows in place.
+        row_keys = np.repeat(np.arange(len(mutant_ids)) * len(test_ids), np.diff(killer_indptr))
+        killer_codes = np.sort(row_keys + killer_codes) - row_keys
     return MutationCache(
-        operator_ids=tuple(map(operator_ids.__getitem__, op_order.tolist())),
-        generation_cost=generation_cost[op_order],
-        test_ids=tuple(map(test_ids.__getitem__, test_order.tolist())),
-        priority_rank=priority_rank[test_order],
-        mutant_ids=tuple(map(mutant_ids.__getitem__, mutant_order.tolist())),
-        mutant_operator=_inverse(op_order)[op_codes[mutant_order]],
-        exec_cost=exec_cost[mutant_order],
-        killer_indptr=_csr(counts),
-        killer_tests=(np.sort(row_keys + tests) - row_keys).astype(np.int32),
+        operator_ids=_gather(operator_ids, op_order),
+        generation_cost=_gather(generation_cost, op_order),
+        test_ids=_gather(test_ids, test_order),
+        priority_rank=_gather(priority_rank, test_order),
+        mutant_ids=_gather(mutant_ids, mutant_order),
+        mutant_operator=_gather(op_codes, mutant_order).astype(np.int32),
+        exec_cost=_gather(exec_cost, mutant_order),
+        killer_indptr=killer_indptr,
+        killer_tests=killer_codes.astype(np.int32),
     )
 
 

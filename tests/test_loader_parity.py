@@ -65,6 +65,41 @@ def cache_documents(draw):
 @given(text=cache_documents())
 def test_index_matches_oracle_on_generated_documents(text):
     assert_index_matches_oracle(text)
+    # The same cache as a saved file: every section already in index order.
+    assert_index_matches_oracle(dumps_cache(loads_cache(text)))
+
+
+def _swap_two_mutants(doc, pick):
+    mutants = doc["mutants"]
+    i, j = pick(), pick()
+    mutants[i], mutants[j] = mutants[j], mutants[i]
+
+
+def _reverse_a_killer_row(doc, pick):
+    doc["mutants"][pick()]["killers"].reverse()
+
+
+def _reverse_the_ranks(doc, pick):
+    ranks = [t["priority_rank"] for t in doc["tests"]]
+    for test, rank in zip(doc["tests"], reversed(ranks)):
+        test["priority_rank"] = rank
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=cache_documents(), data=st.data(),
+       perturb=st.sampled_from([_swap_two_mutants, _reverse_a_killer_row, _reverse_the_ranks]))
+def test_a_saved_file_one_step_out_of_index_order_loads_in_full(text, data, perturb):
+    """A file in index order but for one swapped mutant pair, one reversed
+    killer row or reversed ranks takes the full reorder. The first two
+    load equal to the file they came from; killer rows that ascend in file
+    order but not in rank order (reversed ranks) are sorted by rank."""
+    saved = dumps_cache(loads_cache(text))
+    doc = json.loads(saved)
+    perturb(doc, lambda: data.draw(st.integers(0, len(doc["mutants"]) - 1)))
+    perturbed = json.dumps(doc)
+    assert_index_matches_oracle(perturbed)
+    if perturb is not _reverse_the_ranks:
+        assert loads_cache(perturbed) == loads_cache(saved)
 
 
 @pytest.mark.parametrize("args", [
@@ -188,6 +223,22 @@ BAD_DOCUMENTS = {
         mutant(exec_cost=0, killers=("t1", "t1"))]),
     "second of many records": document(mutants=[
         mutant(id=f"m{i}", exec_cost=-1.0 if i in (7, 9) else 1.0) for i in range(12)]),
+    # Documents in index order but for the one fault: ids, ranks and killer
+    # rows ascend, so each check they need is one the loader may skip on a
+    # section that ascends strictly.
+    "index order, adjacent duplicate mutant ids": document(mutants=[
+        mutant(id="m1"), mutant(id="m2"), mutant(id="m2"), mutant(id="m3")]),
+    "index order, repeated killer": document(mutants=[
+        mutant(id="m1", killers=("t1", "t2")), mutant(id="m2", killers=("t1", "t1"))]),
+    "index order, empty first mutant id": document(mutants=[
+        mutant(id=""), mutant(id="m1"), mutant(id="m2")]),
+    "index order, empty first operator id": document(operators=[
+        {"id": "", "generation_cost": 1.0}, {"id": "op", "generation_cost": 1.0}]),
+    "index order, tied ranks": document(tests=[
+        {"id": "t1", "priority_rank": 0}, {"id": "t2", "priority_rank": 1},
+        {"id": "t3", "priority_rank": 1}]),
+    "index order, unknown killer ending an ascending row": document(mutants=[
+        mutant(id="m1", killers=("t1", "t2")), mutant(id="m2", killers=("t1", "t2", "tX"))]),
 }
 
 

@@ -71,3 +71,38 @@ def test_report_calls_the_indicators_through_the_analysis_module(monkeypatch):
             "b": [[(0.4, 0.6)], [(0.5, 0.5), (0.1, 0.1)], [(0.6, 0.4)]]}
     analysis.compare_experiment(runs)
     assert calls == {"reference_front": 1, "igd": 6, "hypervolume": 6}
+
+
+def test_each_cache_command_loads_through_the_cli_module_once(monkeypatch, tmp_path):
+    """The trace times cache.load_* by patching mutreduce.cli.load_cache;
+    train with --jobs 1, baselines, evaluate and cache inspect must each
+    look it up there, and load their cache exactly once."""
+    from mutreduce import cli
+    from mutreduce.cache import dumps_cache, synth_cache
+
+    cache_file = tmp_path / "cache.json"
+    cache_file.write_text(dumps_cache(synth_cache(3, 40, 10, seed=21)))
+    calls = []
+    original = cli.load_cache
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_cache", counted)
+    cache = str(cache_file)
+    commands = {
+        "train": ["train", "--cache", cache, "--runs", "2", "--jobs", "1",
+                  "--population-size", "4", "--max-evaluations", "8",
+                  "--out", str(tmp_path / "ge")],
+        "baselines": ["baselines", "--cache", cache, "--kinds", "SM", "--repetitions", "1",
+                      "--out", str(tmp_path / "base")],
+        "evaluate": ["evaluate", "--front", str(tmp_path / "base" / "sm" / "front_1.csv"),
+                     "--cache", cache, "--repetitions", "1",
+                     "--out", str(tmp_path / "replay.csv")],
+        "cache inspect": ["cache", "inspect", cache],
+    }
+    for name, argv in commands.items():
+        calls.clear()
+        assert cli.main(argv) == 0, name
+        assert calls == [cache_file], name
