@@ -197,8 +197,11 @@ class MutationCache:
         first_killer = np.full(self.n_mutants, self.n_tests, dtype=np.int32)
         first_killer[killable] = self.killer_tests[self.killer_indptr[:-1][killable]]
         yields = np.bincount(self.mutant_operator, minlength=self.n_operators)
-        total = math.fsum(self.generation_cost.tolist())
-        total += math.fsum(self.exec_cost.tolist())
+        try:  # fsum of the two sums is their float sum, or OverflowError
+            total = math.fsum((math.fsum(self.generation_cost.tolist()),
+                               math.fsum(self.exec_cost.tolist())))
+        except OverflowError:
+            raise CacheError("costs overflow: their sum is past the float range") from None
         for name, value in (("first_killer", first_killer),
                             ("op_indptr", _csr(yields)),
                             ("total_cost", total),
@@ -426,7 +429,7 @@ def load_cache(path: str | Path) -> MutationCache:
 def _parse_json(text: str) -> dict:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # nested too deeply
         raise CacheError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise CacheError("top level must be an object")

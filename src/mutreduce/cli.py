@@ -507,3 +507,7 @@ def report_command(run_specs: tuple[str, ...], label: str, out_dir: Path) -> Non
     for indicator in INDICATORS:
         click.echo(_summary_line(indicator, stat))
     click.echo(f"wrote report to {out_dir}")
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -1,12 +1,15 @@
 """Pareto dominance on (time, score) points, time minimized and score maximized.
 
-The one place the package decides what "non-dominated" means. Items are
-objects with ``time`` and ``score`` attributes or plain (time, score)
-pairs; points_array turns them, once, into the (n, 2) float64 array the
-array functions take. sort_fronts ranks every point, as NSGA-II selection
-needs. The first front, deduplicated, comes from one 2-D sweep,
-_beats_all_before: nondominated sweeps items sorted with a tie-breaking
-key, nondominated_points sweeps a point array sorted by lexsort.
+The one place the package decides what "non-dominated" means, by one
+rule: sorted by (time, -score), a point is dominated exactly by an
+earlier, different point whose score is at least its own. So the sweep
+_beats_all_before, which keeps each score that beats every score before
+it, keeps exactly the points nothing dominates, the first of equal
+points only. nondominated and nondominated_points sweep once;
+sort_fronts ranks for NSGA-II by sweeping the points left once per
+front. Items are objects with ``time`` and ``score`` attributes or
+plain (time, score) pairs; points_array turns them, once, into the
+(n, 2) float64 array the array functions take.
 """
 
 from __future__ import annotations
@@ -18,32 +21,24 @@ import numpy as np
 T = TypeVar("T")
 
 
-def dominates(a, b) -> bool:
-    """True if a is no worse on both objectives and better on at least one
-    (time minimized, score maximized). Equal points never dominate."""
-    return (a.time <= b.time and a.score >= b.score) and (
-        a.time < b.time or a.score > b.score)
-
-
 def sort_fronts(times: np.ndarray, scores: np.ndarray) -> list[np.ndarray]:
-    """Index arrays of every front: rank 0 is non-dominated, rank k+1 is
-    non-dominated once ranks <= k are removed. O(n^2) memory."""
-    n = times.size
-    if n == 0:
-        return []
-    t_le = times[:, None] <= times[None, :]
-    s_ge = scores[:, None] >= scores[None, :]
-    strict = (times[:, None] < times[None, :]) | (scores[:, None] > scores[None, :])
-    dom = t_le & s_ge & strict  # dom[i, j]: i dominates j
-    dominated_by = dom.sum(axis=0)
-    fronts: list[np.ndarray] = []
-    remaining = np.ones(n, dtype=bool)
-    while remaining.any():
-        current = remaining & (dominated_by == 0)
-        members = np.flatnonzero(current)
-        fronts.append(members)
-        remaining[members] = False
-        dominated_by = dominated_by - dom[members].sum(axis=0)
+    """Index arrays of every front, each ascending: rank 0 is non-dominated,
+    rank k+1 is non-dominated once ranks <= k are removed. Each pass takes
+    the sweep's leaders among the points left, with their equal copies.
+    ValueError on a NaN time, which has no place in the order, or on a
+    NaN or -inf score, which never leads."""
+    if np.isnan(times).any() or not (scores > -np.inf).all():
+        raise ValueError("sort_fronts: a time is NaN, or a score is NaN or -inf")
+    order = np.lexsort((-scores, times))
+    ordered = np.column_stack((times, scores))[order]  # equal points adjacent
+    group = np.cumsum(np.concatenate(([True], (ordered[1:] != ordered[:-1]).any(axis=1))))
+    led = np.zeros(order.size + 1, dtype=bool)  # led[g]: group g's first point led
+    left, fronts = np.arange(order.size), []
+    while left.size:
+        groups = group[left]
+        led[groups[_beats_all_before(ordered[left, 1])]] = True
+        fronts.append(np.sort(order[left[led[groups]]]))
+        left = left[~led[groups]]
     return fronts
 
 
@@ -70,10 +65,8 @@ def points_array(items) -> np.ndarray:
 
 
 def _beats_all_before(scores: np.ndarray) -> np.ndarray:
-    """The sweep: which scores, in the given order, beat every score
-    before them. Sorted by (time, -score), a point beating all before it
-    is exactly a point nothing dominates, and only the first of equal
-    points survives. A NaN score beats nothing and bars nothing."""
+    """The sweep: which scores, in the given order, beat every score before
+    them. A NaN score beats nothing and bars nothing."""
     best_before = np.fmax.accumulate(np.concatenate(([-np.inf], scores[:-1])))
     return scores > best_before
 

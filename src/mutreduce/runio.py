@@ -188,7 +188,7 @@ def write_manifest(path: str | Path, manifest: dict) -> None:
 def read_manifest(path: str | Path) -> dict:
     try:
         manifest = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # nested too deeply
         raise ValueError(f"manifest {path} is not valid JSON: {exc}") from exc
     if not isinstance(manifest, dict):
         raise ValueError(f"manifest {path} must be a JSON object")

@@ -10,9 +10,15 @@ from mutreduce.baselines import (BASELINE_KINDS, BASELINES, BATCH_MAX_CELLS, bas
 from mutreduce.cache import (MutantRecord, MutationCache, OperatorRecord,
                              TestRecord, synth_cache)
 from mutreduce.objectives import ObjectivePair, evaluate, evaluate_indexed, select_tests
-from mutreduce.pareto import dominates
 from mutreduce.runio import front_csv_text
 from mutreduce.strategy import execute, render
+
+
+def dominates(a, b) -> bool:
+    """True if a is no worse on both objectives and better on at least one
+    (time minimized, score maximized). Equal points never dominate."""
+    return (a.time <= b.time and a.score >= b.score) and (
+        a.time < b.time or a.score > b.score)
 
 
 @pytest.fixture(scope="module")

