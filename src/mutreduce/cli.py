@@ -34,7 +34,7 @@ from .baselines import BASELINE_KINDS, baseline_front
 from .cache import (MutationCache, dumps_cache, global_score, load_cache,
                     operator_yields, read_kill_matrix_csv, synth_cache)
 from .grammar import DEFAULT_GRAMMAR_TEXT, Grammar, parse_grammar
-from .search import Front, SearchConfig, run_evolution, run_random_search
+from .search import SearchConfig, run_evolution, run_random_search
 
 
 @click.group(name="mutreduce")
@@ -65,11 +65,12 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def _write_outputs(out_dir: Path, texts: dict[str, str]) -> None:
-    """Write each text to its name under out_dir, making directories as
-    needed."""
-    for name, text in texts.items():
-        path = out_dir / name
-        path.parent.mkdir(parents=True, exist_ok=True)
+    """Write each text to its name under out_dir, making each directory
+    the names need once."""
+    paths = [out_dir / name for name in texts]
+    for directory in dict.fromkeys(path.parent for path in paths):
+        directory.mkdir(parents=True, exist_ok=True)
+    for path, text in zip(paths, texts.values()):
         runio.atomic_write_text(path, text)
 
 
@@ -443,12 +444,12 @@ def _reference_csv_text(stat: StatReport) -> str:
         [repr(time), repr(score)] for time, score in stat.reference))
 
 
-def _scatter_csv_text(methods: dict[str, list[Front]]) -> str:
+def _scatter_csv_text(methods: dict[str, list[np.ndarray]]) -> str:
     return runio.csv_text(["time", "score", "method"], (
-        [repr(row.time), repr(row.score), name]
+        [repr(time), repr(score), name]
         for name, fronts in methods.items()
-        for rows in fronts
-        for row in rows))
+        for points in fronts
+        for time, score in points.tolist()))
 
 
 def _summary_line(indicator: str, stat: StatReport) -> str:
@@ -483,7 +484,7 @@ def report_command(run_specs: tuple[str, ...], label: str, out_dir: Path) -> Non
     per-run values, a (time, score, method) scatter of every solution,
     and the pooled reference front.
     """
-    methods: dict[str, list[Front]] = {}
+    methods: dict[str, list[np.ndarray]] = {}
     for spec in run_specs:
         name, sep, directory = spec.partition("=")
         name = name.strip()
@@ -495,7 +496,7 @@ def report_command(run_specs: tuple[str, ...], label: str, out_dir: Path) -> Non
         files = sorted(Path(directory).glob("front_*.csv"), key=_front_sort_key)
         if not files:
             raise ValueError(f"no front_*.csv files in {directory}")
-        methods[name] = [runio.read_front_csv(path) for path in files]
+        methods[name] = [runio.read_front_points(path) for path in files]
     stat = compare_experiment(methods)
 
     _write_outputs(out_dir, {

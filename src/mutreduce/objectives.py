@@ -114,7 +114,11 @@ def evaluate_indexed(
     row of a single VM batch and kernel call."""
     _, mutant_pools, bounds, costs = execute_indexed(strategy, cache, rows)
     _, kills = _kernels.select_and_count(cache, mutant_pools, bounds)
-    full_cost = math.fsum([cache.total_cost] * n)
+    try:
+        full_cost = math.fsum([cache.total_cost] * n)
+    except OverflowError:
+        raise ValueError(f"{n} repetitions of the cache's total cost "
+                         f"{cache.total_cost!r} overflow the float range") from None
     pairs = []
     for lo in range(0, len(rows), n):
         time = math.fsum(costs[lo:lo + n]) / full_cost

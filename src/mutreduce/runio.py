@@ -4,10 +4,16 @@ Front files are CSV with columns seed, chromosome, strategy_text, time,
 score: one row per front member, sorted by ascending time. ``seed`` is
 the row's own evaluation seed, so any row can be re-evaluated standalone;
 ``chromosome`` is the comma-separated genome (empty for baseline rows).
-Front files are read back as ``EvaluatedStrategy`` rows. Run logs are
-CSV with one row per generation. Manifests are JSON and record
-everything needed to reproduce a command's outputs bit for bit: config,
-seeds, embedded grammar text, and the cache path with its hash.
+One parser reads them, in a columnar pass over the ``csv.reader`` rows:
+the cell counts of all rows at once, then ``int`` and ``float`` over
+whole columns, then each rule on each column. ``read_front_csv`` builds
+``EvaluatedStrategy`` rows from those columns; ``read_front_points``
+returns only the (time, score) points, as one array. When a rule fails,
+the file is walked again row by row, and the first bad row's message
+names its line. Run logs are CSV with one row per generation. Manifests
+are JSON and record everything needed to reproduce a command's outputs
+bit for bit: config, seeds, embedded grammar text, and the cache path
+with its hash.
 
 All writes are atomic (temp file + rename, permissions as the umask
 allows) and all float formatting uses the shortest round-trip
@@ -19,18 +25,22 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
-import tempfile
+import re
 from dataclasses import fields, replace
 from pathlib import Path
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from . import objectives
 from .baselines import baseline_strategy
 from .cache import MutationCache
 from .genome import Chromosome
+from .pareto import points_array
 from .search import EvaluatedStrategy, Front, GenerationStat, SearchConfig
 from .strategy import parse_strategy
 from .streams import row_generators
@@ -39,20 +49,33 @@ FRONT_COLUMNS = ("seed", "chromosome", "strategy_text", "time", "score")
 RUNLOG_COLUMNS = ("generation", "evaluations", "front_size", "front_hypervolume")
 
 
+# Temp file names: the process id and a counter, so that no two writes in
+# one process, or in two processes, pick the same name.
+_temp_numbers = itertools.count()
+
+
 def atomic_write_text(path: str | Path, text: str) -> None:
+    """Write text to path through a temp file in the same directory and a
+    rename. The temp file is created with mode 0o666, which the kernel
+    narrows by the umask, as it does for any new file."""
     path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    data = text.encode("utf-8")
+    for _ in range(10_000):
+        tmp = path.parent / f".{path.name}.{os.getpid()}.{next(_temp_numbers)}.tmp"
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_CLOEXEC, 0o666)
+            break
+        except FileExistsError:  # left by a process that had this id
+            continue
+    else:
+        raise FileExistsError(f"no free temp file name next to {path}")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            # mkstemp creates the file 0600; give it the mode open() would.
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(fh.fileno(), 0o666 & ~umask)
-            fh.write(text)
-        os.replace(tmp_name, path)
+        with open(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
     except BaseException:
         try:
-            os.unlink(tmp_name)
+            os.unlink(tmp)
         except OSError:
             pass
         raise
@@ -83,7 +106,45 @@ def front_csv_text(front: Front) -> str:
          entry.text, repr(entry.time), repr(entry.score)] for entry in front))
 
 
-def read_front_csv(path: str | Path) -> Front:
+# The chromosome cells of a file joined by ",": genes as serialize() writes
+# them. It matches exactly when every cell is a valid chromosome, except
+# that a gene past 640 digits, which int() may refuse under Python's digit
+# limit, leaves it to the row walk to decide.
+_CHROMOSOME_CELLS = re.compile(r"(?:0|[1-9][0-9]{0,639})(?:,(?:0|[1-9][0-9]{0,639}))*")
+
+
+def _front_columns(path: str | Path) -> tuple[list, tuple, tuple, np.ndarray] | None:
+    """A front file as (seeds, chromosome texts, strategy texts, (n, 2)
+    points array), each in row order, when every row keeps every rule of
+    _walk_front_rows; None when one may not."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        rows = list(filter(None, reader))  # blank lines are skipped
+    if header is None or tuple(header) != FRONT_COLUMNS:
+        return None
+    if any(len(row) != len(FRONT_COLUMNS) for row in rows):
+        return None
+    seeds, chromosomes, texts, times, scores = zip(*rows) if rows else ((),) * 5
+    try:
+        values = np.fromiter(map(float, times + scores), np.float64, 2 * len(rows))
+        seeds = list(map(int, seeds))
+    except ValueError:
+        return None
+    points = values.reshape(2, -1).T.copy()  # the times, then the scores
+    if seeds and not (min(seeds) >= 0 and max(seeds) < 2**64):
+        return None
+    if not np.isfinite(points).all():
+        return None
+    genes = ",".join(filter(None, chromosomes))
+    if genes and not _CHROMOSOME_CELLS.fullmatch(genes):
+        return None
+    return seeds, chromosomes, texts, points
+
+
+def _walk_front_rows(path: str | Path) -> Front:
+    """The row walk: each row checked in turn, the first bad one raising
+    ValueError with the file name and the row's physical line."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -113,6 +174,29 @@ def read_front_csv(path: str | Path) -> Front:
                 raise ValueError(f"front file {path}, line {reader.line_num}: {exc}") from exc
             front.append(entry)
     return front
+
+
+def read_front_csv(path: str | Path) -> Front:
+    """The rows of a front file, checked; ValueError names the first bad
+    row's line."""
+    columns = _front_columns(path)
+    if columns is None:
+        return _walk_front_rows(path)
+    seeds, chromosomes, texts, points = columns
+    return [EvaluatedStrategy(time=time, score=score, eval_seed=seed, text=text,
+                              chromosome=Chromosome.deserialize(chromosome) if chromosome
+                              else None)
+            for seed, chromosome, text, (time, score)
+            in zip(seeds, chromosomes, texts, points.tolist())]
+
+
+def read_front_points(path: str | Path) -> np.ndarray:
+    """The (time, score) points of a front file as an (n, 2) float64 array,
+    in row order, after the same checks as read_front_csv."""
+    columns = _front_columns(path)
+    if columns is None:
+        return points_array(_walk_front_rows(path))
+    return columns[3]
 
 
 def reevaluated_front(front: Front, cache: MutationCache,

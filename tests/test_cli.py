@@ -187,6 +187,40 @@ def test_costs_summing_past_the_float_range_are_input_error(tmp_path, capsys):
     assert not out.exists()
 
 
+
+def test_repetitions_of_a_cost_past_the_float_range_are_input_error(tmp_path, capsys):
+    """Two mutants of 4.5e307 load (total 9e307), but two repetitions of
+    the full run cost past the float range: every command that evaluates
+    exits 2 and writes nothing."""
+    cache = tmp_path / "huge.json"
+    cache.write_text(json.dumps({
+        "operators": [{"id": "op", "generation_cost": 0.0}],
+        "tests": [{"id": "t1", "priority_rank": 0}],
+        "mutants": [{"id": "m1", "operator_id": "op", "exec_cost": 4.5e307,
+                     "killers": ["t1"]},
+                    {"id": "m2", "operator_id": "op", "exec_cost": 4.5e307,
+                     "killers": []}]}))
+    front = tmp_path / "front.csv"
+    front.write_text("seed,chromosome,strategy_text,time,score\n"
+                     "1,,Baseline RMS random 50%,0.5,0.5\n")
+    assert main(["cache", "inspect", str(cache)]) == 0
+    capsys.readouterr()
+    message = "error: 2 repetitions of the cache's total cost 9e+307 overflow the float range"
+    commands = {
+        "baselines": ["baselines", "--cache", str(cache), "--repetitions", "2",
+                      "--out", str(tmp_path / "base")],
+        "train": ["train", "--cache", str(cache), "--runs", "1", "--population-size", "4",
+                  "--max-evaluations", "8", "--repetitions", "2",
+                  "--out", str(tmp_path / "ge")],
+        "evaluate": ["evaluate", "--front", str(front), "--cache", str(cache),
+                     "--repetitions", "2", "--out", str(tmp_path / "replay" / "front.csv")],
+    }
+    for name, argv in commands.items():
+        assert main(argv) == 2, name
+        assert message in capsys.readouterr().err, name
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["front.csv", "huge.json"]
+
+
 # ===== train =====
 
 def test_train_writes_fronts_logs_and_manifest(cache_file, tmp_path, capsys):

@@ -106,3 +106,27 @@ def test_each_cache_command_loads_through_the_cli_module_once(monkeypatch, tmp_p
         calls.clear()
         assert cli.main(argv) == 0, name
         assert calls == [cache_file], name
+
+
+def test_report_reads_fronts_through_the_runio_module(monkeypatch, tmp_path):
+    """report must look read_front_points up on mutreduce.runio, once per
+    front file, so that a trace can wrap it there."""
+    from mutreduce import cli, runio
+
+    calls = []
+    original = runio.read_front_points
+
+    def counted(path):
+        calls.append(path.name)
+        return original(path)
+
+    monkeypatch.setattr(runio, "read_front_points", counted)
+    for method, points in (("a", [(0.1, 0.9), (0.3, 0.95)]), ("b", [(0.2, 0.8)])):
+        (tmp_path / method).mkdir()
+        for seed in (1, 2):
+            (tmp_path / method / f"front_{seed}.csv").write_text(
+                "seed,chromosome,strategy_text,time,score\n"
+                + "".join(f"{seed},,stub,{time!r},{score!r}\n" for time, score in points))
+    assert cli.main(["report", "--runs", f"a={tmp_path / 'a'}", "--runs", f"b={tmp_path / 'b'}",
+                     "--out", str(tmp_path / "report")]) == 0
+    assert calls == ["front_1.csv", "front_2.csv"] * 2

@@ -1,16 +1,22 @@
+import csv
+import io
 import os
 import stat
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mutreduce.baselines import baseline_strategy
 from mutreduce.genome import Chromosome
 from mutreduce.objectives import evaluate
-from mutreduce.runio import (FRONT_COLUMNS, atomic_write_text, front_csv_text,
-                             manifest_text, parse_config_text, read_front_csv,
-                             read_manifest, reevaluated_front, runlog_csv_text,
-                             sha256_file, sha256_text, write_manifest)
+from mutreduce.pareto import points_array
+from mutreduce.runio import (FRONT_COLUMNS, _walk_front_rows, atomic_write_text,
+                             front_csv_text, manifest_text, parse_config_text,
+                             read_front_csv, read_front_points, read_manifest,
+                             reevaluated_front, runlog_csv_text, sha256_file,
+                             sha256_text, write_manifest)
 from mutreduce.search import EvaluatedStrategy, GenerationStat, SearchConfig
 from mutreduce.strategy import parse_strategy
 
@@ -95,6 +101,86 @@ def test_front_csv_rejects_bad_rows(tmp_path, line, reason):
     with pytest.raises(ValueError) as excinfo:
         read_front_csv(path)
     assert str(excinfo.value) == f"front file {path}, line 3: {reason}"
+
+
+
+# Cells every rule accepts, and cells some rule rejects. int() and float()
+# take a sign, underscores, spaces and non-ASCII digits; a chromosome takes
+# none of them. A gene past 640 digits is left to the row walk; past 4,300
+# int() refuses it.
+GOOD_SEEDS = ["0", "7", str(2**64 - 1), "+5", "5_0", " 8 ", "\u0665"]
+BAD_SEEDS = ["-1", str(2**64), "x", "", "9" * 4301]
+GOOD_CHROMOSOMES = ["", "0", "4,2", "3,141,59,26", "0,255", "1" * 700]
+BAD_CHROMOSOMES = ["4,x", "01", "3,,4", ",", "4,", "\u0663", "-1", "7," + "1" * 4301]
+GOOD_VALUES = ["0.5", "-0.0", "1e-17", "0.30000000000000004", "5e-324", "1_0", " 0.25"]
+BAD_VALUES = ["nan", "inf", "-inf", "1e400", "x", ""]
+TEXTS = ["stub", "Baseline RMS random 90%", "a,b", "two\nlines", 'say "hi"', "", "\u00fc"]
+
+good_rows = st.tuples(st.sampled_from(GOOD_SEEDS), st.sampled_from(GOOD_CHROMOSOMES),
+                      st.sampled_from(TEXTS), st.sampled_from(GOOD_VALUES),
+                      st.sampled_from(GOOD_VALUES)).map(list)
+BAD_CELLS = {0: BAD_SEEDS, 1: BAD_CHROMOSOMES, 3: BAD_VALUES, 4: BAD_VALUES}
+
+
+@st.composite
+def rows_breaking_one_rule(draw):
+    row = draw(good_rows)
+    column = draw(st.sampled_from(sorted(BAD_CELLS)))
+    row[column] = draw(st.sampled_from(BAD_CELLS[column]))
+    return row
+
+
+any_rows = st.one_of(
+    rows_breaking_one_rule(),
+    st.lists(st.sampled_from(GOOD_SEEDS + GOOD_CHROMOSOMES + TEXTS + GOOD_VALUES),
+             min_size=1, max_size=7),  # 4 or 6 cells, or 5 in the wrong columns
+    st.just([]))  # a blank line
+
+
+@st.composite
+def front_file_texts(draw):
+    """A front file: a header (or none), good rows, and a few rows that
+    may break a rule, at random places."""
+    header = draw(st.sampled_from([FRONT_COLUMNS] * 4 + [("seed", "genes"), None]))
+    rows = draw(st.lists(good_rows, max_size=6))
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(any_rows))
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
+    if header is not None:
+        writer.writerow(header)
+        writer.writerows(rows)
+    return buffer.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=front_file_texts())
+@example(text="")
+@example(text=",".join(FRONT_COLUMNS) + "\n")
+@example(text=",".join(FRONT_COLUMNS) + "\n\n+5,,x,0.5,0.5\n\n5_0,0,x,-0.0,1e-17\n")
+@example(text=",".join(FRONT_COLUMNS) + "\n1,\"1," + "2" * 4301 + "\",x,0.5,0.5\n")
+@example(text=",".join(FRONT_COLUMNS) + f"\n{2**64 - 1},,x,0.5,0.5\n{2**64},,x,0.5,0.5\n")
+@example(text=",".join(FRONT_COLUMNS) + "\n0,,x,0.5,0.5\n-1,,x,0.5,0.5\n")
+def test_front_readers_agree_with_the_row_walk(tmp_path_factory, text):
+    """On good and bad files alike, read_front_csv returns the row walk's
+    rows and read_front_points their points, bit for bit; on a bad file
+    both raise the row walk's message, line number included."""
+    path = tmp_path_factory.mktemp("front") / "front.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    try:
+        expected = _walk_front_rows(path)
+    except ValueError as exc:
+        for reader in (read_front_csv, read_front_points):
+            with pytest.raises(ValueError) as excinfo:
+                reader(path)
+            assert str(excinfo.value) == str(exc)
+        return
+    rows = read_front_csv(path)
+    assert rows == expected
+    assert front_csv_text(rows) == front_csv_text(expected)  # -0.0 keeps its sign
+    points = read_front_points(path)
+    assert points.dtype == np.float64 and points.shape == (len(expected), 2)
+    assert points.tobytes() == points_array(expected).tobytes()
 
 
 def test_reevaluate_strategy_row_replays_exactly(tiny_cache):
