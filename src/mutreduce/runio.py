@@ -106,11 +106,15 @@ def front_csv_text(front: Front) -> str:
          entry.text, repr(entry.time), repr(entry.score)] for entry in front))
 
 
-# The chromosome cells of a file joined by ",": genes as serialize() writes
-# them. It matches exactly when every cell is a valid chromosome, except
-# that a gene past 640 digits, which int() may refuse under Python's digit
-# limit, leaves it to the row walk to decide.
-_CHROMOSOME_CELLS = re.compile(r"(?:0|[1-9][0-9]{0,639})(?:,(?:0|[1-9][0-9]{0,639}))*")
+# The chromosome cells of a file are checked joined by ",": every character
+# an ASCII digit or a comma and, with a comma put at each end, no comma
+# followed by another comma, by a leading zero or by a gene past 640 digits.
+# That is Chromosome.deserialize's rule, except that a gene past 640 digits,
+# which int() may refuse under Python's digit limit, leaves the file to the
+# row walk. One pattern for the whole rule would hold memory for every gene
+# while it matched.
+_GENE_CHARACTERS = re.compile(r"[0-9,]*")
+_BAD_GENE = re.compile(r",(?:,|0[0-9]|[0-9]{641})")
 
 
 def _front_columns(path: str | Path) -> tuple[list, tuple, tuple, np.ndarray] | None:
@@ -123,7 +127,7 @@ def _front_columns(path: str | Path) -> tuple[list, tuple, tuple, np.ndarray] | 
         rows = list(filter(None, reader))  # blank lines are skipped
     if header is None or tuple(header) != FRONT_COLUMNS:
         return None
-    if any(len(row) != len(FRONT_COLUMNS) for row in rows):
+    if set(map(len, rows)) - {len(FRONT_COLUMNS)}:
         return None
     seeds, chromosomes, texts, times, scores = zip(*rows) if rows else ((),) * 5
     try:
@@ -131,13 +135,13 @@ def _front_columns(path: str | Path) -> tuple[list, tuple, tuple, np.ndarray] | 
         seeds = list(map(int, seeds))
     except ValueError:
         return None
-    points = values.reshape(2, -1).T.copy()  # the times, then the scores
+    points = values.reshape(2, -1).T.copy()  # values holds the times, then the scores
     if seeds and not (min(seeds) >= 0 and max(seeds) < 2**64):
         return None
     if not np.isfinite(points).all():
         return None
     genes = ",".join(filter(None, chromosomes))
-    if genes and not _CHROMOSOME_CELLS.fullmatch(genes):
+    if genes and (not _GENE_CHARACTERS.fullmatch(genes) or _BAD_GENE.search(f",{genes},")):
         return None
     return seeds, chromosomes, texts, points
 

@@ -13,7 +13,7 @@ from mutreduce.genome import Chromosome
 from mutreduce.objectives import evaluate
 from mutreduce.pareto import points_array
 from mutreduce.runio import (FRONT_COLUMNS, _walk_front_rows, atomic_write_text,
-                             front_csv_text, manifest_text, parse_config_text,
+                             csv_text, front_csv_text, manifest_text, parse_config_text,
                              read_front_csv, read_front_points, read_manifest,
                              reevaluated_front, runlog_csv_text, sha256_file,
                              sha256_text, write_manifest)
@@ -131,7 +131,7 @@ def rows_breaking_one_rule(draw):
 
 
 any_rows = st.one_of(
-    rows_breaking_one_rule(),
+    rows_breaking_one_rule(), rows_breaking_one_rule(),
     st.lists(st.sampled_from(GOOD_SEEDS + GOOD_CHROMOSOMES + TEXTS + GOOD_VALUES),
              min_size=1, max_size=7),  # 4 or 6 cells, or 5 in the wrong columns
     st.just([]))  # a blank line
@@ -141,9 +141,9 @@ any_rows = st.one_of(
 def front_file_texts(draw):
     """A front file: a header (or none), good rows, and a few rows that
     may break a rule, at random places."""
-    header = draw(st.sampled_from([FRONT_COLUMNS] * 4 + [("seed", "genes"), None]))
+    header = draw(st.sampled_from([FRONT_COLUMNS] * 8 + [("seed", "genes"), None]))
     rows = draw(st.lists(good_rows, max_size=6))
-    for _ in range(draw(st.integers(0, 2))):
+    for _ in range(draw(st.integers(0, 3))):
         rows.insert(draw(st.integers(0, len(rows))), draw(any_rows))
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
@@ -158,9 +158,6 @@ def front_file_texts(draw):
 @example(text="")
 @example(text=",".join(FRONT_COLUMNS) + "\n")
 @example(text=",".join(FRONT_COLUMNS) + "\n\n+5,,x,0.5,0.5\n\n5_0,0,x,-0.0,1e-17\n")
-@example(text=",".join(FRONT_COLUMNS) + "\n1,\"1," + "2" * 4301 + "\",x,0.5,0.5\n")
-@example(text=",".join(FRONT_COLUMNS) + f"\n{2**64 - 1},,x,0.5,0.5\n{2**64},,x,0.5,0.5\n")
-@example(text=",".join(FRONT_COLUMNS) + "\n0,,x,0.5,0.5\n-1,,x,0.5,0.5\n")
 def test_front_readers_agree_with_the_row_walk(tmp_path_factory, text):
     """On good and bad files alike, read_front_csv returns the row walk's
     rows and read_front_points their points, bit for bit; on a bad file
@@ -181,6 +178,23 @@ def test_front_readers_agree_with_the_row_walk(tmp_path_factory, text):
     points = read_front_points(path)
     assert points.dtype == np.float64 and points.shape == (len(expected), 2)
     assert points.tobytes() == points_array(expected).tobytes()
+
+
+@pytest.mark.parametrize("column,cell", [(column, cell) for column, cells in BAD_CELLS.items()
+                                         for cell in cells])
+def test_front_readers_raise_the_row_walk_message_on_every_bad_cell(tmp_path, column, cell):
+    row = ["1", "4,2", "x", "0.5", "0.5"]
+    row[column] = cell
+    path = tmp_path / "front.csv"
+    path.write_text(csv_text(FRONT_COLUMNS, [["0", "", "ok", "0.5", "0.5"], row]),
+                    encoding="utf-8")
+    with pytest.raises(ValueError) as expected:
+        _walk_front_rows(path)
+    assert str(expected.value).startswith(f"front file {path}, line 3: ")
+    for reader in (read_front_csv, read_front_points):
+        with pytest.raises(ValueError) as excinfo:
+            reader(path)
+        assert str(excinfo.value) == str(expected.value)
 
 
 def test_reevaluate_strategy_row_replays_exactly(tiny_cache):
