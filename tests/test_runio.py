@@ -103,7 +103,6 @@ def test_front_csv_rejects_bad_rows(tmp_path, line, reason):
     assert str(excinfo.value) == f"front file {path}, line 3: {reason}"
 
 
-
 # Cells every rule accepts, and cells some rule rejects. int() and float()
 # take a sign, underscores, spaces and non-ASCII digits; a chromosome takes
 # none of them. A gene past 640 digits is left to the row walk; past 4,300
@@ -180,8 +179,9 @@ def test_front_readers_agree_with_the_row_walk(tmp_path_factory, text):
     assert points.tobytes() == points_array(expected).tobytes()
 
 
-@pytest.mark.parametrize("column,cell", [(column, cell) for column, cells in BAD_CELLS.items()
-                                         for cell in cells])
+@pytest.mark.parametrize("column,cell", [
+    pytest.param(column, cell, id=f"{FRONT_COLUMNS[column]}-{index}")
+    for column, cells in BAD_CELLS.items() for index, cell in enumerate(cells)])
 def test_front_readers_raise_the_row_walk_message_on_every_bad_cell(tmp_path, column, cell):
     row = ["1", "4,2", "x", "0.5", "0.5"]
     row[column] = cell
