@@ -445,15 +445,11 @@ def _reference_csv_text(stat: StatReport) -> str:
 
 
 def _scatter_csv_text(methods: dict[str, list[np.ndarray]]) -> str:
-    """One (time, score, method) row per point. The rows are formatted
-    here, not by the csv writer: a float's repr needs no quoting, and the
-    method's cell is quoted once, by the writer, with its line end."""
-    lines = [runio.csv_text(["time", "score", "method"], [])]
-    for name, fronts in methods.items():
-        method_cell = runio.csv_text([name], [])
-        lines.extend(f"{time!r},{score!r},{method_cell}"
-                     for points in fronts for time, score in points.tolist())
-    return "".join(lines)
+    return runio.csv_text(["time", "score", "method"], (
+        [repr(time), repr(score), name]
+        for name, fronts in methods.items()
+        for points in fronts
+        for time, score in points.tolist()))
 
 
 def _summary_line(indicator: str, stat: StatReport) -> str:

@@ -4,13 +4,14 @@ Front files are CSV with columns seed, chromosome, strategy_text, time,
 score: one row per front member, sorted by ascending time. ``seed`` is
 the row's own evaluation seed, so any row can be re-evaluated standalone;
 ``chromosome`` is the comma-separated genome (empty for baseline rows).
-One parser reads them, in a columnar pass over the ``csv.reader`` rows:
-the cell counts of all rows at once, then ``int`` and ``float`` over
-whole columns, then each rule on each column. ``read_front_csv`` builds
-``EvaluatedStrategy`` rows from those columns; ``read_front_points``
-returns only the (time, score) points, as one array. When a rule fails,
-the file is walked again row by row, and the first bad row's message
-names its line. Run logs are CSV with one row per generation. Manifests
+``read_front_csv`` reads them back as ``EvaluatedStrategy`` rows,
+walking the rows and checking each in turn, so that the first bad row's
+message names its line. ``read_front_points`` returns only the (time,
+score) points, as one array: a columnar pass over the ``csv.reader``
+rows checks the cell counts of all rows at once, then ``int`` and
+``float`` over whole columns, then each rule on each column. A file it
+cannot pass is read again by the row walk, so the messages are the
+same. Run logs are CSV with one row per generation. Manifests
 are JSON and record everything needed to reproduce a command's outputs
 bit for bit: config, seeds, embedded grammar text, and the cache path
 with its hash.
@@ -29,7 +30,6 @@ import itertools
 import json
 import math
 import os
-import re
 from dataclasses import fields, replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -106,49 +106,9 @@ def front_csv_text(front: Front) -> str:
          entry.text, repr(entry.time), repr(entry.score)] for entry in front))
 
 
-# The chromosome cells of a file are checked joined by ",": every character
-# an ASCII digit or a comma and, with a comma put at each end, no comma
-# followed by another comma, by a leading zero or by a gene past 640 digits.
-# That is Chromosome.deserialize's rule, except that a gene past 640 digits,
-# which int() may refuse under Python's digit limit, leaves the file to the
-# row walk. One pattern for the whole rule would hold memory for every gene
-# while it matched.
-_GENE_CHARACTERS = re.compile(r"[0-9,]*")
-_BAD_GENE = re.compile(r",(?:,|0[0-9]|[0-9]{641})")
-
-
-def _front_columns(path: str | Path) -> tuple[list, tuple, tuple, np.ndarray] | None:
-    """A front file as (seeds, chromosome texts, strategy texts, (n, 2)
-    points array), each in row order, when every row keeps every rule of
-    _walk_front_rows; None when one may not."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        rows = list(filter(None, reader))  # blank lines are skipped
-    if header is None or tuple(header) != FRONT_COLUMNS:
-        return None
-    if set(map(len, rows)) - {len(FRONT_COLUMNS)}:
-        return None
-    seeds, chromosomes, texts, times, scores = zip(*rows) if rows else ((),) * 5
-    try:
-        values = np.fromiter(map(float, times + scores), np.float64, 2 * len(rows))
-        seeds = list(map(int, seeds))
-    except ValueError:
-        return None
-    points = values.reshape(2, -1).T.copy()  # values holds the times, then the scores
-    if seeds and not (min(seeds) >= 0 and max(seeds) < 2**64):
-        return None
-    if not np.isfinite(points).all():
-        return None
-    genes = ",".join(filter(None, chromosomes))
-    if genes and (not _GENE_CHARACTERS.fullmatch(genes) or _BAD_GENE.search(f",{genes},")):
-        return None
-    return seeds, chromosomes, texts, points
-
-
-def _walk_front_rows(path: str | Path) -> Front:
-    """The row walk: each row checked in turn, the first bad one raising
-    ValueError with the file name and the row's physical line."""
+def read_front_csv(path: str | Path) -> Front:
+    """The rows of a front file, each checked in turn; the first bad one
+    raises ValueError with the file name and the row's physical line."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -180,27 +140,44 @@ def _walk_front_rows(path: str | Path) -> Front:
     return front
 
 
-def read_front_csv(path: str | Path) -> Front:
-    """The rows of a front file, checked; ValueError names the first bad
-    row's line."""
-    columns = _front_columns(path)
-    if columns is None:
-        return _walk_front_rows(path)
-    seeds, chromosomes, texts, points = columns
-    return [EvaluatedStrategy(time=time, score=score, eval_seed=seed, text=text,
-                              chromosome=Chromosome.deserialize(chromosome) if chromosome
-                              else None)
-            for seed, chromosome, text, (time, score)
-            in zip(seeds, chromosomes, texts, points.tolist())]
+def _front_points(path: str | Path) -> np.ndarray | None:
+    """The (time, score) points of a front file as an (n, 2) array, in row
+    order, when a columnar pass finds every row keeping every rule of
+    read_front_csv; None when one may not, or when the file cannot be
+    read to its end."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = list(filter(None, reader))  # blank lines are skipped
+    except (csv.Error, UnicodeDecodeError):
+        return None  # read_front_csv says whether a bad row comes first
+    if header is None or tuple(header) != FRONT_COLUMNS:
+        return None
+    if set(map(len, rows)) - {len(FRONT_COLUMNS)}:
+        return None
+    seeds, chromosomes, _, times, scores = zip(*rows) if rows else ((),) * 5
+    try:
+        values = np.fromiter(map(float, times + scores), np.float64, 2 * len(rows))
+        seeds = list(map(int, seeds))
+    except ValueError:
+        return None
+    if seeds and not (min(seeds) >= 0 and max(seeds) < 2**64):
+        return None
+    if not np.isfinite(values).all():
+        return None
+    if not Chromosome.texts_are_valid(filter(None, chromosomes)):
+        return None
+    return values.reshape(2, -1).T.copy()  # values holds the times, then the scores
 
 
 def read_front_points(path: str | Path) -> np.ndarray:
     """The (time, score) points of a front file as an (n, 2) float64 array,
-    in row order, after the same checks as read_front_csv."""
-    columns = _front_columns(path)
-    if columns is None:
-        return points_array(_walk_front_rows(path))
-    return columns[3]
+    in row order, after the same checks as read_front_csv. A file that
+    breaks a rule is read again by read_front_csv, which raises the first
+    bad row's message."""
+    points = _front_points(path)
+    return points_array(read_front_csv(path)) if points is None else points
 
 
 def reevaluated_front(front: Front, cache: MutationCache,
