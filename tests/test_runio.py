@@ -202,20 +202,6 @@ def test_front_points_raise_the_row_walk_message_on_every_bad_cell(tmp_path, col
     assert str(excinfo.value) == str(expected.value)
 
 
-def test_chromosome_texts_are_valid_only_when_each_deserializes():
-    texts = GOOD_CHROMOSOMES[1:] + BAD_CHROMOSOMES + ["1" * 641, "", "2", "0,0"]
-    for text in texts:
-        try:
-            Chromosome.deserialize(text)
-            readable = True
-        except ValueError:
-            readable = False
-        long_gene = any(len(gene) > 640 for gene in text.split(","))
-        assert Chromosome.texts_are_valid([text]) == (readable and not long_gene), text
-        assert Chromosome.texts_are_valid(["4,2", text, "7"]) == (readable and not long_gene)
-    assert Chromosome.texts_are_valid([])
-
-
 def test_reevaluate_strategy_row_replays_exactly(tiny_cache):
     text = "Execute Operators 50% -> Retain Mutants random 2"
     pair = evaluate(parse_strategy(text), tiny_cache, 5,
