@@ -740,6 +740,17 @@ def _from_document(doc: dict) -> MutationCache:
 _MATRIX_COLUMNS = ("mutant_id", "operator_id", "exec_cost", "killed_by")
 
 
+def unreadable_line(reader, exc: csv.Error | UnicodeDecodeError) -> str:
+    """Where and why a csv.reader over a UTF-8 text file stopped. A
+    csv.Error, such as a cell past csv's field limit, comes from the line
+    the reader just read. A UnicodeDecodeError comes from decoding the next
+    line, a chunk at a time, so the bad byte is on that line or in the
+    8 KB after it."""
+    if isinstance(exc, UnicodeDecodeError):
+        return f"line {reader.line_num + 1}: cannot decode UTF-8 at or after it ({exc.reason})"
+    return f"line {reader.line_num}: {exc}"
+
+
 def read_kill_matrix_csv(path: str | Path) -> MutationCache:
     """Import a kill-matrix CSV into a cache.
 
@@ -751,12 +762,16 @@ def read_kill_matrix_csv(path: str | Path) -> MutationCache:
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not set(_MATRIX_COLUMNS).issubset(reader.fieldnames):
-            raise CacheError(
-                f"kill-matrix CSV must have columns {sorted(_MATRIX_COLUMNS)}, "
-                f"got {reader.fieldnames}"
-            )
-        rows = list(reader)
+        try:
+            if reader.fieldnames is None or not set(_MATRIX_COLUMNS).issubset(reader.fieldnames):
+                raise CacheError(
+                    f"kill-matrix CSV must have columns {sorted(_MATRIX_COLUMNS)}, "
+                    f"got {reader.fieldnames}"
+                )
+            rows = list(reader)
+        except (csv.Error, UnicodeDecodeError) as exc:
+            where = unreadable_line(reader.reader, exc)  # DictReader's line_num lags a row
+            raise CacheError(f"kill-matrix CSV {path}, {where}") from exc
     if not rows:
         raise CacheError("kill-matrix CSV has no rows")
     for row in rows:

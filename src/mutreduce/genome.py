@@ -20,7 +20,6 @@ import numbers
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
 
 import numpy as np
 
@@ -34,10 +33,10 @@ MAX_WRAPS = 10
 
 # A gene as serialize() writes it: ASCII digits, no sign, no leading zero.
 _GENE_TEXT = re.compile(r"0|[1-9][0-9]*")
-# The same rule over many chromosome texts joined by ",": every character
-# an ASCII digit or a comma and, with a comma put at each end, no comma
-# followed by another comma, by a leading zero or by a gene past 640 digits.
-# One pattern for the whole rule would hold memory for every gene while it
+# The same rule without a match per gene: every character an ASCII digit
+# or a comma and, with a comma put at each end, no comma followed by
+# another comma, by a leading zero or by a gene past 640 digits. One
+# pattern for the whole rule would hold memory for every gene while it
 # matched.
 _GENE_CHARACTERS = re.compile(r"[0-9,]*")
 _BAD_GENE = re.compile(r",(?:,|0[0-9]|[0-9]{641})")
@@ -115,17 +114,12 @@ class Chromosome:
         return cls(tuple(map(int, parts)))
 
     @classmethod
-    def texts_are_valid(cls, texts: Iterable[str]) -> bool:
-        """Whether deserialize reads every one of ``texts``, checked at
-        once. A text holding a gene past 640 digits, which int() may refuse
-        under Python's digit limit, counts as not valid: the caller reads
-        the texts one by one to find out."""
-        texts = list(texts)
-        if not all(texts):
-            return False
-        joined = ",".join(texts)
-        return not joined or (_GENE_CHARACTERS.fullmatch(joined) is not None
-                              and _BAD_GENE.search(f",{joined},") is None)
+    def check_text(cls, text: str) -> None:
+        """Raise deserialize's ValueError unless deserialize reads ``text``,
+        without building genes. A gene past 640 digits, which int() may
+        refuse under Python's digit limit, is left to deserialize."""
+        if _GENE_CHARACTERS.fullmatch(text) is None or _BAD_GENE.search(f",{text},"):
+            cls.deserialize(text)
 
 
 class MappingStatus(Enum):

@@ -4,14 +4,12 @@ Front files are CSV with columns seed, chromosome, strategy_text, time,
 score: one row per front member, sorted by ascending time. ``seed`` is
 the row's own evaluation seed, so any row can be re-evaluated standalone;
 ``chromosome`` is the comma-separated genome (empty for baseline rows).
-``read_front_csv`` reads them back as ``EvaluatedStrategy`` rows,
-walking the rows and checking each in turn, so that the first bad row's
-message names its line. ``read_front_points`` returns only the (time,
-score) points, as one array: a columnar pass over the ``csv.reader``
-rows checks the cell counts of all rows at once, then ``int`` and
-``float`` over whole columns, then each rule on each column. A file it
-cannot pass is read again by the row walk, so the messages are the
-same. Run logs are CSV with one row per generation. Manifests
+One row walk reads them: it checks each row as it is read, so the first
+bad row's message names its line, and a line ``csv`` cannot read is an
+input error too. ``read_front_csv`` builds ``EvaluatedStrategy`` rows
+from it; ``read_front_points`` keeps only the (time, score) points, as
+one array, and checks chromosome cells without building genes. Run logs
+are CSV with one row per generation. Manifests
 are JSON and record everything needed to reproduce a command's outputs
 bit for bit: config, seeds, embedded grammar text, and the cache path
 with its hash.
@@ -32,15 +30,14 @@ import math
 import os
 from dataclasses import fields, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import objectives
 from .baselines import baseline_strategy
-from .cache import MutationCache
+from .cache import MutationCache, unreadable_line
 from .genome import Chromosome
-from .pareto import points_array
 from .search import EvaluatedStrategy, Front, GenerationStat, SearchConfig
 from .strategy import parse_strategy
 from .streams import row_generators
@@ -106,78 +103,60 @@ def front_csv_text(front: Front) -> str:
          entry.text, repr(entry.time), repr(entry.score)] for entry in front))
 
 
-def read_front_csv(path: str | Path) -> Front:
-    """The rows of a front file, each checked in turn; the first bad one
-    raises ValueError with the file name and the row's physical line."""
+def _front_rows(path: str | Path, chromosome_of: Callable[[str], object]) -> Iterator[tuple]:
+    """The rows of a front file as (seed, chromosome, text, time, score)
+    tuples, each checked as it is read, with chromosome_of applied to every
+    non-empty chromosome cell. The first bad row, or the first line csv
+    cannot read, raises ValueError with the file name and the row's
+    physical line, before any later line is read."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != FRONT_COLUMNS:
-            raise ValueError(
-                f"front file {path} must have columns {','.join(FRONT_COLUMNS)}, "
-                f"got {header}")
-        front: Front = []
-        for row in reader:
-            if not row:
-                continue
-            try:
-                if len(row) != len(FRONT_COLUMNS):
-                    raise ValueError(f"expected {len(FRONT_COLUMNS)} cells, got {len(row)}")
-                seed, chromosome, text, time, score = row
-                entry = EvaluatedStrategy(
-                    time=float(time), score=float(score), eval_seed=int(seed), text=text,
-                    chromosome=Chromosome.deserialize(chromosome) if chromosome else None)
-                if entry.eval_seed < 0:
-                    raise ValueError(f"seed must be non-negative, got {entry.eval_seed}")
-                if entry.eval_seed >= 2**64:
-                    raise ValueError(f"seed must be below 2**64, got {entry.eval_seed}")
-                if not (math.isfinite(entry.time) and math.isfinite(entry.score)):
-                    raise ValueError(f"time and score must be finite, got "
-                                     f"{entry.time!r} and {entry.score!r}")
-            except ValueError as exc:
-                raise ValueError(f"front file {path}, line {reader.line_num}: {exc}") from exc
-            front.append(entry)
-    return front
-
-
-def _front_points(path: str | Path) -> np.ndarray | None:
-    """The (time, score) points of a front file as an (n, 2) array, in row
-    order, when a columnar pass finds every row keeping every rule of
-    read_front_csv; None when one may not, or when the file cannot be
-    read to its end."""
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
+        try:
             header = next(reader, None)
-            rows = list(filter(None, reader))  # blank lines are skipped
-    except (csv.Error, UnicodeDecodeError):
-        return None  # read_front_csv says whether a bad row comes first
-    if header is None or tuple(header) != FRONT_COLUMNS:
-        return None
-    if set(map(len, rows)) - {len(FRONT_COLUMNS)}:
-        return None
-    seeds, chromosomes, _, times, scores = zip(*rows) if rows else ((),) * 5
-    try:
-        values = np.fromiter(map(float, times + scores), np.float64, 2 * len(rows))
-        seeds = list(map(int, seeds))
-    except ValueError:
-        return None
-    if seeds and not (min(seeds) >= 0 and max(seeds) < 2**64):
-        return None
-    if not np.isfinite(values).all():
-        return None
-    if not Chromosome.texts_are_valid(filter(None, chromosomes)):
-        return None
-    return values.reshape(2, -1).T.copy()  # values holds the times, then the scores
+            if header is None or tuple(header) != FRONT_COLUMNS:
+                raise ValueError(
+                    f"front file {path} must have columns {','.join(FRONT_COLUMNS)}, "
+                    f"got {header}")
+            for row in reader:
+                if not row:
+                    continue
+                try:
+                    if len(row) != len(FRONT_COLUMNS):
+                        raise ValueError(f"expected {len(FRONT_COLUMNS)} cells, got {len(row)}")
+                    seed, chromosome, text, time, score = row
+                    time, score, seed = float(time), float(score), int(seed)
+                    chromosome = chromosome_of(chromosome) if chromosome else None
+                    if seed < 0:
+                        raise ValueError(f"seed must be non-negative, got {seed}")
+                    if seed >= 2**64:
+                        raise ValueError(f"seed must be below 2**64, got {seed}")
+                    if not (math.isfinite(time) and math.isfinite(score)):
+                        raise ValueError(f"time and score must be finite, got "
+                                         f"{time!r} and {score!r}")
+                except ValueError as exc:
+                    raise ValueError(f"front file {path}, line {reader.line_num}: {exc}") from exc
+                yield seed, chromosome, text, time, score
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise ValueError(f"front file {path}, {unreadable_line(reader, exc)}") from exc
+
+
+def read_front_csv(path: str | Path) -> Front:
+    """The rows of a front file, each checked in turn; the first bad one,
+    or the first line csv cannot read, raises ValueError with the file
+    name and the row's physical line."""
+    return [EvaluatedStrategy(time=time, score=score, eval_seed=seed, text=text,
+                              chromosome=chromosome)
+            for seed, chromosome, text, time, score
+            in _front_rows(path, Chromosome.deserialize)]
 
 
 def read_front_points(path: str | Path) -> np.ndarray:
     """The (time, score) points of a front file as an (n, 2) float64 array,
-    in row order, after the same checks as read_front_csv. A file that
-    breaks a rule is read again by read_front_csv, which raises the first
-    bad row's message."""
-    points = _front_points(path)
-    return points_array(read_front_csv(path)) if points is None else points
+    in row order, after the same checks as read_front_csv, with the same
+    messages. Chromosome cells are checked, not built."""
+    points = [(time, score) for _, _, _, time, score
+              in _front_rows(path, Chromosome.check_text)]
+    return np.array(points, dtype=np.float64).reshape(-1, 2)
 
 
 def reevaluated_front(front: Front, cache: MutationCache,

@@ -733,6 +733,38 @@ def test_report_rejects_a_malformed_chromosome(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cell,tail,reason", [
+    ("y" * 200_000, b"", "field larger than field limit (131072)"),
+    ("y" * 20_000, b"\xff\n", "cannot decode UTF-8 at or after it (invalid start byte)"),
+], ids=["cell-past-csv-field-limit", "bad-utf-8"])
+def test_csv_lines_that_cannot_be_read_are_input_errors(cache_file, tmp_path, capsys,
+                                                        cell, tail, reason):
+    """A line csv cannot read, or a byte that is not UTF-8, in a front file
+    or a kill-matrix CSV exits 2 with the file and line, and writes nothing."""
+    a_dir, b_dir = tmp_path / "a", tmp_path / "b"
+    a_dir.mkdir()
+    b_dir.mkdir()
+    write_point_front(a_dir / "front_1.csv", 1, [(0.1, 0.9)])
+    front = b_dir / "front_1.csv"
+    front.write_bytes(f"seed,chromosome,strategy_text,time,score\n1,,{cell},0.5,0.5\n"
+                      .encode() + tail)
+    matrix = tmp_path / "matrix.csv"
+    matrix.write_bytes(f"mutant_id,operator_id,exec_cost,killed_by\n"
+                       f"m0,opA,1.0,t1\nm1,opA,1.0,{cell}\n".encode() + tail)
+    out = tmp_path / "out"
+    for argv, message in [
+        (["report", "--runs", f"ge={a_dir}", "--runs", f"rms={b_dir}", "--out", str(out)],
+         f"front file {front}, line 2: {reason}"),
+        (["evaluate", "--front", str(front), "--cache", str(cache_file),
+          "--out", str(out / "replay.csv")], f"front file {front}, line 2: {reason}"),
+        (["cache", "convert", "--matrix", str(matrix), "--out", str(out / "cache.json")],
+         f"kill-matrix CSV {matrix}, line 3: {reason}"),
+    ]:
+        assert main(argv) == 2, argv[0]
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
 # ===== plumbing =====
 
 def test_version_and_help(capsys):

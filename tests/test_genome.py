@@ -83,13 +83,14 @@ def test_chromosome_serialization_round_trip():
 def test_deserialize_accepts_only_serialized_text(text):
     with pytest.raises(ValueError, match="bad chromosome text"):
         Chromosome.deserialize(text)
-    assert not Chromosome.texts_are_valid(["4,2", text])
+    with pytest.raises(ValueError, match="bad chromosome text"):
+        Chromosome.check_text(text)
 
 
 @pytest.mark.parametrize("text", ["0", "3,4", "0,10,179", "1000000"])
 def test_deserialize_round_trips_canonical_text(text):
     assert Chromosome.deserialize(text).serialize() == text
-    assert Chromosome.texts_are_valid(["4,2", text])
+    Chromosome.check_text(text)
 
 
 def test_bounds_and_limits_validate():

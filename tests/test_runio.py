@@ -181,13 +181,21 @@ UNREADABLE_TAILS = {
     "cell-past-csv-field-limit": b"2,,%s,0.5,0.5\n" % (b"y" * 200_000),
     "bad-utf-8-in-a-later-chunk": b"2,,%s,0.5,0.5\n2,,\xff,0.5,0.5\n" % (b"y" * 20_000),
 }
+# Good rows, then a line 3 that csv.reader refuses, or a good line 3 whose
+# last 8 KB chunk holds a byte that is not UTF-8: both are line 3's error.
+UNREADABLE_LINES = {
+    "cell-past-csv-field-limit": ("y" * 200_000, b""),
+    "bad-utf-8-after-a-long-line": ("y" * 20_000, b"\xff\n"),
+}
 
 
 @pytest.mark.parametrize("column,cell,tail", [
     pytest.param(column, cell, b"", id=f"{FRONT_COLUMNS[column]}-{index}")
     for column, cells in BAD_CELLS.items() for index, cell in enumerate(cells)] + [
     pytest.param(0, "-1", tail, id=f"seed-0-then-{name}")
-    for name, tail in UNREADABLE_TAILS.items()])
+    for name, tail in UNREADABLE_TAILS.items()] + [
+    pytest.param(2, cell, tail, id=f"strategy_text-{name}")
+    for name, (cell, tail) in UNREADABLE_LINES.items()])
 def test_front_points_raise_the_row_walk_message_on_every_bad_cell(tmp_path, column, cell, tail):
     row = ["1", "4,2", "x", "0.5", "0.5"]
     row[column] = cell

@@ -1,14 +1,23 @@
-"""Scaling guards for the report path: doubling the points must about
+"""Scaling guards. On the report path, doubling the points must about
 double the traced allocation peak, never quadruple it as an n x n matrix
 would, and reading a front file must take memory in proportion to the
-file. Peaks are allocation counts, so they do not vary with host load."""
+file. Loading a cache, a baseline sweep and an evolution run must take
+memory with the kills, not with tests x mutants. Peaks are allocation
+counts, so they do not vary with host load."""
+
+import json
+from functools import partial
 
 import numpy as np
 import pytest
 
 from mutreduce.analysis import compare_experiment
+from mutreduce.baselines import baseline_front
+from mutreduce.cache import loads_cache
+from mutreduce.grammar import default_grammar
 from mutreduce.pareto import nondominated_points, sort_fronts
 from mutreduce.runio import FRONT_COLUMNS, read_front_points
+from mutreduce.search import SearchConfig, run_evolution
 from test_kernels import traced_peak
 
 # Linear growth doubles the peak; a quadratic term at these sizes would
@@ -56,3 +65,51 @@ def test_reading_long_chromosomes_takes_memory_in_proportion_to_the_file(tmp_pat
     points, peak = traced_peak(lambda: read_front_points(path))
     assert points.shape == (200, 2)
     assert peak < 6 * path.stat().st_size
+
+
+# Peaks measured at 2,000 mutants and 500 tests grew by 1.01-1.05 times
+# when the tests doubled, and by 1.84-1.97 times when the mutants did. A
+# dense tests x mutants bool matrix would add 1 MB at that size, more than
+# the whole peak of any of these layers.
+NEARLY_FLAT = 1.25
+AT_MOST_DOUBLE = 2.1
+GRAMMAR = default_grammar()
+
+
+def cache_text(n_mutants, n_tests):
+    """A cache file's text in which four of five mutants are killed by two
+    tests each, so the kill count does not change with the tests."""
+    return json.dumps({
+        "operators": [{"id": f"op{i}", "generation_cost": 1.0} for i in range(4)],
+        "tests": [{"id": f"t{i:05d}", "priority_rank": i} for i in range(n_tests)],
+        "mutants": [{"id": f"m{i:06d}", "operator_id": f"op{i % 4}", "exec_cost": 1.0 + i % 7,
+                     "killers": [f"t{i * 7 % n_tests:05d}", f"t{(i * 7 + 13) % n_tests:05d}"]
+                     if i % 5 else []}
+                    for i in range(n_mutants)]})
+
+
+# Each prepares, from a cache file's text, the call to trace; the cache it
+# runs on is loaded before tracing starts.
+LAYERS = {
+    "loads_cache": lambda text: partial(loads_cache, text),
+    "baseline_front": lambda text: partial(baseline_front, "RMS", loads_cache(text), [1, 2], 2),
+    "run_evolution": lambda text: partial(
+        run_evolution, SearchConfig(seed=1, population_size=4, max_evaluations=8, repetitions=2),
+        GRAMMAR, loads_cache(text)),
+}
+
+
+def layer_peak(prepare, n_mutants, n_tests):
+    text = cache_text(n_mutants, n_tests)
+    prepare(text)()  # the first call's one-time allocations stay out of the peak
+    return traced_peak(prepare(text))[1]
+
+
+@pytest.mark.parametrize("name", LAYERS)
+def test_cache_and_search_peaks_follow_the_kills(name):
+    prepare = LAYERS[name]
+    assert (loads_cache(cache_text(2000, 500)).killer_tests.size
+            == loads_cache(cache_text(2000, 1000)).killer_tests.size)
+    peak = layer_peak(prepare, 2000, 500)
+    assert layer_peak(prepare, 2000, 1000) < NEARLY_FLAT * peak, "tests doubled"
+    assert layer_peak(prepare, 4000, 500) < AT_MOST_DOUBLE * peak, "mutants doubled"
