@@ -48,8 +48,10 @@ def reference_front(fronts: Iterable[Iterable]) -> list[Point]:
 class Normalizer:
     """Maps (time, score) points into the minimization unit square.
 
-    Bounds come from the pooled experiment solutions. A degenerate axis
-    (zero range) maps to the optimal coordinate 0 for every point.
+    Bounds come from the pooled experiment solutions. Bounds whose
+    difference is past the float range, or not finite, are a ValueError,
+    since no point could be mapped. A degenerate axis (zero range) maps to
+    the optimal coordinate 0 for every point.
     """
 
     time_min: float
@@ -65,8 +67,12 @@ class Normalizer:
         # argmin and argmax keep the first of equal values, 0.0 or -0.0 as
         # given; np.min and np.max do not promise which.
         times, scores = pts[:, 0], pts[:, 1]
-        return cls(float(times[times.argmin()]), float(times[times.argmax()]),
-                   float(scores[scores.argmin()]), float(scores[scores.argmax()]))
+        normalizer = cls(float(times[times.argmin()]), float(times[times.argmax()]),
+                         float(scores[scores.argmin()]), float(scores[scores.argmax()]))
+        if not (math.isfinite(normalizer.time_max - normalizer.time_min)
+                and math.isfinite(normalizer.score_max - normalizer.score_min)):
+            raise ValueError("the pooled times or scores span past the float range")
+        return normalizer
 
     def __call__(self, points):
         """The normalized points: an (n, 2) array for an array, else a

@@ -34,6 +34,7 @@ from .baselines import BASELINE_KINDS, baseline_front
 from .cache import (MutationCache, dumps_cache, global_score, load_cache,
                     operator_yields, read_kill_matrix_csv, synth_cache)
 from .grammar import DEFAULT_GRAMMAR_TEXT, Grammar, parse_grammar
+from .objectives import MAX_REPETITIONS
 from .search import SearchConfig, run_evolution, run_random_search
 
 
@@ -272,7 +273,7 @@ def _read_train_manifest(manifest_path: Path) -> tuple[str, dict, str, Path, str
               help="Independent runs.")
 @click.option("--population-size", type=int, default=None)
 @click.option("--max-evaluations", type=int, default=None)
-@click.option("--repetitions", type=int, default=None,
+@click.option("--repetitions", type=click.IntRange(1, MAX_REPETITIONS), default=None,
               help="Stochastic repetitions per strategy evaluation.")
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
               envvar="MUTREDUCE_JOBS", show_envvar=True,
@@ -350,7 +351,8 @@ def train(cache_file: Path | None, algorithm: str, grammar_path: Path | None,
 @click.option("--seed", type=int, default=1, show_default=True,
               help="Base seed; run i uses seed + i.")
 @click.option("--runs", type=click.IntRange(min=1), default=1, show_default=True)
-@click.option("--repetitions", type=click.IntRange(min=1), default=5, show_default=True)
+@click.option("--repetitions", type=click.IntRange(1, MAX_REPETITIONS), default=5,
+              show_default=True)
 @click.option("--out", "-o", "out_dir", required=True,
               type=click.Path(file_okay=False, path_type=Path))
 def baselines_command(cache_path: Path, kinds: str, seed: int, runs: int,
@@ -385,7 +387,8 @@ def baselines_command(cache_path: Path, kinds: str, seed: int, runs: int,
               type=click.Path(exists=True, dir_okay=False, path_type=Path))
 @click.option("--cache", "cache_path", required=True,
               type=click.Path(exists=True, dir_okay=False, path_type=Path))
-@click.option("--repetitions", type=click.IntRange(min=1), default=5, show_default=True)
+@click.option("--repetitions", type=click.IntRange(1, MAX_REPETITIONS), default=5,
+              show_default=True)
 @click.option("--out", "-o", "out_path", required=True,
               type=click.Path(dir_okay=False, path_type=Path))
 def evaluate_command(front_path: Path, cache_path: Path, repetitions: int,
@@ -403,6 +406,16 @@ def evaluate_command(front_path: Path, cache_path: Path, repetitions: int,
 
 
 # ===== report =====
+
+def _utf8_argument(flag: str, text: str) -> str:
+    """text, if UTF-8 can encode it: an argument whose bytes were not UTF-8
+    decodes to lone surrogates, which no output file could hold."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise click.UsageError(f"{flag} must be UTF-8 text, got {text!r}") from None
+    return text
+
 
 def _front_sort_key(path: Path) -> tuple:
     suffix = path.stem[len("front_"):]
@@ -484,10 +497,11 @@ def report_command(run_specs: tuple[str, ...], label: str, out_dir: Path) -> Non
     per-run values, a (time, score, method) scatter of every solution,
     and the pooled reference front.
     """
+    _utf8_argument("--label", label)
     methods: dict[str, list[np.ndarray]] = {}
     for spec in run_specs:
         name, sep, directory = spec.partition("=")
-        name = name.strip()
+        name = _utf8_argument("--runs", name.strip())
         directory = directory.strip()
         if not sep or not name or not directory:
             raise click.UsageError(f"--runs expects label=DIR, got {spec!r}")

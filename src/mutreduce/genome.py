@@ -7,7 +7,8 @@ n_alternatives``. Single-alternative rules consume nothing. When the
 genes run out, reading wraps to the front, up to ``max_wraps`` times;
 needing one more wrap fails the mapping. The walk runs over the grammar's
 integer tables (``Grammar.tables``), compiled once per grammar, not over
-its rule objects.
+its rule objects. A chromosome's text is its genes in ASCII decimal joined
+by commas, a rule that ``Chromosome.check_text`` alone states.
 
 Variation operators (crossover, mutate, prune, duplicate) are pure
 functions of their inputs and the supplied generator, and always respect
@@ -31,15 +32,13 @@ MIN_LENGTH = 15
 MAX_LENGTH = 100
 MAX_WRAPS = 10
 
-# A gene as serialize() writes it: ASCII digits, no sign, no leading zero.
-_GENE_TEXT = re.compile(r"0|[1-9][0-9]*")
-# The same rule without a match per gene: every character an ASCII digit
-# or a comma and, with a comma put at each end, no comma followed by
-# another comma, by a leading zero or by a gene past 640 digits. One
-# pattern for the whole rule would hold memory for every gene while it
-# matched.
+# The chromosome text rule, for the whole text at once: ASCII digits and
+# commas only and, with a comma put at each end, no comma followed by a
+# comma (an empty gene) or a leading zero. A pattern per gene, or one for
+# the whole rule, would hold memory for every gene while it matched.
 _GENE_CHARACTERS = re.compile(r"[0-9,]*")
-_BAD_GENE = re.compile(r",(?:,|0[0-9]|[0-9]{641})")
+_BAD_GENE = re.compile(r",(?:,|0[0-9])")
+_LONG_GENE = re.compile(r"(?<![0-9])[0-9]{641,}")
 
 
 @dataclass(frozen=True)
@@ -108,18 +107,18 @@ class Chromosome:
     @classmethod
     def deserialize(cls, text: str) -> "Chromosome":
         """The chromosome whose serialize() text is exactly ``text``."""
-        parts = text.split(",")
-        if not all(map(_GENE_TEXT.fullmatch, parts)):
-            raise ValueError(f"bad chromosome text {text!r}")
-        return cls(tuple(map(int, parts)))
+        cls.check_text(text)
+        return cls._of_ints(tuple(map(int, text.split(","))))
 
-    @classmethod
-    def check_text(cls, text: str) -> None:
-        """Raise deserialize's ValueError unless deserialize reads ``text``,
-        without building genes. A gene past 640 digits, which int() may
-        refuse under Python's digit limit, is left to deserialize."""
+    @staticmethod
+    def check_text(text: str) -> None:
+        """Raise ValueError unless ``text`` is serialize() text. No genes are
+        built, but one past 640 digits, the lowest limit Python lets a
+        process set for int(), goes through int() and may raise its error."""
         if _GENE_CHARACTERS.fullmatch(text) is None or _BAD_GENE.search(f",{text},"):
-            cls.deserialize(text)
+            raise ValueError(f"bad chromosome text {text!r}")
+        for gene in _LONG_GENE.findall(text):
+            int(gene)
 
 
 class MappingStatus(Enum):

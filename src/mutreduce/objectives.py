@@ -41,6 +41,12 @@ from .cache import MutationCache
 from .index import build_index
 from .strategy import ReductionRun, Strategy, execute_indexed
 
+# The most repetitions `train`, `baselines`, `evaluate` and SearchConfig
+# accept. Each row of a batch holds its own generator (about 850 bytes)
+# and mutant pool, and a generation's rows are built at once, so a
+# population of 100 at this bound already holds about 85 MB of generators.
+MAX_REPETITIONS = 1000
+
 
 @dataclass(frozen=True)
 class TestSelection:

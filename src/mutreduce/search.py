@@ -30,10 +30,15 @@ from .cache import MutationCache
 from .genome import Chromosome, GeneBounds, LengthLimits
 from .grammar import Grammar
 from .index import build_index
-from .objectives import evaluate_indexed
+from .objectives import MAX_REPETITIONS, evaluate_indexed
 from .pareto import nondominated, sort_fronts
 from .strategy import render, strategy_from_chromosome
 from .streams import derive_seeds, row_generators
+
+# The longest chromosome a config may ask for, a hundred times the default.
+# A population of 100 at this length holds about 8 MB of genes; a length
+# far past it cannot be drawn (numpy refuses 10**12 genes, a MemoryError).
+MAX_CHROMOSOME_LENGTH = 10_000
 
 
 @dataclass(frozen=True)
@@ -68,10 +73,12 @@ class SearchConfig:
             raise ValueError("population_size must be even and >= 2")
         if self.max_evaluations < self.population_size:
             raise ValueError("max_evaluations must cover the initial population")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
+        if not 1 <= self.repetitions <= MAX_REPETITIONS:
+            raise ValueError(f"repetitions must be in [1, {MAX_REPETITIONS}]")
         if self.min_length < 2:
             raise ValueError("min_length must be >= 2")
+        if self.max_length > MAX_CHROMOSOME_LENGTH:
+            raise ValueError(f"max_length must be <= {MAX_CHROMOSOME_LENGTH}")
         # Constructors validate the remaining relations.
         self.bounds()
         self.limits()

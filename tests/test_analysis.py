@@ -93,6 +93,13 @@ def test_normalizer_rejects_empty():
         Normalizer.from_points([])
 
 
+@pytest.mark.parametrize("points", [[(0.0, 1.7976931348623157e308), (0.0, -1e308)],
+                                    [(-1e308, 0.5), (1e308, 0.5)]])
+def test_normalizer_rejects_a_range_past_the_float_range(points):
+    with pytest.raises(ValueError, match="span past the float range"):
+        Normalizer.from_points(points)
+
+
 # ===== hypervolume =====
 
 def test_hypervolume_corners():

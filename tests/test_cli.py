@@ -1,17 +1,24 @@
+import contextlib
+import csv
 import hashlib
+import io
 import json
 import os
 import platform
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from mutreduce.cache import dumps_cache, load_cache, synth_cache
 from mutreduce.cli import main
-from mutreduce.runio import read_front_csv, read_manifest
+from mutreduce.objectives import MAX_REPETITIONS
+from mutreduce.runio import FRONT_COLUMNS, read_front_csv, read_manifest
 
 
 @pytest.fixture()
@@ -538,6 +545,40 @@ def test_bad_repetitions_is_a_usage_error(cache_file, tmp_path, repetitions):
                  "--out", str(tmp_path / "replay.csv")]) == 2
 
 
+def test_oversized_repetitions_are_usage_errors(cache_file, tmp_path, capsys):
+    """Past MAX_REPETITIONS, --repetitions is refused before any array is
+    built, in all three commands, and so is such a config-file value;
+    nothing is written. At the bound itself a command runs."""
+    front = tmp_path / "front.csv"
+    front.write_text("seed,chromosome,strategy_text,time,score\n"
+                     "1,,Baseline RMS random 50%,0.5,0.5\n")
+    config = tmp_path / "train.cfg"
+    config.write_text("repetitions = 100000000000\n")
+    flag = ["--repetitions", "100000000000"]
+    for argv, message in [
+        (train_args(cache_file, tmp_path / "ge", runs=1, repetitions=100000000000),
+         "Invalid value for '--repetitions': 100000000000 is not in the range "
+         f"1<=x<={MAX_REPETITIONS}"),
+        (["baselines", "--cache", str(cache_file), *flag, "--out", str(tmp_path / "base")],
+         "Invalid value for '--repetitions'"),
+        (["evaluate", "--front", str(front), "--cache", str(cache_file), *flag,
+          "--out", str(tmp_path / "replay" / "front.csv")], "Invalid value for '--repetitions'"),
+        (["train", "--cache", str(cache_file), "--config", str(config), "--runs", "1",
+          "--out", str(tmp_path / "cfg")],
+         f"error: repetitions must be in [1, {MAX_REPETITIONS}]"),
+    ]:
+        assert main(argv) == 2, argv[0]
+        assert message in capsys.readouterr().err, argv[0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "cache.json", "front.csv", "train.cfg"]
+    assert main(["evaluate", "--front", str(front), "--cache", str(cache_file),
+                 "--repetitions", str(MAX_REPETITIONS),
+                 "--out", str(tmp_path / "replay.csv")]) == 0
+    for command in ("train", "baselines", "evaluate"):
+        assert main([command, "--help"]) == 0
+        assert f"1<=x<={MAX_REPETITIONS}" in capsys.readouterr().out, command
+
+
 # ===== evaluate =====
 
 def test_evaluate_replays_train_front_exactly(cache_file, tmp_path):
@@ -763,6 +804,155 @@ def test_csv_lines_that_cannot_be_read_are_input_errors(cache_file, tmp_path, ca
         assert main(argv) == 2, argv[0]
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+
+def test_report_labels_that_are_not_utf8_are_usage_errors(tmp_path, capsys):
+    """A report label or method name from an argument that is not UTF-8
+    (a lone surrogate once decoded) exits 2 and makes no directory."""
+    a_dir, b_dir = tmp_path / "a", tmp_path / "b"
+    for directory, point in ((a_dir, (0.1, 0.9)), (b_dir, (0.2, 0.8))):
+        directory.mkdir()
+        write_point_front(directory / "front_1.csv", 1, [point])
+    out = tmp_path / "out"
+    for label, method, flag in (("x\udcff", "b", "--label"), ("x", "b\udcff", "--runs")):
+        assert main(["report", "--runs", f"a={a_dir}", "--runs", f"{method}={b_dir}",
+                     "--label", label, "--out", str(out)]) == 2
+        assert f"{flag} must be UTF-8 text" in capsys.readouterr().err
+        assert not out.exists()
+
+
+# ===== no input reaches exit 3 =====
+
+COSTS = st.sampled_from((5e-324, 2.2250738585072014e-308, 1.0, 4.5e307,
+                         1.7976931348623157e308)) | st.floats(min_value=5e-324,
+                                                              allow_infinity=False)
+NAMES = st.text(alphabet='az0 ,;"\u00e9\u4e2d\U0001f600', min_size=1, max_size=3)
+# Ids may hold a lone surrogate too: what an argument that is not UTF-8 decodes to.
+IDS = NAMES | st.just("\udcff")
+LABELS = ("experiment", "", '\u00e9 \u4e2d,"', "x\udcff")
+RANKS = st.sampled_from((0, 1, 2**63 - 1)) | st.integers(0, 2**63 - 1)
+_VALUES = ("0.0", "-0.0", "1.0", "5e-324", "1.7976931348623157e+308",
+           "-1.7976931348623157e+308")
+# Per front column: cells that pass at the edges of the format, and cells that fail.
+GOOD_CELLS = (
+    ("0", "7", str(2**64 - 1)),
+    ("", "0", "4,2", "1" * 700),
+    ("Baseline RMS random 50%", "Baseline ROS random 100%", "Baseline SM exclude 6",
+     "Baseline SM exclude 99999999999999999999", "Execute Operators 0",
+     "Execute Operators 99999999999999999999",
+     "Retain Operators random 9223372036854775808 → Execute Operators 100%",
+     "Execute Operators 100% → Group Mutants by Operator → "
+     "Discard Groups last 0 → Sample Each Group random 0%",
+     "Execute Operators 100% → Discard Mutants random 10%"),
+    _VALUES, _VALUES,
+)
+BAD_CELLS = (("-1", str(2**64), "1.5"), ("7," + "1" * 4301, "4,x", "04"),
+             ("no strategy", "Execute Operators 101%"), ("nan", "1e309"), ("-inf", "x"))
+# train config files with values at their limits.
+CONFIGS = ("", "min_length = 2\nmax_length = 2\n", "min_length = 10000\nmax_length = 10000\n",
+           "max_length = 1000000000000\n", "gene_high = 18446744073709551616\n",
+           "gene_low = 9223372036854775807\ngene_high = 9223372036854775807\n",
+           "max_wraps = 0\nmutation_probability = 5e-324\n")
+
+
+@st.composite
+def front_rows(draw):
+    """One to three front rows of cells at the edges of the format, one cell
+    made bad in about half of the draws."""
+    rows = draw(st.lists(st.tuples(*map(st.sampled_from, GOOD_CELLS)), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        row, column = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, 4))
+        cells = list(rows[row])
+        cells[column] = draw(st.sampled_from(BAD_CELLS[column]))
+        rows[row] = tuple(cells)
+    return rows
+
+
+@st.composite
+def edge_caches(draw):
+    """A cache document at the edges of the format: one to a few records
+    per section, costs from subnormal to the float maximum, ranks up to the
+    int64 bound, non-ASCII ids, killers in any order, maybe no kill at all."""
+    operators = draw(st.lists(IDS, min_size=1, max_size=2, unique=True))
+    tests = draw(st.lists(IDS, min_size=1, max_size=3, unique=True))
+    ranks = draw(st.lists(RANKS, min_size=len(tests), max_size=len(tests), unique=True))
+    mutants = draw(st.lists(IDS, min_size=1, max_size=4, unique=True))
+    return {
+        "operators": [{"id": op, "generation_cost": draw(st.just(0.0) | COSTS)}
+                      for op in operators],
+        "tests": [{"id": test, "priority_rank": rank} for test, rank in zip(tests, ranks)],
+        "mutants": [{"id": mutant, "operator_id": draw(st.sampled_from(operators)),
+                     "exec_cost": draw(COSTS),
+                     "killers": draw(st.permutations(tests))[:draw(st.integers(0, len(tests)))]}
+                    for mutant in mutants],
+    }
+
+
+SMALL_DOCUMENT = {
+    "operators": [{"id": "op", "generation_cost": 0.0}],
+    "tests": [{"id": "t", "priority_rank": 0}],
+    "mutants": [{"id": "m", "operator_id": "op", "exec_cost": 5e-324, "killers": []}]}
+POINT_ROW = ("0", "", "Baseline RMS random 50%", "0.5", "0.5")
+
+
+def write_front_rows(path, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([FRONT_COLUMNS, *rows])
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(document=edge_caches(), rows_a=front_rows(), rows_b=front_rows(),
+       seed=st.sampled_from((0, 1, 2**64 - 1, 2**64)),
+       repetitions=st.sampled_from((1, 2, MAX_REPETITIONS)),
+       algorithm=st.sampled_from(("ge", "random")), population=st.sampled_from((2, 4)),
+       config=st.sampled_from(CONFIGS), label=st.sampled_from(LABELS),
+       methods=st.lists(NAMES.filter(str.strip), min_size=2, max_size=2, unique_by=str.strip))
+# The inputs that once reached exit 3, or exit 2 after writing.
+@example(document=SMALL_DOCUMENT, rows_a=[POINT_ROW[:3] + ("0.0", "1.7976931348623157e+308")],
+         rows_b=[POINT_ROW[:3] + ("0.0", "-1.7976931348623157e+308")], seed=0, repetitions=1,
+         algorithm="ge", population=2, config="", label="x", methods=["a", "b"])
+@example(document=SMALL_DOCUMENT, rows_a=[POINT_ROW], rows_b=[POINT_ROW], seed=0, repetitions=1,
+         algorithm="ge", population=2, config="max_length = 1000000000000\n",
+         label="x\udcff", methods=["a", "b"])
+def test_no_input_reaches_exit_three(document, rows_a, rows_b, seed, repetitions, algorithm,
+                                     population, config, label, methods):
+    """cache inspect, train, baselines, evaluate and report return 0 or 2
+    on caches, front files and flag values at the edges of their formats,
+    and a command that returns 2 writes nothing."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        cache = tmp / "cache.json"
+        cache.write_text(json.dumps(document), encoding="utf-8")
+        for name, rows in (("a", rows_a), ("b", rows_b)):
+            (tmp / name).mkdir()
+            write_front_rows(tmp / name / "front_1.csv", rows)
+        front = tmp / "b" / "front_1.csv"
+        (tmp / "train.cfg").write_text(config, encoding="utf-8")
+        # train and baselines run many evaluations; only evaluate, which
+        # replays at most three rows, runs at the bound itself.
+        small = ["--repetitions", str(min(repetitions, 2))]
+        commands = [
+            (["cache", "inspect", str(cache)], None),
+            (["train", "--cache", str(cache), "--config", str(tmp / "train.cfg"),
+              "--algorithm", algorithm, "--runs", "1", "--seed", str(seed),
+              "--population-size", str(population), "--max-evaluations", "8",
+              *small, "--out", str(tmp / "train")], tmp / "train"),
+            (["baselines", "--cache", str(cache), "--seed", str(seed), *small,
+              "--out", str(tmp / "base")], tmp / "base"),
+            (["evaluate", "--front", str(front), "--cache", str(cache),
+              "--repetitions", str(repetitions), "--out", str(tmp / "replay" / "front.csv")],
+             tmp / "replay"),
+            (["report", "--runs", f"{methods[0]}={tmp / 'a'}",
+              "--runs", f"{methods[1]}={tmp / 'b'}", "--label", label,
+              "--out", str(tmp / "report")], tmp / "report"),
+        ]
+        for argv, out in commands:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 2), f"{argv[0]} exited {code}: {err.getvalue()}"
+            if code == 2 and out is not None:
+                assert not out.exists(), f"{argv[0]} wrote {out} and exited 2"
 
 
 # ===== plumbing =====

@@ -93,6 +93,33 @@ def test_deserialize_round_trips_canonical_text(text):
     Chromosome.check_text(text)
 
 
+# Genes near 640 digits, the lowest digit limit Python lets int() be set
+# to, and past 4,300, the default one, among other cells and a leading zero.
+LONG_GENE_TEXTS = st.builds("{}{}{}".format, st.sampled_from(("", "7,", "4,x")),
+                            st.sampled_from(("1", "9", "0")).flatmap(
+                                lambda digit: st.sampled_from(
+                                    (639, 640, 641, 4300, 4301)).map(digit.__mul__)),
+                            st.sampled_from(("", ",3", ",")))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="0123456789,,, +-x\u0663", max_size=12) | LONG_GENE_TEXTS)
+@example("1" * 700)
+@example("7," + "1" * 4301)
+def test_the_two_chromosome_readers_agree(text):
+    """deserialize reads exactly the texts check_text passes, fails with the
+    same message on the others, and gives back the text it read."""
+    try:
+        chromosome = Chromosome.deserialize(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as checked:
+            Chromosome.check_text(text)
+        assert str(checked.value) == str(exc)
+    else:
+        Chromosome.check_text(text)
+        assert chromosome.serialize() == text
+
+
 def test_bounds_and_limits_validate():
     with pytest.raises(ValueError):
         GeneBounds(low=5, high=4)

@@ -5,10 +5,11 @@ import pytest
 
 from mutreduce.cache import synth_cache
 from mutreduce.genome import random_chromosome
-from mutreduce.objectives import ObjectivePair, evaluate
+from mutreduce.objectives import MAX_REPETITIONS, ObjectivePair, evaluate
 from mutreduce.pareto import point, sort_fronts
 from mutreduce.runio import front_csv_text, runlog_csv_text
-from mutreduce.search import SearchConfig, _crowding, run_evolution, run_random_search
+from mutreduce.search import (MAX_CHROMOSOME_LENGTH, SearchConfig, _crowding, run_evolution,
+                              run_random_search)
 from mutreduce.strategy import parse_strategy, strategy_from_chromosome
 
 
@@ -179,6 +180,16 @@ def test_config_rejects_wrong_types(field, value):
 def test_config_rejects_probabilities_outside_the_unit_interval(field, value):
     with pytest.raises(ValueError, match=rf"^{field} must be in \[0, 1\]$"):
         SearchConfig(seed=1, **{field: value})
+
+
+@pytest.mark.parametrize("field,bound", [("repetitions", MAX_REPETITIONS),
+                                         ("max_length", MAX_CHROMOSOME_LENGTH)])
+def test_config_bounds_repetitions_and_chromosome_length(field, bound):
+    """A config file or manifest value past the bound is an input error,
+    not an array too large to allocate."""
+    assert getattr(SearchConfig(seed=1, **{field: bound}), field) == bound
+    with pytest.raises(ValueError, match=rf"^{field} must be"):
+        SearchConfig(seed=1, **{field: 10**12})
 
 
 def test_config_accepts_integral_probabilities():
