@@ -35,7 +35,11 @@ from .cache import (MutationCache, dumps_cache, global_score, load_cache,
                     operator_yields, read_kill_matrix_csv, synth_cache)
 from .grammar import DEFAULT_GRAMMAR_TEXT, Grammar, parse_grammar
 from .objectives import MAX_REPETITIONS
-from .search import SearchConfig, run_evolution, run_random_search
+from .search import MAX_POPULATION_SIZE, SearchConfig, run_evolution, run_random_search
+
+# The most runs train and baselines accept, and a train manifest may
+# record: each run's output texts are held until all are written.
+MAX_RUNS = 1000
 
 
 @click.group(name="mutreduce")
@@ -238,6 +242,9 @@ def _read_train_manifest(manifest_path: Path) -> tuple[str, dict, str, Path, str
             f"manifest {manifest_path}: seeds must be a non-empty list of integers")
     if len(set(seeds)) < len(seeds):
         raise ValueError(f"manifest {manifest_path}: seeds must be distinct")
+    if len(seeds) > MAX_RUNS:
+        raise ValueError(f"manifest {manifest_path}: at most {MAX_RUNS} seeds, "
+                         f"got {len(seeds)}")
     recorded_numpy = manifest.get("numpy")
     if recorded_numpy is not None and recorded_numpy != np.__version__:
         click.echo(f"warning: {manifest_path} was recorded with numpy "
@@ -269,9 +276,10 @@ def _read_train_manifest(manifest_path: Path) -> tuple[str, dict, str, Path, str
               help="key = value file; explicit flags override it.")
 @click.option("--seed", type=int, default=None,
               help="Base seed; run i uses seed + i  [default: 1].")
-@click.option("--runs", type=click.IntRange(min=1), default=30, show_default=True,
+@click.option("--runs", type=click.IntRange(1, MAX_RUNS), default=30, show_default=True,
               help="Independent runs.")
-@click.option("--population-size", type=int, default=None)
+@click.option("--population-size", type=click.IntRange(2, MAX_POPULATION_SIZE), default=None,
+              help="Strategies per generation; even.")
 @click.option("--max-evaluations", type=int, default=None)
 @click.option("--repetitions", type=click.IntRange(1, MAX_REPETITIONS), default=None,
               help="Stochastic repetitions per strategy evaluation.")
@@ -350,7 +358,7 @@ def train(cache_file: Path | None, algorithm: str, grammar_path: Path | None,
               help="Comma-separated subset of RMS,ROS,SM.")
 @click.option("--seed", type=int, default=1, show_default=True,
               help="Base seed; run i uses seed + i.")
-@click.option("--runs", type=click.IntRange(min=1), default=1, show_default=True)
+@click.option("--runs", type=click.IntRange(1, MAX_RUNS), default=1, show_default=True)
 @click.option("--repetitions", type=click.IntRange(1, MAX_REPETITIONS), default=5,
               show_default=True)
 @click.option("--out", "-o", "out_dir", required=True,

@@ -31,6 +31,9 @@ GENE_HIGH = 179
 MIN_LENGTH = 15
 MAX_LENGTH = 100
 MAX_WRAPS = 10
+# Genes are drawn by rng.integers(low, high + 1), whose bound must fit
+# in an int64: high + 1 <= 2**63.
+MAX_GENE = 2**63 - 1
 
 # The chromosome text rule, for the whole text at once: ASCII digits and
 # commas only and, with a comma put at each end, no comma followed by a
@@ -49,6 +52,8 @@ class GeneBounds:
     def __post_init__(self) -> None:
         if self.low < 0 or self.high < self.low:
             raise ValueError("gene bounds must satisfy 0 <= low <= high")
+        if self.high > MAX_GENE:
+            raise ValueError(f"gene bound high must be <= 2**63 - 1, not {self.high}")
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,12 @@ from .streams import derive_seeds, row_generators
 # far past it cannot be drawn (numpy refuses 10**12 genes, a MemoryError).
 MAX_CHROMOSOME_LENGTH = 10_000
 
+# The largest population a config may ask for. A generation's rows are
+# built at once, population x repetitions generators of about 850 bytes
+# each, so at the default 5 repetitions this bound holds 20,000 x 5 x
+# 850 B, about 85 MB: what a population of 100 holds at MAX_REPETITIONS.
+MAX_POPULATION_SIZE = 20_000
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -69,8 +75,8 @@ class SearchConfig:
                 raise ValueError(f"{name} must be in [0, 1]")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.population_size < 2 or self.population_size % 2:
-            raise ValueError("population_size must be even and >= 2")
+        if not 2 <= self.population_size <= MAX_POPULATION_SIZE or self.population_size % 2:
+            raise ValueError(f"population_size must be even and in [2, {MAX_POPULATION_SIZE}]")
         if self.max_evaluations < self.population_size:
             raise ValueError("max_evaluations must cover the initial population")
         if not 1 <= self.repetitions <= MAX_REPETITIONS:
@@ -79,6 +85,8 @@ class SearchConfig:
             raise ValueError("min_length must be >= 2")
         if self.max_length > MAX_CHROMOSOME_LENGTH:
             raise ValueError(f"max_length must be <= {MAX_CHROMOSOME_LENGTH}")
+        if self.gene_high > genome.MAX_GENE:
+            raise ValueError(f"gene_high must be <= 2**63 - 1, not {self.gene_high}")
         # Constructors validate the remaining relations.
         self.bounds()
         self.limits()

@@ -402,8 +402,12 @@ def _next(stream: Iterator[str], context: str) -> str:
     return token
 
 
+# A count as render writes it: ASCII digits with no leading zero.
+_COUNT = re.compile(r"0|[1-9][0-9]*")
+
+
 def _count(token: str, what: str) -> int:
-    if not token.isdecimal():
+    if not _COUNT.fullmatch(token):
         raise StrategyParseError(f"bad {what} {token!r}")
     return int(token)
 

@@ -3,8 +3,9 @@
 Before the cache became columnar, ``loads_cache`` built one frozen record
 per operator, test and mutant, each validated in ``__post_init__``, and
 ``build_index`` copied the records into the index's arrays one mutant at a
-time. That code is kept here, unchanged but for its names, so the
-columnar loader can be checked against it: ``oracle_loads`` gives the
+time. That code is kept here, unchanged but for its names and one rule
+added since (an id must be text UTF-8 can encode), so the columnar
+loader can be checked against it: ``oracle_loads`` gives the
 same errors in the same order, and ``oracle_index`` the index-order
 columns and views of the loaded cache. The kill classes are compared as
 multisets of killer rows (``class_multiset``), since their order is free.
@@ -27,6 +28,13 @@ def _quantize(value: float) -> float:
     return float(format(float(value), ".9g"))
 
 
+def _require_utf8(record_id: str, section: str) -> None:
+    try:
+        record_id.encode("utf-8")
+    except UnicodeEncodeError:
+        raise CacheError(f"{section} {record_id!r}: id must be UTF-8 text") from None
+
+
 @dataclass(frozen=True)
 class OperatorRecord:
     id: str
@@ -35,6 +43,7 @@ class OperatorRecord:
     def __post_init__(self) -> None:
         if not self.id:
             raise CacheError("operator with empty id")
+        _require_utf8(self.id, "operator")
         cost = _quantize(self.generation_cost)
         if not math.isfinite(cost) or cost < 0:
             raise CacheError(f"operator {self.id!r}: generation_cost must be finite and >= 0")
@@ -49,6 +58,7 @@ class TestRecord:
     def __post_init__(self) -> None:
         if not self.id:
             raise CacheError("test with empty id")
+        _require_utf8(self.id, "test")
         if self.priority_rank < 0:
             raise CacheError(f"test {self.id!r}: priority_rank must be >= 0")
 
@@ -63,6 +73,7 @@ class MutantRecord:
     def __post_init__(self) -> None:
         if not self.id:
             raise CacheError("mutant with empty id")
+        _require_utf8(self.id, "mutant")
         cost = _quantize(self.exec_cost)
         if not math.isfinite(cost) or cost <= 0:
             raise CacheError(f"mutant {self.id!r}: exec_cost must be finite and > 0")

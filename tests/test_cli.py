@@ -16,9 +16,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from mutreduce.cache import dumps_cache, load_cache, synth_cache
-from mutreduce.cli import main
+from mutreduce.cli import MAX_RUNS, main
 from mutreduce.objectives import MAX_REPETITIONS
 from mutreduce.runio import FRONT_COLUMNS, read_front_csv, read_manifest
+from mutreduce.search import MAX_POPULATION_SIZE
 
 
 @pytest.fixture()
@@ -173,6 +174,25 @@ def test_deeply_nested_json_is_input_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"error: manifest {manifest} is not valid JSON: " in err
     assert not (tmp_path / "o").exists()
+
+
+def test_ids_that_are_not_utf8_are_input_errors(tmp_path, capsys):
+    """A \\ud800 escape loads as a lone surrogate, which no output can
+    encode: every command exits 2 on it before printing or writing."""
+    cache = tmp_path / "cache.json"
+    cache.write_text(json.dumps({
+        "operators": [{"id": "op", "generation_cost": 0.0}],
+        "tests": [{"id": "t1", "priority_rank": 0}],
+        "mutants": [{"id": "m\ud800", "operator_id": "op", "exec_cost": 1.0,
+                     "killers": ["t1"]}]}))
+    message = "error: mutant 'm\\ud800': id must be UTF-8 text\n"
+    for argv in (["cache", "inspect", str(cache)],
+                 ["train", "--cache", str(cache), "--runs", "1", "--population-size", "2",
+                  "--max-evaluations", "2", "--out", str(tmp_path / "ge")],
+                 ["baselines", "--cache", str(cache), "--out", str(tmp_path / "base")]):
+        assert main(argv) == 2, argv[0]
+        assert capsys.readouterr() == ("", message), argv[0]
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
 
 
 def test_costs_summing_past_the_float_range_are_input_error(tmp_path, capsys):
@@ -421,9 +441,14 @@ def test_train_manifest_rejects_unknown_algorithm(cache_file, tmp_path, capsys):
     (lambda m: m.update(seeds=[7, 7]), "manifest.json: seeds must be distinct"),
     (lambda m: m.update(seeds=[[1]]), "seeds must be a non-empty list of integers"),
     (lambda m: m.update(seeds=[1, -1]), "seed must be >= 0"),
+    (lambda m: m.update(seeds=list(range(7, 8 + MAX_RUNS))),
+     f"manifest.json: at most {MAX_RUNS} seeds, got {MAX_RUNS + 1}"),
+    (lambda m: m["config"].update(population_size=MAX_POPULATION_SIZE + 2),
+     f"population_size must be even and in [2, {MAX_POPULATION_SIZE}]"),
 ], ids=["config-not-object", "seeds-not-list", "seeds-empty",
         "population-size-string", "crossover-probability-string",
-        "seeds-repeated", "seeds-nested", "seed-negative-later"])
+        "seeds-repeated", "seeds-nested", "seed-negative-later",
+        "seeds-past-the-bound", "population-size-past-the-bound"])
 def test_train_manifest_malformed_shape_is_bad_input(cache_file, tmp_path, capsys,
                                                      monkeypatch, edit, reason):
     """Every run is checked before the first starts: no replay run trains."""
@@ -579,6 +604,35 @@ def test_oversized_repetitions_are_usage_errors(cache_file, tmp_path, capsys):
         assert f"1<=x<={MAX_REPETITIONS}" in capsys.readouterr().out, command
 
 
+def test_oversized_runs_and_populations_are_usage_errors(cache_file, tmp_path, capsys):
+    """One past MAX_RUNS or MAX_POPULATION_SIZE, --runs and
+    --population-size are refused before any list is built, and so is
+    such a config-file population; nothing is written. --help shows both
+    ranges."""
+    config = tmp_path / "train.cfg"
+    config.write_text(f"population_size = {MAX_POPULATION_SIZE + 2}\n")
+    for argv, message in [
+        (train_args(cache_file, tmp_path / "ge", runs=MAX_RUNS + 1),
+         f"Invalid value for '--runs': {MAX_RUNS + 1} is not in the range 1<=x<={MAX_RUNS}"),
+        (["baselines", "--cache", str(cache_file), "--runs", str(MAX_RUNS + 1),
+          "--out", str(tmp_path / "base")], "Invalid value for '--runs'"),
+        (train_args(cache_file, tmp_path / "ge", **{"population-size": MAX_POPULATION_SIZE + 1}),
+         f"Invalid value for '--population-size': {MAX_POPULATION_SIZE + 1} is not in the "
+         f"range 2<=x<={MAX_POPULATION_SIZE}"),
+        (["train", "--cache", str(cache_file), "--config", str(config), "--runs", "1",
+          "--out", str(tmp_path / "cfg")],
+         f"error: population_size must be even and in [2, {MAX_POPULATION_SIZE}]"),
+    ]:
+        assert main(argv) == 2, argv[0]
+        assert message in capsys.readouterr().err, argv[0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.json", "train.cfg"]
+    assert main(["train", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert f"1<=x<={MAX_RUNS}" in out and f"2<=x<={MAX_POPULATION_SIZE}" in out
+    assert main(["baselines", "--help"]) == 0
+    assert f"1<=x<={MAX_RUNS}" in capsys.readouterr().out
+
+
 # ===== evaluate =====
 
 def test_evaluate_replays_train_front_exactly(cache_file, tmp_path):
@@ -647,6 +701,18 @@ def test_evaluate_rejects_a_bad_baseline_row(cache_file, tmp_path, capsys, text,
     assert main(["evaluate", "--front", str(front), "--cache", str(cache_file),
                  "--out", str(replay)]) == 2
     assert capsys.readouterr().err == f"error: {reason}\n"
+    assert not replay.exists()
+
+
+@pytest.mark.parametrize("number", ["٣", "010"])
+def test_evaluate_rejects_a_number_render_would_not_write(cache_file, tmp_path, capsys, number):
+    front = tmp_path / "front.csv"
+    front.write_text("seed,chromosome,strategy_text,time,score\n"
+                     f"3,,Execute Operators {number}%,0.5,0.5\n", encoding="utf-8")
+    replay = tmp_path / "replay.csv"
+    assert main(["evaluate", "--front", str(front), "--cache", str(cache_file),
+                 "--out", str(replay)]) == 2
+    assert capsys.readouterr().err == f"error: bad Execute Operators percentage {number!r}\n"
     assert not replay.exists()
 
 
@@ -904,18 +970,19 @@ def write_front_rows(path, rows):
 @given(document=edge_caches(), rows_a=front_rows(), rows_b=front_rows(),
        seed=st.sampled_from((0, 1, 2**64 - 1, 2**64)),
        repetitions=st.sampled_from((1, 2, MAX_REPETITIONS)),
-       algorithm=st.sampled_from(("ge", "random")), population=st.sampled_from((2, 4)),
+       algorithm=st.sampled_from(("ge", "random")), runs=st.sampled_from((1, MAX_RUNS + 1)),
+       population=st.sampled_from((2, 4, MAX_POPULATION_SIZE, MAX_POPULATION_SIZE + 2, 2**64)),
        config=st.sampled_from(CONFIGS), label=st.sampled_from(LABELS),
        methods=st.lists(NAMES.filter(str.strip), min_size=2, max_size=2, unique_by=str.strip))
 # The inputs that once reached exit 3, or exit 2 after writing.
 @example(document=SMALL_DOCUMENT, rows_a=[POINT_ROW[:3] + ("0.0", "1.7976931348623157e+308")],
          rows_b=[POINT_ROW[:3] + ("0.0", "-1.7976931348623157e+308")], seed=0, repetitions=1,
-         algorithm="ge", population=2, config="", label="x", methods=["a", "b"])
+         algorithm="ge", runs=1, population=2, config="", label="x", methods=["a", "b"])
 @example(document=SMALL_DOCUMENT, rows_a=[POINT_ROW], rows_b=[POINT_ROW], seed=0, repetitions=1,
-         algorithm="ge", population=2, config="max_length = 1000000000000\n",
+         algorithm="ge", runs=1, population=2, config="max_length = 1000000000000\n",
          label="x\udcff", methods=["a", "b"])
 def test_no_input_reaches_exit_three(document, rows_a, rows_b, seed, repetitions, algorithm,
-                                     population, config, label, methods):
+                                     runs, population, config, label, methods):
     """cache inspect, train, baselines, evaluate and report return 0 or 2
     on caches, front files and flag values at the edges of their formats,
     and a command that returns 2 writes nothing."""
@@ -934,11 +1001,11 @@ def test_no_input_reaches_exit_three(document, rows_a, rows_b, seed, repetitions
         commands = [
             (["cache", "inspect", str(cache)], None),
             (["train", "--cache", str(cache), "--config", str(tmp / "train.cfg"),
-              "--algorithm", algorithm, "--runs", "1", "--seed", str(seed),
+              "--algorithm", algorithm, "--runs", str(runs), "--seed", str(seed),
               "--population-size", str(population), "--max-evaluations", "8",
               *small, "--out", str(tmp / "train")], tmp / "train"),
-            (["baselines", "--cache", str(cache), "--seed", str(seed), *small,
-              "--out", str(tmp / "base")], tmp / "base"),
+            (["baselines", "--cache", str(cache), "--seed", str(seed), "--runs", str(runs),
+              *small, "--out", str(tmp / "base")], tmp / "base"),
             (["evaluate", "--front", str(front), "--cache", str(cache),
               "--repetitions", str(repetitions), "--out", str(tmp / "replay" / "front.csv")],
              tmp / "replay"),
@@ -953,6 +1020,19 @@ def test_no_input_reaches_exit_three(document, rows_a, rows_b, seed, repetitions
             assert code in (0, 2), f"{argv[0]} exited {code}: {err.getvalue()}"
             if code == 2 and out is not None:
                 assert not out.exists(), f"{argv[0]} wrote {out} and exited 2"
+
+
+def test_a_gene_bound_past_int64_names_its_key(cache_file, tmp_path, capsys):
+    """The property's config draws gene_high = 2**64; a draw needs
+    gene_high + 1 to fit in an int64, so the config is refused, naming
+    gene_high and its bound, before any run starts."""
+    config = tmp_path / "train.cfg"
+    config.write_text("gene_high = 18446744073709551616\n")
+    assert main(["train", "--cache", str(cache_file), "--config", str(config), "--runs", "1",
+                 "--out", str(tmp_path / "ge")]) == 2
+    assert capsys.readouterr().err == (
+        "error: gene_high must be <= 2**63 - 1, not 18446744073709551616\n")
+    assert not (tmp_path / "ge").exists()
 
 
 # ===== plumbing =====

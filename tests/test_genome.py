@@ -127,6 +127,15 @@ def test_bounds_and_limits_validate():
         LengthLimits(min=0, max=10)
 
 
+def test_gene_bounds_stop_where_a_draw_can_reach():
+    """Genes are drawn below high + 1, which must fit in an int64."""
+    top = GeneBounds(low=2**63 - 1, high=2**63 - 1)
+    assert random_chromosome(np.random.default_rng(0), top).genes[0] == 2**63 - 1
+    with pytest.raises(ValueError, match=r"^gene bound high must be <= 2\*\*63 - 1, "
+                                         r"not 9223372036854775808$"):
+        GeneBounds(low=0, high=2**63)
+
+
 # ===== random_chromosome =====
 
 def test_random_chromosomes_respect_bounds_and_lengths():

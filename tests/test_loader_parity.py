@@ -4,6 +4,8 @@
 replaced. Every index array must match it in values and dtype, and every
 bad document must fail with the oracle's message, except the value types
 the columnar loader reads strictly (``test_strict_types_are_malformed``).
+A saved file read a chunk of records at a time must give the cache or
+the error the whole-document reading gives.
 """
 
 import hashlib
@@ -16,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cache_oracle import class_multiset, oracle_index, oracle_loads
+from mutreduce import cache as cache_module
 from mutreduce.cache import (CacheError, _quantize, dumps_cache, loads_cache,
                              synth_cache)
 from mutreduce.index import build_index
@@ -239,6 +242,16 @@ BAD_DOCUMENTS = {
         {"id": "t3", "priority_rank": 1}]),
     "index order, unknown killer ending an ascending row": document(mutants=[
         mutant(id="m1", killers=("t1", "t2")), mutant(id="m2", killers=("t1", "t2", "tX"))]),
+    # A \ud800 escape loads as a lone surrogate, which no output can encode.
+    "operator id not UTF-8": document(operators=[{"id": "o\ud800", "generation_cost": 1.0}],
+                                      mutants=[mutant(operator_id="o\ud800")]),
+    "test id not UTF-8": document(tests=[{"id": "t1", "priority_rank": 0},
+                                         {"id": "\udcff", "priority_rank": 1}]),
+    "mutant id not UTF-8 beats its own bad cost": document(mutants=[
+        mutant(id="m0"), mutant(id="m\udcff", exec_cost=-1)]),
+    "earlier bad cost beats a mutant id not UTF-8": document(mutants=[
+        mutant(id="m0", exec_cost=-1), mutant(id="m\udcff")]),
+    "empty id beats an id not UTF-8": document(mutants=[mutant(id=""), mutant(id="\ud800")]),
 }
 
 
@@ -300,3 +313,101 @@ def test_strict_types_are_malformed(name):
         oracle_loads(text)  # the record loader accepted it
     else:
         assert oracle_message(text) == oracle
+
+
+# ===== the chunked reading of saved files =====
+
+def whole_document(text):
+    return cache_module._from_document(cache_module._parse_json(text))
+
+
+def outcome(load, text):
+    """The cache load(text) builds, or the type and message of its error."""
+    try:
+        return load(text)
+    except ValueError as exc:  # CacheError, or int's digit limit in a JSON number
+        return type(exc), str(exc)
+
+
+def _set_field(field, value):
+    def defect(doc, pick):
+        doc["mutants"][pick()][field] = value
+    return defect
+
+
+def _unknown_killer(doc, pick):
+    doc["mutants"][pick()]["killers"].append("not a test")
+
+
+def _duplicate_mutant_id(doc, pick):
+    doc["mutants"][pick()]["id"] = doc["mutants"][pick()]["id"]
+
+
+def _in_text(old, new, count=1):
+    def defect(text, pick):
+        assert old in text
+        return text.replace(old, new, count)
+    return defect
+
+
+def _in_a_record(old, new):
+    """Replace old by new in the text of one mutant record."""
+    def defect(text, pick):
+        head, tail = text.split('\n ],\n "operators": [', 1)
+        records = head.split("\n  },\n  {")
+        i = pick()
+        records[i] = records[i].replace(old, new, 1)
+        return "\n  },\n  {".join(records) + '\n ],\n "operators": [' + tail
+    return defect
+
+
+DOCUMENT_DEFECTS = {
+    "bad cost": _set_field("exec_cost", -1.0),
+    "unknown killer": _unknown_killer,
+    "unknown operator": _set_field("operator_id", "not an operator"),
+    "wrong type": _set_field("killers", "t"),
+    "duplicate id": _duplicate_mutant_id,
+}
+TEXT_DEFECTS = {
+    "repeated top-level key": _in_text("\n}\n", ',\n "mutants": []\n}\n'),
+    "repeated key in an operator": _in_text('"generation_cost"', '"id": "x", "generation_cost"'),
+    "extra top-level key": _in_text("\n}\n", ',\n "extra": 1\n}\n'),
+    "trailing garbage": _in_text("\n}\n", "\n}\nx"),
+    "bad JSON in a chunk": _in_a_record('"exec_cost": ', '"exec_cost" '),
+    "deep nesting": _in_a_record('"killers": [', '"killers": ' + "[" * 100_000 + "]" * 99_999),
+    # An extra field is ignored, but int() refuses its 5,000 digits.
+    "number past the digit limit": _in_a_record('"exec_cost": ', '"x": ' + "1" * 5000
+                                                + ', "exec_cost": '),
+}
+LAYOUTS = {
+    "compact": lambda doc: json.dumps(doc),
+    "keys reordered": lambda doc: json.dumps(
+        {key: doc[key] for key in ("operators", "tests", "mutants")}, indent=1),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=cache_documents(), data=st.data(),
+       defect=st.sampled_from([None, *DOCUMENT_DEFECTS, *TEXT_DEFECTS, *LAYOUTS]))
+def test_chunked_reading_matches_the_whole_document(text, data, defect):
+    """With chunks of 64 characters, a saved file is read a record or two
+    at a time. Clean, or with one defect, it gives the cache or the error
+    the whole-document path gives; a file in any other layout is read
+    whole."""
+    saved = dumps_cache(loads_cache(text))
+    doc = json.loads(saved)
+    pick = lambda: data.draw(st.integers(0, len(doc["mutants"]) - 1))  # noqa: E731
+    if defect in DOCUMENT_DEFECTS:
+        DOCUMENT_DEFECTS[defect](doc, pick)
+        saved = json.dumps(doc, sort_keys=True, indent=1) + "\n"  # dumps_cache's layout
+    elif defect in TEXT_DEFECTS:
+        saved = TEXT_DEFECTS[defect](saved, pick)
+    elif defect in LAYOUTS:
+        saved = LAYOUTS[defect](doc)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cache_module, "CHUNK_CHARS", 64)
+        chunked = cache_module._chunked_sections(saved) is not None
+        assert outcome(loads_cache, saved) == outcome(whole_document, saved)
+    # The checks after the mutant fields are shared: a bad cost or a
+    # duplicate id is found there, on either path.
+    assert chunked == (defect in (None, "bad cost", "duplicate id"))

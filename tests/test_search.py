@@ -8,8 +8,8 @@ from mutreduce.genome import random_chromosome
 from mutreduce.objectives import MAX_REPETITIONS, ObjectivePair, evaluate
 from mutreduce.pareto import point, sort_fronts
 from mutreduce.runio import front_csv_text, runlog_csv_text
-from mutreduce.search import (MAX_CHROMOSOME_LENGTH, SearchConfig, _crowding, run_evolution,
-                              run_random_search)
+from mutreduce.search import (MAX_CHROMOSOME_LENGTH, MAX_POPULATION_SIZE, SearchConfig,
+                              _crowding, run_evolution, run_random_search)
 from mutreduce.strategy import parse_strategy, strategy_from_chromosome
 
 
@@ -190,6 +190,18 @@ def test_config_bounds_repetitions_and_chromosome_length(field, bound):
     assert getattr(SearchConfig(seed=1, **{field: bound}), field) == bound
     with pytest.raises(ValueError, match=rf"^{field} must be"):
         SearchConfig(seed=1, **{field: 10**12})
+
+
+@pytest.mark.parametrize("size", [0, 3, MAX_POPULATION_SIZE + 1, MAX_POPULATION_SIZE + 2])
+def test_config_bounds_the_population(size):
+    """A population is even and at most MAX_POPULATION_SIZE: one message
+    for each way out."""
+    budget = 2 * MAX_POPULATION_SIZE
+    assert SearchConfig(seed=1, population_size=MAX_POPULATION_SIZE,
+                        max_evaluations=budget).population_size == MAX_POPULATION_SIZE
+    with pytest.raises(ValueError, match=rf"^population_size must be even and in "
+                                         rf"\[2, {MAX_POPULATION_SIZE}\]$"):
+        SearchConfig(seed=1, population_size=size, max_evaluations=budget)
 
 
 def test_config_accepts_integral_probabilities():

@@ -147,6 +147,26 @@ def test_parse_rejects_malformed_text():
         parse_strategy("Execute Operators 100% → Retain Mutants random 999%")
 
 
+@pytest.mark.parametrize("text", [
+    "Execute Operators ٣%",  # an Arabic-Indic digit: decimal, but not ASCII
+    "Execute Operators 010%",
+    "Execute Operators 00",
+    "Discard Operators highest-yield 07",
+    "Execute Operators 100% → Group Mutants by Operator → "
+    "Retain Groups first ٢ → Sample Each Group random 10%",
+])
+def test_numbers_are_exactly_the_ones_render_writes(text):
+    """A count is ASCII digits with no leading zero, as render writes it."""
+    with pytest.raises(StrategyParseError, match="bad"):
+        parse_strategy(text)
+
+
+def test_zero_is_a_number_render_writes():
+    for text in ("Execute Operators 0", "Execute Operators 0%",
+                 "Discard Operators highest-yield 0"):
+        assert render(parse_strategy(text)) == text
+
+
 def test_tokens_build_the_same_tree_as_text():
     tokens = [
         "Discard Operators", "highest-yield", "1",
