@@ -14,10 +14,12 @@ priority_rank, and each mutant's killers (the CSR ``killer_indptr`` /
 ``killer_tests``, positions in ``test_ids``) by ascending test position,
 so a mutant's first killer opens its row. Iterating mutant positions
 ascending is the id-ordered processing every tie-break rule in the
-package is defined on. ``loads_cache`` goes from the parsed JSON straight
-to file-order columns, validates them with vectorised checks (so errors
-name the first bad record in file order), then reorders them once;
-``MutationCache.from_records`` runs the same steps on record objects.
+package is defined on. Every producer builds file-order columns and
+ends in ``_checked_cache``, which validates them with vectorised checks
+(so errors name the first bad record in file order), then reorders them
+once: ``loads_cache`` from the parsed JSON, ``MutationCache.from_records``
+from record objects, ``read_kill_matrix_csv`` from a kill matrix's rows,
+and ``synth_cache`` from its draws.
 A text in the layout ``dumps_cache`` writes is parsed a chunk of
 ``CHUNK_CHARS`` characters of mutant records at a time, each chunk's
 objects freed before the next is parsed, so a load holds one chunk of
@@ -175,12 +177,12 @@ class MutationCache:
     """Validated, immutable columns of one mutation run, in index order.
 
     The constructor takes the columns as they are, already in index order;
-    ``loads_cache`` and ``from_records`` check them and reorder them
-    first: ids are unique per section, every mutant references a defined
-    operator, every killer references a defined test at most once,
-    priority ranks are unique, costs are finite (operators >= 0, mutants
-    > 0), and all three sections are non-empty. Equality compares the
-    columns.
+    ``_checked_cache``, which every producer calls, checks them and
+    reorders them first: ids are unique per section, every mutant
+    references a defined operator, every killer references a defined test
+    at most once, priority ranks are unique, costs are finite (operators
+    >= 0, mutants > 0), and all three sections are non-empty. Equality
+    compares the columns.
     """
 
     operator_ids: tuple[str, ...]
@@ -758,9 +760,9 @@ def _from_document(doc: dict) -> MutationCache:
 
 def _checked_cache(head: _Head, mutants: _Mutants, malformed: CacheError | None) -> MutationCache:
     """Check the mutants, then the sections together, and reorder the
-    columns into index order: the part of ``_from_document`` both load
-    paths share. malformed, the error of a malformed mutant record, is
-    raised after the records before it are checked."""
+    columns into index order: the one place every producer's columns
+    pass. malformed, the error of a malformed mutant record, is raised
+    after the records before it are checked."""
     operator_ids, generation_cost, test_ids, priority_rank = head
     mutant_ids, exec_cost, op_codes, killer_indptr, killer_codes = mutants[:5]
     rows_increasing = _rows_increasing(killer_indptr, killer_codes)
@@ -917,51 +919,70 @@ def read_kill_matrix_csv(path: str | Path) -> MutationCache:
 
     Expected columns: mutant_id, operator_id, exec_cost, killed_by, where
     killed_by lists the killing test ids separated by ';' (empty for
-    surviving mutants). Operators and tests are inferred: operators get
-    generation cost 0 (the CSV carries none), and tests are ranked by
-    ascending id.
+    surviving mutants). A UTF-8 byte-order mark may open the file.
+    Operators and tests are inferred: operators get generation cost 0
+    (the CSV carries none), and tests are ranked by ascending id.
+
+    Lines are read as ``csv.DictReader`` reads them: the first is the
+    header, a repeated column name takes its last position, blank rows
+    are skipped and extra cells ignored. Each row goes straight into
+    file-order columns, its operator and killer names coded in first-seen
+    order. Once the file is read, the first of these raises: a line csv
+    or UTF-8 cannot read, no rows, a row missing a cell, no killing test,
+    a bad exec_cost, an empty operator id; then ``_checked_cache`` checks
+    and reorders the columns as it does a cache file's.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+    ids, operator_codes, exec_cost, killer_counts, killer_codes = [], [], [], [], []
+    operators: dict[str, int] = {}
+    tests: dict[str, int] = {}
+    short_row = bad_cost = None
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
         try:
-            if reader.fieldnames is None or not set(_MATRIX_COLUMNS).issubset(reader.fieldnames):
-                raise CacheError(
-                    f"kill-matrix CSV must have columns {sorted(_MATRIX_COLUMNS)}, "
-                    f"got {reader.fieldnames}"
-                )
-            rows = list(reader)
+            header = next(reader, None)
+            if header is None or not set(_MATRIX_COLUMNS).issubset(header):
+                raise CacheError(f"kill-matrix CSV must have columns "
+                                 f"{sorted(_MATRIX_COLUMNS)}, got {header}")
+            last = {name: i for i, name in enumerate(header)}
+            at = [last[name] for name in _MATRIX_COLUMNS]
+            width = max(at) + 1
+            for row in reader:
+                if short_row is not None or not row:
+                    continue
+                if len(row) < width:
+                    short_row = row
+                    continue
+                mutant, operator, cost, killed_by = map(row.__getitem__, at)
+                ids.append(mutant)
+                operator_codes.append(operators.setdefault(operator, len(operators)))
+                try:
+                    exec_cost.append(float(cost))
+                except ValueError:
+                    exec_cost.append(math.nan)
+                    bad_cost = mutant if bad_cost is None else bad_cost
+                names = [name for name in killed_by.split(";") if name]
+                killer_counts.append(len(names))
+                killer_codes.extend([tests.setdefault(name, len(tests)) for name in names])
         except (csv.Error, UnicodeDecodeError) as exc:
-            where = unreadable_line(reader.reader, exc)  # DictReader's line_num lags a row
-            raise CacheError(f"kill-matrix CSV {path}, {where}") from exc
-    if not rows:
+            raise CacheError(f"kill-matrix CSV {path}, {unreadable_line(reader, exc)}") from exc
+    if short_row is not None:
+        missing = next(name for name, i in zip(_MATRIX_COLUMNS, at) if i >= len(short_row))
+        mutant = short_row[at[0]] if at[0] < len(short_row) else None
+        raise CacheError(f"mutant {mutant!r}: row has no {missing} cell")
+    if not ids:
         raise CacheError("kill-matrix CSV has no rows")
-    for row in rows:
-        missing = [column for column in _MATRIX_COLUMNS if row[column] is None]
-        if missing:
-            raise CacheError(f"mutant {row['mutant_id']!r}: row has no {missing[0]} cell")
-    test_ids = sorted({
-        killer
-        for row in rows
-        for killer in row["killed_by"].split(";")
-        if killer
-    })
-    if not test_ids:
+    if not tests:
         raise CacheError("kill-matrix CSV defines no killing tests")
-    mutants = []
-    for row in rows:
-        try:
-            cost = float(row["exec_cost"])
-        except ValueError as exc:
-            raise CacheError(f"mutant {row['mutant_id']!r}: bad exec_cost") from exc
-        mutants.append({"id": row["mutant_id"], "operator_id": row["operator_id"],
-                        "exec_cost": cost,
-                        "killers": [k for k in row["killed_by"].split(";") if k]})
-    return _from_document({
-        "operators": [{"id": o, "generation_cost": 0.0}
-                      for o in sorted({m["operator_id"] for m in mutants})],
-        "tests": [{"id": t, "priority_rank": r} for r, t in enumerate(test_ids)],
-        "mutants": mutants,
-    })
+    if bad_cost is not None:
+        raise CacheError(f"mutant {bad_cost!r}: bad exec_cost")
+    operator_ids, test_ids = tuple(operators), tuple(tests)
+    _check_records("operator", operator_ids, [])
+    head = _Head(operator_ids, np.zeros(len(operator_ids)),
+                 test_ids, _inverse(_ascending(test_ids)).astype(np.int64))
+    mutants = _Mutants(tuple(ids), _costs(exec_cost), np.array(operator_codes, dtype=np.int64),
+                       _csr(np.array(killer_counts, dtype=np.int64)),
+                       np.array(killer_codes, dtype=np.int64), [], [])
+    return _checked_cache(head, mutants, None)
 
 
 # ===== Synthetic caches =====
@@ -1003,9 +1024,10 @@ def synth_cache(
        collapses each operator's killable mutants onto one killer set;
        redundancy 0 gives almost every mutant its own.
 
-    The columns are built directly, already in index order: ids are
-    distinct and ascending, each test's rank is its position, killer rows
-    are sorted, and every reference is in range by construction.
+    The columns are drawn already in index order: ids are distinct and
+    ascending, each test's rank is its position, killer rows are sorted,
+    and every reference is in range. ``_checked_cache`` checks them as it
+    does a loaded cache's, and finds nothing to reorder.
     """
     if n_operators < 1 or n_mutants < 1 or n_tests < 1:
         raise ValueError("n_operators, n_mutants and n_tests must all be >= 1")
@@ -1051,38 +1073,12 @@ def synth_cache(
         for mutant, slot in zip(members.tolist(), assignment.tolist()):
             killers_of[mutant] = pool[slot]
 
-    return MutationCache(
-        operator_ids=tuple(f"op{i:0{op_width}d}" for i in range(n_operators)),
-        generation_cost=_quantize(generation_cost),
-        test_ids=tuple(f"t{i:0{test_width}d}" for i in range(n_tests)),
-        priority_rank=np.arange(n_tests, dtype=np.int64),
-        mutant_ids=tuple(f"m{i:0{mut_width}d}" for i in range(n_mutants)),
-        mutant_operator=owner.astype(np.int32),
-        exec_cost=_quantize(exec_costs),
-        killer_indptr=_csr(np.fromiter(map(len, killers_of), dtype=np.int64, count=n_mutants)),
-        killer_tests=np.concatenate(killers_of),
-    )
-
-
-def reroll_killers(cache: MutationCache, fraction: float, seed: int) -> MutationCache:
-    """Clone a cache with the killer sets of a fraction of mutants redrawn.
-
-    Models drift between two versions of a subject: round(fraction * |M|)
-    mutants (chosen uniformly) get a fresh killer set drawn over the same
-    tests with the same expected size distribution used by synth_cache.
-    """
-    if not 0 <= fraction <= 1:
-        raise ValueError("fraction must be in [0, 1]")
-    n = len(cache.mutant_ids)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), n)))
-    n_reroll = int(fraction * n + 0.5)
-    chosen = sorted(set(rng.choice(n, size=n_reroll, replace=False).tolist())) if n_reroll else []
-    n_tests = len(cache.test_ids)
-    rows = np.split(cache.killer_tests, cache.killer_indptr[1:-1])
-    for i in chosen:
-        size = 1 + min(int(rng.geometric(0.45)) - 1, n_tests - 1)
-        rows[i] = np.sort(rng.choice(n_tests, size=size, replace=False)).astype(np.int32)
-    return dataclasses.replace(
-        cache,
-        killer_indptr=_csr(np.fromiter(map(len, rows), dtype=np.int64, count=n)),
-        killer_tests=np.concatenate(rows))
+    head = _Head(tuple(f"op{i:0{op_width}d}" for i in range(n_operators)),
+                 _quantize(generation_cost),
+                 tuple(f"t{i:0{test_width}d}" for i in range(n_tests)),
+                 np.arange(n_tests, dtype=np.int64))
+    mutants = _Mutants(tuple(f"m{i:0{mut_width}d}" for i in range(n_mutants)),
+                       _quantize(exec_costs), owner,
+                       _csr(np.fromiter(map(len, killers_of), dtype=np.int64, count=n_mutants)),
+                       np.concatenate(killers_of), [], [])
+    return _checked_cache(head, mutants, None)

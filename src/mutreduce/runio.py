@@ -39,7 +39,7 @@ from .baselines import baseline_strategy
 from .cache import MutationCache, unreadable_line
 from .genome import Chromosome
 from .search import EvaluatedStrategy, Front, GenerationStat, SearchConfig
-from .strategy import parse_strategy
+from .strategy import _COUNT, parse_strategy
 from .streams import row_generators
 
 FRONT_COLUMNS = ("seed", "chromosome", "strategy_text", "time", "score")
@@ -124,7 +124,11 @@ def _front_rows(path: str | Path, chromosome_of: Callable[[str], object]) -> Ite
                     if len(row) != len(FRONT_COLUMNS):
                         raise ValueError(f"expected {len(FRONT_COLUMNS)} cells, got {len(row)}")
                     seed, chromosome, text, time, score = row
-                    time, score, seed = float(time), float(score), int(seed)
+                    time, score = float(time), float(score)
+                    # As front_csv_text writes a seed; a negative one is refused below.
+                    if not _COUNT.fullmatch(seed.removeprefix("-")) or seed == "-0":
+                        raise ValueError(f"bad seed {seed!r}")
+                    seed = int(seed)
                     chromosome = chromosome_of(chromosome) if chromosome else None
                     if seed < 0:
                         raise ValueError(f"seed must be non-negative, got {seed}")

@@ -402,7 +402,8 @@ def _next(stream: Iterator[str], context: str) -> str:
     return token
 
 
-# A count as render writes it: ASCII digits with no leading zero.
+# A count as render writes it: ASCII digits with no leading zero. A front
+# file's seed cell is spelled the same way (runio).
 _COUNT = re.compile(r"0|[1-9][0-9]*")
 
 

@@ -17,13 +17,14 @@ import time
 import numpy as np
 import pytest
 
+from drift import reroll_killers
 from kw_permutation import kruskal_wallis_permutation
 from mutreduce.analysis import (a12, compare_experiment, hypervolume, igd,
                                 kruskal_wallis)
 from mutreduce.baselines import BASELINES, baseline_front, baseline_strategy
 from mutreduce.cache import (MutantRecord, MutationCache, OperatorRecord,
                              TestRecord, dumps_cache, global_score,
-                             reroll_killers, synth_cache)
+                             synth_cache)
 from mutreduce.cli import main
 from mutreduce.genome import (Chromosome, MAX_WRAPS, MappingStatus, crossover,
                               duplicate, map_chromosome, mutate, prune,

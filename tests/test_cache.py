@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drift import reroll_killers
 from mutreduce.cache import (CacheError, MutantRecord, MutationCache,
                              OperatorRecord, TestRecord, dumps_cache,
                              global_score, load_cache, loads_cache,
                              operator_yields, read_kill_matrix_csv,
-                             reroll_killers, save_cache, synth_cache)
+                             save_cache, synth_cache)
 
 
 def test_total_cost_is_sum_of_all_cost_fields(tiny_cache):
@@ -342,6 +343,21 @@ def test_kill_matrix_rejects_missing_columns(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("mutant_id,exec_cost\nm1,1.0\n", encoding="utf-8")
     with pytest.raises(CacheError, match="columns"):
+        read_kill_matrix_csv(path)
+
+
+def test_kill_matrix_may_open_with_a_byte_order_mark(tmp_path):
+    """Spreadsheets and Windows tools open a UTF-8 CSV with a byte-order
+    mark. The import reads past it, and counts lines as without it."""
+    path = tmp_path / "matrix.csv"
+    rows = "mutant_id,operator_id,exec_cost,killed_by\nm1,opA,1.5,t1\n"
+    path.write_text(rows, encoding="utf-8")
+    plain = read_kill_matrix_csv(path)
+    path.write_text(rows, encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert read_kill_matrix_csv(path) == plain
+    path.write_text(rows + "m2,opA,1.5," + "t" * 200_000 + "\n", encoding="utf-8-sig")
+    with pytest.raises(CacheError, match="line 3: field larger than field limit"):
         read_kill_matrix_csv(path)
 
 

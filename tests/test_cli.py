@@ -677,7 +677,8 @@ def test_evaluate_on_other_cache_changes_objectives(cache_file, tmp_path):
     ("-3,,Execute Operators 100%,0.5,0.5", "seed must be non-negative, got -3"),
     ("3,1;2,Execute Operators 100%,0.5,0.5", "bad chromosome text '1;2'"),
     ('3,"+3,04",Execute Operators 100%,0.5,0.5', "bad chromosome text '+3,04'"),
-], ids=["negative seed", "malformed chromosome", "non-canonical genes"])
+    ("1_0,,Execute Operators 100%,0.5,0.5", "bad seed '1_0'"),
+], ids=["negative seed", "malformed chromosome", "non-canonical genes", "non-canonical seed"])
 def test_evaluate_rejects_a_bad_front_row(cache_file, tmp_path, capsys, row, reason):
     front = tmp_path / "front.csv"
     front.write_text("seed,chromosome,strategy_text,time,score\n" + row + "\n")
@@ -821,6 +822,20 @@ def test_report_rejects_non_finite_front_values(tmp_path, capsys, point):
     assert main(["report", "--runs", f"ge={a_dir}", "--runs", f"rms={b_dir}",
                  "--out", str(out)]) == 2
     assert f"front file {b_dir / 'front_1.csv'}, line 3: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_report_rejects_a_seed_front_csv_text_would_not_write(tmp_path, capsys):
+    a_dir, b_dir = tmp_path / "a", tmp_path / "b"
+    a_dir.mkdir()
+    b_dir.mkdir()
+    write_point_front(a_dir / "front_1.csv", 1, [(0.1, 0.9)])
+    write_point_front(b_dir / "front_1.csv", "007", [(0.2, 0.8)])
+    out = tmp_path / "out"
+    assert main(["report", "--runs", f"ge={a_dir}", "--runs", f"rms={b_dir}",
+                 "--out", str(out)]) == 2
+    assert (f"front file {b_dir / 'front_1.csv'}, line 2: bad seed '007'"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 

@@ -8,19 +8,22 @@ A saved file read a chunk of records at a time must give the cache or
 the error the whole-document reading gives.
 """
 
+import csv
 import hashlib
+import io
 import json
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cache_oracle import class_multiset, oracle_index, oracle_loads
+from matrix_oracle import oracle_matrix
 from mutreduce import cache as cache_module
 from mutreduce.cache import (CacheError, _quantize, dumps_cache, loads_cache,
-                             synth_cache)
+                             read_kill_matrix_csv, synth_cache)
 from mutreduce.index import build_index
 
 
@@ -411,3 +414,115 @@ def test_chunked_reading_matches_the_whole_document(text, data, defect):
     # The checks after the mutant fields are shared: a bad cost or a
     # duplicate id is found there, on either path.
     assert chunked == (defect in (None, "bad cost", "duplicate id"))
+
+
+# ===== the kill-matrix import =====
+
+MATRIX_COLUMNS = ("mutant_id", "operator_id", "exec_cost", "killed_by")
+NAMES = st.text(alphabet='ab_é,"\n', min_size=1, max_size=3)
+GOOD_COST_TEXTS = st.one_of(st.sampled_from(["1", "0.5", " 7", "1_0", "1e-3", "3.14159265358979"]),
+                            COSTS.map(repr))
+BAD_COST_TEXTS = ["x", "", "nan", "inf", "-1", "0", "-0.0", "1e400", "1" * 400]
+# What can be wrong with one row, and with the file as a whole. A row is
+# often sound; the two faults whose order the import decides itself (a
+# missing cell before a bad cost) come twice as often as the rest.
+ROW_FAULTS = (None, None, "short row", "short row", "bad cost", "bad cost", "empty mutant id",
+              "empty operator id", "duplicate killer", "repeated mutant id", "long row",
+              "cell past the field limit")
+FILE_DEFECTS = (None, None, None, None, "no rows", "no killing tests", "missing column",
+                "renamed column", "blank header", "not UTF-8")
+
+
+@st.composite
+def kill_matrix_files(draw):
+    """The bytes of a kill-matrix file: its columns in any order, perhaps
+    repeated (the last of a name holds its value, the others junk), extra
+    columns, blank lines, either line ending, perhaps a byte-order mark.
+    Clean, or with a defect of the file and faults in some of its rows,
+    so that which error comes first is checked too."""
+    clean = draw(st.integers(0, 2)) == 0
+    defect = None if clean else draw(st.sampled_from(FILE_DEFECTS))
+    header = list(draw(st.permutations(
+        MATRIX_COLUMNS + tuple(draw(st.lists(st.sampled_from(["note", *MATRIX_COLUMNS]),
+                                             max_size=2))))))
+    column = draw(st.sampled_from(MATRIX_COLUMNS))
+    if defect == "missing column":
+        header = [name for name in header if name != column]
+    if defect == "renamed column":
+        header = [name.upper() if name == column else name for name in header]
+    last = {name: i for i, name in enumerate(header)}
+    tests = draw(st.lists(NAMES.filter(lambda name: ";" not in name), min_size=1, max_size=5,
+                          unique=True))
+    operators = draw(st.lists(NAMES, min_size=1, max_size=4, unique=True))
+    mutants = draw(st.lists(NAMES, min_size=1, max_size=8, unique=True))
+    rows = []
+    for mutant in mutants:
+        killers = draw(st.lists(st.sampled_from(tests), min_size=not rows, max_size=3,
+                                unique=True))
+        record = {"mutant_id": mutant, "operator_id": draw(st.sampled_from(operators)),
+                  "exec_cost": draw(GOOD_COST_TEXTS),
+                  "killed_by": ";".join(killers + [""] * draw(st.integers(0, 1)))}
+        fault = None if clean else draw(st.sampled_from(ROW_FAULTS))
+        if fault == "bad cost":
+            record["exec_cost"] = draw(st.sampled_from(BAD_COST_TEXTS))
+        elif fault == "empty mutant id":
+            record["mutant_id"] = ""
+        elif fault == "empty operator id":
+            record["operator_id"] = ""
+        elif fault == "duplicate killer":
+            record["killed_by"] = "tt;" + record["killed_by"] + ";tt"
+        elif fault == "repeated mutant id":
+            record["mutant_id"] = mutants[0]
+        if defect == "no killing tests":
+            record["killed_by"] = draw(st.sampled_from(["", ";"]))
+        row = [record.get(name, "junk") if last[name] == i else "junk"
+               for i, name in enumerate(header)]
+        if fault == "short row":
+            del row[draw(st.integers(0, len(row) - 1)):]
+        elif fault == "long row":
+            row += ["x", ""]
+        elif fault == "cell past the field limit":
+            row.append("x" * (csv.field_size_limit() + 1))
+        rows.append(row)
+    if defect == "no rows":
+        rows.clear()
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), [])
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
+    writer.writerow([] if defect == "blank header" else header)
+    writer.writerows(rows)
+    data = buffer.getvalue().encode("utf-8")
+    if defect == "not UTF-8":
+        lines = data.split(b"\n")
+        at = draw(st.integers(0, len(lines) - 1))
+        lines[at] = lines[at][:1] + b"\xff" + lines[at][1:]
+        data = b"\n".join(lines)
+    return (b"\xef\xbb\xbf" if draw(st.booleans()) else b"") + data
+
+
+def matrix_outcome(read, path):
+    """The cache read(path) builds, with its columns' dtypes, or its error."""
+    try:
+        cache = read(path)
+    except CacheError as exc:
+        return str(exc)
+    return cache, [getattr(column, "dtype", None) for column in cache._columns()]
+
+
+HEADER = b"mutant_id,operator_id,exec_cost,killed_by\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=kill_matrix_files())
+@example(data=HEADER + b"m1,op,x,t1\nm2,op\n")  # a missing cell before a bad cost
+@example(data=HEADER + b"m1,op,x,\n")  # no killing test before a bad cost
+@example(data=HEADER + b"m1,,x,t1\n")  # a bad cost before an empty operator id
+@example(data=b"\xef\xbb\xbf" + HEADER + b"m1,op,1,t1\n")  # a byte-order mark
+@example(data=b"exec_cost,mutant_id,operator_id,exec_cost,killed_by\nx,m1,op,1,t1\n")
+def test_kill_matrix_import_matches_the_row_reader(tmp_path_factory, data):
+    """The column-building import gives the cache, or the first error's
+    message, that the row-based reader kept in matrix_oracle gives."""
+    path = tmp_path_factory.mktemp("matrix") / "matrix.csv"
+    path.write_bytes(data)
+    assert matrix_outcome(read_kill_matrix_csv, path) == matrix_outcome(oracle_matrix, path)

@@ -93,8 +93,14 @@ def test_front_csv_reports_bad_line(tmp_path):
     ('1,"3,,4",x,0.5,0.5', "bad chromosome text '3,,4'"),
     ("1,genes,x,0.5,0.5", "bad chromosome text 'genes'"),
     (f"{2**64},,x,0.5,0.5", f"seed must be below 2**64, got {2**64}"),
+    ("1_0,,x,0.5,0.5", "bad seed '1_0'"),
+    ("\u0663,,x,0.5,0.5", "bad seed '\u0663'"),
+    (" 7,,x,0.5,0.5", "bad seed ' 7'"),
+    ("+5,,x,0.5,0.5", "bad seed '+5'"),
+    ("007,,x,0.5,0.5", "bad seed '007'"),
 ], ids=["negative seed", "sixth cell", "missing cell", "empty gene", "not a number",
-        "seed past uint64"])
+        "seed past uint64", "underscore in seed", "non-ASCII seed digit", "space in seed",
+        "sign on seed", "leading zero in seed"])
 def test_front_csv_rejects_bad_rows(tmp_path, line, reason):
     path = tmp_path / "front.csv"
     path.write_text(",".join(FRONT_COLUMNS) + "\n1,,ok,0.5,0.5\n" + line + "\n")
@@ -103,12 +109,12 @@ def test_front_csv_rejects_bad_rows(tmp_path, line, reason):
     assert str(excinfo.value) == f"front file {path}, line 3: {reason}"
 
 
-# Cells every rule accepts, and cells some rule rejects. int() and float()
-# take a sign, underscores, spaces and non-ASCII digits; a chromosome takes
-# none of them. A gene past 640 digits is left to the row walk; past 4,300
-# int() refuses it.
-GOOD_SEEDS = ["0", "7", str(2**64 - 1), "+5", "5_0", " 8 ", "\u0665"]
-BAD_SEEDS = ["-1", str(2**64), "x", "", "9" * 4301]
+# Cells every rule accepts, and cells some rule rejects. float() takes a
+# sign, underscores, spaces and non-ASCII digits; a seed or a chromosome
+# takes none of them. A gene past 640 digits is left to the row walk; past
+# 4,300 int() refuses it.
+GOOD_SEEDS = ["0", "7", str(2**64 - 1)]
+BAD_SEEDS = ["-1", str(2**64), "x", "", "9" * 4301, "+5", "5_0", " 8 ", "\u0665", "-0", "07"]
 GOOD_CHROMOSOMES = ["", "0", "4,2", "3,141,59,26", "0,255", "1" * 700]
 BAD_CHROMOSOMES = ["4,x", "01", "3,,4", ",", "4,", "\u0663", "-1", "7," + "1" * 4301]
 GOOD_VALUES = ["0.5", "-0.0", "1e-17", "0.30000000000000004", "5e-324", "1_0", " 0.25"]
@@ -156,7 +162,7 @@ def front_file_texts(draw):
 @given(text=front_file_texts())
 @example(text="")
 @example(text=",".join(FRONT_COLUMNS) + "\n")
-@example(text=",".join(FRONT_COLUMNS) + "\n\n+5,,x,0.5,0.5\n\n5_0,0,x,-0.0,1e-17\n")
+@example(text=",".join(FRONT_COLUMNS) + "\n\n5,,x,0.5,0.5\n\n50,0,x,-0.0,1e-17\n")
 def test_front_points_agree_with_the_row_walk(tmp_path_factory, text):
     """On good and bad files alike, read_front_points returns the points of
     read_front_csv's rows, bit for bit, or raises its message, line number

@@ -3,8 +3,9 @@ double the traced allocation peak, never quadruple it as an n x n matrix
 would, and reading a front file must take memory in proportion to the
 file. Loading a cache, a baseline sweep and an evolution run must take
 memory with the kills, not with tests x mutants, and loading a saved
-file must hold one chunk of its records at a time. Peaks are allocation
-counts, so they do not vary with host load."""
+file must hold one chunk of its records at a time, and importing a kill
+matrix its columns, not its rows. Peaks are allocation counts, so they
+do not vary with host load."""
 
 import json
 import sys
@@ -15,11 +16,12 @@ import pytest
 
 from mutreduce.analysis import compare_experiment
 from mutreduce.baselines import baseline_front
-from mutreduce.cache import dumps_cache, loads_cache, synth_cache
+from mutreduce.cache import dumps_cache, loads_cache, read_kill_matrix_csv, synth_cache
 from mutreduce.grammar import default_grammar
 from mutreduce.pareto import nondominated_points, sort_fronts
 from mutreduce.runio import FRONT_COLUMNS, read_front_points
 from mutreduce.search import SearchConfig, run_evolution
+from matrix_oracle import kill_matrix_text
 from test_kernels import traced_peak
 
 # Linear growth doubles the peak; a quadratic term at these sizes would
@@ -137,3 +139,16 @@ def test_a_saved_file_loads_a_chunk_of_records_at_a_time():
     cache, peak = traced_peak(lambda: loads_cache(text))
     assert cache.n_mutants == 20_000
     assert peak < 2 * held_bytes(cache)
+
+
+def test_a_kill_matrix_imports_into_columns(tmp_path):
+    """The import appends each row to file-order columns and keeps no row
+    or record objects. At 20,000 mutants the traced peak measured 2.7
+    times the cache it returns; holding every row, then every record, as
+    a dict took 9.3 times."""
+    path = tmp_path / "matrix.csv"
+    path.write_text(kill_matrix_text(synth_cache(30, 20_000, 1_000, seed=5)), encoding="utf-8")
+    read_kill_matrix_csv(path)  # the first call's one-time allocations stay out of the peak
+    cache, peak = traced_peak(lambda: read_kill_matrix_csv(path))
+    assert cache.n_mutants == 20_000
+    assert peak < 4 * held_bytes(cache)
