@@ -33,7 +33,7 @@ from .index import build_index
 from .objectives import evaluate_indexed
 from .pareto import nondominated
 from .search import EvaluatedStrategy, Front
-from .strategy import Strategy, parse_strategy
+from .strategy import _COUNT, Strategy, parse_strategy
 from .streams import derive_seeds, row_generators
 
 # kind -> (front-row text, strategy text, swept parameters).
@@ -57,14 +57,15 @@ BATCH_MAX_CELLS = 2**18
 
 def baseline_strategy(text: str) -> Strategy:
     """The strategy a ``Baseline ...`` front row stands for. ValueError if
-    the text is no family's row text, or if its strategy does not parse
-    (a percentage above 100, say)."""
+    the text is no family's row text with its parameter spelled as a count
+    (ASCII digits, no leading zero), or if its strategy does not parse (a
+    percentage above 100, say)."""
     for row_text, strategy_text, _ in BASELINES.values():
         prefix, suffix = row_text.split("{}")
         parameter = text[len(prefix):len(text) - len(suffix)]
-        if parameter.isdecimal() and text == prefix + parameter + suffix:
+        if _COUNT.fullmatch(parameter) and text == prefix + parameter + suffix:
             try:
-                return parse_strategy(strategy_text.format(int(parameter)))
+                return parse_strategy(strategy_text.format(parameter))
             except ValueError as exc:
                 raise ValueError(f"baseline text {text!r}: {exc}") from None
     raise ValueError(f"unparseable baseline text {text!r}")

@@ -59,6 +59,7 @@ import dataclasses
 import gc
 import json
 import math
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -846,14 +847,14 @@ def _chunked_sections(text: str) -> tuple[_Head, _Mutants] | None:
     and the chunks then parse to the records the whole array does. Names
     become codes a chunk at a time, so no name string outlives its chunk.
 
-    None too for an array that fits in one chunk, and for anything
-    irregular: a parse error, a repeated key, a malformed record, a name
-    the operators or tests do not define, or an operator or test the
-    checks refuse. The whole-document path then raises every error.
+    None too for anything irregular: no ``_LAYOUT_CLOSE`` (as for an empty
+    array), a parse error, a repeated key, a malformed record, a name the
+    operators or tests do not define, or an operator or test the checks
+    refuse. The whole-document path then raises every error.
     """
     start = len(_LAYOUT_OPEN)
     end = text.find(_LAYOUT_CLOSE, start)
-    if not text.startswith(_LAYOUT_OPEN) or end - start <= CHUNK_CHARS:
+    if not text.startswith(_LAYOUT_OPEN) or end < 0:
         return None
     try:
         rest = json.loads(text[:start] + text[end:], object_pairs_hook=_unique_keys)
@@ -901,6 +902,10 @@ def _pieces(text: str, start: int, end: int) -> Iterator[str]:
 # ===== CSV kill-matrix import =====
 
 _MATRIX_COLUMNS = ("mutant_id", "operator_id", "exec_cost", "killed_by")
+# An exec_cost cell is a JSON number (RFC 8259), as a cache file spells
+# it: no sign but "-", no space, underscore, non-ASCII digit, bare ".5",
+# nan or inf.
+_JSON_NUMBER = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
 
 
 def unreadable_line(reader, exc: csv.Error | UnicodeDecodeError) -> str:
@@ -918,10 +923,11 @@ def read_kill_matrix_csv(path: str | Path) -> MutationCache:
     """Import a kill-matrix CSV into a cache.
 
     Expected columns: mutant_id, operator_id, exec_cost, killed_by, where
-    killed_by lists the killing test ids separated by ';' (empty for
-    surviving mutants). A UTF-8 byte-order mark may open the file.
-    Operators and tests are inferred: operators get generation cost 0
-    (the CSV carries none), and tests are ranked by ascending id.
+    exec_cost is a JSON number and killed_by lists the killing test ids
+    separated by ';' (empty for surviving mutants). A UTF-8 byte-order
+    mark may open the file. Operators and tests are inferred: operators
+    get generation cost 0 (the CSV carries none), and tests are ranked by
+    ascending id.
 
     Lines are read as ``csv.DictReader`` reads them: the first is the
     header, a repeated column name takes its last position, blank rows
@@ -955,9 +961,9 @@ def read_kill_matrix_csv(path: str | Path) -> MutationCache:
                 mutant, operator, cost, killed_by = map(row.__getitem__, at)
                 ids.append(mutant)
                 operator_codes.append(operators.setdefault(operator, len(operators)))
-                try:
+                if _JSON_NUMBER.fullmatch(cost):
                     exec_cost.append(float(cost))
-                except ValueError:
+                else:
                     exec_cost.append(math.nan)
                     bad_cost = mutant if bad_cost is None else bad_cost
                 names = [name for name in killed_by.split(";") if name]

@@ -1,16 +1,19 @@
 """BNF grammars describing the space of reduction strategies.
 
-Format, one rule per logical line (continuation lines belong to the most
-recent rule):
+A rule opens a line; any other non-blank line continues the rule above:
 
     # comment
     <name> ::= "terminal" <other> | "alternative two"
+             | "alternative three"
 
 Terminals are double-quoted; the empty terminal ``""`` expands to nothing
-and gives list-shaped rules their stop alternative. Validation rejects
-grammars that reference undefined non-terminals, define a rule twice, or
-contain a rule that cannot reach a finite derivation, so genotype mapping
-always terminates on a validated grammar.
+and gives list-shaped rules their stop alternative. A ``#`` outside quotes
+starts a comment. A name holds no whitespace, ``<``, ``>``, ``"`` or ``|``.
+The first rule is the start symbol, and the order of a rule's alternatives
+is part of the genotype encoding. Validation rejects grammars that
+reference undefined non-terminals, define a rule twice, or contain a rule
+that cannot reach a finite derivation, so genotype mapping always
+terminates on a validated grammar.
 """
 
 from __future__ import annotations
@@ -136,85 +139,56 @@ def _validate(rules: tuple[Rule, ...]) -> None:
             + ", ".join(f"<{name}>" for name in dead))
 
 
-_RULE_HEAD = re.compile(r"^\s*<([^<>\s]+)>\s*::=(.*)$", re.DOTALL)
-_TOKEN = re.compile(r'\s*(?:"([^"]*)"|<([^<>\s]+)>|(\S))')
+# The lexical rule, stated once: the name of a rule head or a reference,
+# and a double-quoted terminal. Every other pattern is built from these.
+_NAME = r'[^<>\s"|]+'
+_QUOTED = r'"[^"]*"'
+_RULE_HEAD = re.compile(rf"<({_NAME})>\s*::=(.*)")
+# A line up to its comment, the first "#" outside quotes. A quote left
+# open runs to the end of its line, so a "#" after it is text.
+_CODE = re.compile(rf'(?:[^"#]|{_QUOTED})*(?:".*)?')
+_TOKEN = re.compile(rf"\s*(?:({_QUOTED})|<({_NAME})>|(\S))")
 
 
-def _strip_comment(line: str) -> str:
-    in_quote = False
-    for i, ch in enumerate(line):
-        if ch == '"':
-            in_quote = not in_quote
-        elif ch == "#" and not in_quote:
-            return line[:i]
-    return line
-
-
-def _split_alternatives(text: str, rule_name: str) -> list[str]:
-    parts: list[str] = []
-    current: list[str] = []
-    in_quote = False
-    for ch in text:
-        if ch == '"':
-            in_quote = not in_quote
-            current.append(ch)
-        elif ch == "|" and not in_quote:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    if in_quote:
-        raise GrammarError(f"rule <{rule_name}>: unterminated quote")
-    parts.append("".join(current))
-    return parts
-
-
-def _parse_symbols(text: str, rule_name: str) -> tuple[Symbol, ...]:
+def _productions(name: str, body: str) -> tuple[Production, ...]:
+    """A rule body's alternatives in one token pass. An added "|", outside
+    quotes once they pair up, ends the last alternative as it does others."""
+    if body.count('"') % 2:
+        raise GrammarError(f"rule <{name}>: unterminated quote")
+    productions: list[Production] = []
     symbols: list[Symbol] = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if match is None:
-            break
-        terminal, non_terminal, stray = match.groups()
-        if stray is not None:
-            raise GrammarError(
-                f"rule <{rule_name}>: unexpected character {stray!r} "
-                f"(terminals must be double-quoted)")
-        if terminal is not None:
-            symbols.append(Terminal(terminal))
+    for quoted, reference, other in _TOKEN.findall(body + "|"):
+        if quoted:
+            symbols.append(Terminal(quoted[1:-1]))
+        elif reference:
+            symbols.append(NonTerminal(reference))
+        elif other != "|":
+            raise GrammarError(f"rule <{name}>: unexpected character {other!r} "
+                               f"(terminals must be double-quoted)")
+        elif not symbols:
+            raise GrammarError(f"rule <{name}>: empty alternative "
+                               f'(use "" for an explicitly empty one)')
         else:
-            symbols.append(NonTerminal(non_terminal))
-        pos = match.end()
-    if not symbols:
-        raise GrammarError(f"rule <{rule_name}>: empty alternative "
-                           f'(use "" for an explicitly empty one)')
-    return tuple(symbols)
+            productions.append(Production(tuple(symbols)))
+            symbols = []
+    return tuple(productions)
 
 
 def parse_grammar(text: str) -> Grammar:
     """Parse and validate grammar text; errors carry the offending rule."""
     chunks: list[tuple[str, str]] = []
     for raw_line in text.splitlines():
-        line = _strip_comment(raw_line).rstrip()
-        if not line.strip():
+        line = _CODE.match(raw_line).group().strip()
+        if not line:
             continue
-        head = _RULE_HEAD.match(line)
-        if head:
-            chunks.append((head.group(1), head.group(2)))
+        if head := _RULE_HEAD.match(line):
+            chunks.append((head[1], head[2]))
         elif chunks:
             name, body = chunks[-1]
-            chunks[-1] = (name, body + " " + line.strip())
+            chunks[-1] = (name, f"{body} {line}")
         else:
-            raise GrammarError(f"expected a rule, got: {line.strip()!r}")
-    rules = []
-    for name, body in chunks:
-        productions = tuple(
-            Production(_parse_symbols(alt, name))
-            for alt in _split_alternatives(body, name)
-        )
-        rules.append(Rule(name=name, productions=productions))
-    return Grammar(rules=tuple(rules))
+            raise GrammarError(f"expected a rule, got: {line!r}")
+    return Grammar(rules=tuple(Rule(name, _productions(name, body)) for name, body in chunks))
 
 
 # The built-in strategy language. Option order is part of the genotype

@@ -126,14 +126,17 @@ def _front_rows(path: str | Path, chromosome_of: Callable[[str], object]) -> Ite
                     seed, chromosome, text, time, score = row
                     time, score = float(time), float(score)
                     # As front_csv_text writes a seed; a negative one is refused below.
-                    if not _COUNT.fullmatch(seed.removeprefix("-")) or seed == "-0":
+                    digits = seed.removeprefix("-")
+                    if not _COUNT.fullmatch(digits) or seed == "-0":
                         raise ValueError(f"bad seed {seed!r}")
-                    seed = int(seed)
                     chromosome = chromosome_of(chromosome) if chromosome else None
-                    if seed < 0:
-                        raise ValueError(f"seed must be non-negative, got {seed}")
-                    if seed >= 2**64:
-                        raise ValueError(f"seed must be below 2**64, got {seed}")
+                    # Past 20 digits a seed is at least 2**64, and is not read.
+                    got = seed if len(digits) <= 20 else f"a {len(digits)}-digit number"
+                    if digits != seed:
+                        raise ValueError(f"seed must be non-negative, got {got}")
+                    if len(digits) > 20 or int(seed) >= 2**64:
+                        raise ValueError(f"seed must be below 2**64, got {got}")
+                    seed = int(seed)
                     if not (math.isfinite(time) and math.isfinite(score)):
                         raise ValueError(f"time and score must be finite, got "
                                          f"{time!r} and {score!r}")

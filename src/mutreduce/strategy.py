@@ -403,14 +403,18 @@ def _next(stream: Iterator[str], context: str) -> str:
 
 
 # A count as render writes it: ASCII digits with no leading zero. A front
-# file's seed cell is spelled the same way (runio).
+# file's seed cell (runio) and a baseline row's parameter are spelled the
+# same way.
 _COUNT = re.compile(r"0|[1-9][0-9]*")
 
 
 def _count(token: str, what: str) -> int:
     if not _COUNT.fullmatch(token):
         raise StrategyParseError(f"bad {what} {token!r}")
-    return int(token)
+    try:
+        return int(token)
+    except ValueError:  # past int()'s digit limit
+        raise StrategyParseError(f"bad {what}: {len(token)} digits") from None
 
 
 def _selection(method: str, amount: str, context: str) -> Selection:

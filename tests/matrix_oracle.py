@@ -3,19 +3,23 @@
 ``read_kill_matrix_csv`` once held every row as a ``csv.DictReader`` dict,
 then every mutant as a record dict, and handed that document to the JSON
 loader's checks. That code is kept here, unchanged but for its name and
-one rule added since (the file may open with a UTF-8 byte-order mark), so
-the column-building import can be checked against it: ``oracle_matrix``
+two rules added since (the file may open with a UTF-8 byte-order mark,
+and an exec_cost cell must be spelled as a JSON number), so the
+column-building import can be checked against it: ``oracle_matrix``
 gives the same cache or raises the same message.
 """
 
 from __future__ import annotations
 
 import csv
+import re
 from pathlib import Path
 
 from mutreduce.cache import CacheError, MutationCache, _from_document, unreadable_line
 
 _MATRIX_COLUMNS = ("mutant_id", "operator_id", "exec_cost", "killed_by")
+# RFC 8259's number grammar, written out here apart from the import's copy.
+_JSON_NUMBER = re.compile(r"-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?")
 
 
 def oracle_matrix(path: str | Path) -> MutationCache:
@@ -47,10 +51,9 @@ def oracle_matrix(path: str | Path) -> MutationCache:
         raise CacheError("kill-matrix CSV defines no killing tests")
     mutants = []
     for row in rows:
-        try:
-            cost = float(row["exec_cost"])
-        except ValueError as exc:
-            raise CacheError(f"mutant {row['mutant_id']!r}: bad exec_cost") from exc
+        if not _JSON_NUMBER.fullmatch(row["exec_cost"]):
+            raise CacheError(f"mutant {row['mutant_id']!r}: bad exec_cost")
+        cost = float(row["exec_cost"])
         mutants.append({"id": row["mutant_id"], "operator_id": row["operator_id"],
                         "exec_cost": cost,
                         "killers": [k for k in row["killed_by"].split(";") if k]})

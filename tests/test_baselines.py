@@ -91,9 +91,19 @@ def test_parse_rejects_garbage():
     for text in ("Baseline SM random 10%", "just a strategy", "Baseline SM exclude 2 junk",
                  "Baseline RMS random 10% x", "Baseline SM exclude +2",
                  "Baseline RMS random 1_0%", "Baseline ROS random 120%",
+                 # Decimal, but not as row texts are written: Arabic-Indic
+                 # digits, a fullwidth zero, a leading zero.
+                 "Baseline RMS random \u0663\u0660%", "Baseline SM exclude \uff103",
+                 "Baseline RMS random 030%",
                  "Baseline ROS random 50% → Retain Mutants random 10%"):
         with pytest.raises(ValueError):
             baseline_strategy(text)
+
+
+def test_a_parameter_past_ints_digit_limit_is_a_bad_count():
+    """Named as any bad count is, not with int()'s message."""
+    with pytest.raises(ValueError, match=r"bad operator count: 5000 digits$"):
+        baseline_strategy("Baseline SM exclude " + "9" * 5000)
 
 
 # ===== reduction semantics =====

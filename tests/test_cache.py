@@ -339,6 +339,17 @@ def test_kill_matrix_round_trip(tmp_path):
     assert by_id["m3"].exec_cost == 0.5
 
 
+@pytest.mark.parametrize("cost", ["1_0", " \u0663 ", " 3", "+3", ".5", "nan", "inf"])
+def test_kill_matrix_costs_are_spelled_as_json_numbers(tmp_path, cost):
+    """float() reads each of these cells; a cache file could hold none."""
+    path = tmp_path / "matrix.csv"
+    path.write_text(f"mutant_id,operator_id,exec_cost,killed_by\nm1,opA,{cost},t1\n",
+                    encoding="utf-8")
+    with pytest.raises(CacheError) as excinfo:
+        read_kill_matrix_csv(path)
+    assert str(excinfo.value) == "mutant 'm1': bad exec_cost"
+
+
 def test_kill_matrix_rejects_missing_columns(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("mutant_id,exec_cost\nm1,1.0\n", encoding="utf-8")

@@ -1,6 +1,11 @@
-import pytest
+import re
 
-from mutreduce.grammar import (GrammarError, NonTerminal, Terminal,
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from grammar_oracle import oracle_grammar
+from mutreduce.grammar import (DEFAULT_GRAMMAR_TEXT, GrammarError, NonTerminal, Terminal,
                                default_grammar, parse_grammar)
 
 # The operator/mutant trimming core of the strategy language, written out
@@ -81,6 +86,78 @@ def test_comments_and_continuations():
 def test_hash_inside_quotes_is_not_a_comment():
     grammar = parse_grammar('<a> ::= "#literal"')
     assert grammar.rules[0].productions[0].symbols == (Terminal("#literal"),)
+
+
+def test_a_rule_name_may_not_hold_a_bar():
+    with pytest.raises(GrammarError) as excinfo:
+        parse_grammar('<a|b> ::= "x"')
+    assert str(excinfo.value) == """expected a rule, got: '<a|b> ::= "x"'"""
+
+
+def test_a_reference_may_not_hold_a_quote():
+    # Even where the quotes in two names would pair up.
+    with pytest.raises(GrammarError) as excinfo:
+        parse_grammar('<s> ::= <a"b> <c"d>')
+    assert str(excinfo.value) == ("rule <s>: unexpected character '<' "
+                                  "(terminals must be double-quoted)")
+
+
+# Grammar text from the characters the reader treats specially: quotes,
+# "#", "|", "<", ">", "::=", tabs, line boundaries (\n, \r\n, \r, \u2028,
+# \x85), continuation lines and "". Texts are lines of pieces, or runs of
+# single characters, or the built-in grammar with a few characters put in
+# or taken out.
+PIECES = ['"x"', '"y z"', '""', '"#"', '"|"', '"<a>"', "<a>", "<b>", "<s>",
+          "|", '"', "#", "<", ">", "::=", "x", " ", "\t"]
+HEADS = ["<a> ::=", "<b> ::=", "<s> ::=", " <a>::=", "<s>\t::= "]
+LINE_ENDS = ["\n", "\r\n", "\u2028", "\x85", ""]
+CHARS = [*'"#|<>:= \tab', "\n", "\r", "\u2028", "\x85", "::=", '""']
+# Where the two readers part: a "<...>" that the oracle's name rule, any
+# run of characters but "<", ">" and whitespace, reads as a name holding
+# " or |.
+NAME_WITH_QUOTE_OR_BAR = re.compile(r'<[^<>\s]*["|][^<>\s]*>')
+
+piece_lines = st.builds(lambda head, pieces, end: head + "".join(pieces) + end,
+                        st.sampled_from([""] * 5 + HEADS),
+                        st.lists(st.sampled_from(PIECES), max_size=6),
+                        st.sampled_from(LINE_ENDS))
+
+
+@st.composite
+def edited_default_grammar(draw):
+    text = DEFAULT_GRAMMAR_TEXT
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(["", *CHARS])) + text[at + draw(st.integers(0, 1)):]
+    return text
+
+
+grammar_texts = st.one_of(
+    st.lists(piece_lines, max_size=6).map("".join),
+    st.lists(st.sampled_from(CHARS), max_size=30).map("".join),
+    edited_default_grammar(),
+).filter(lambda text: not NAME_WITH_QUOTE_OR_BAR.search(text))
+
+
+def grammar_outcome(read, text):
+    try:
+        return read(text)
+    except GrammarError as exc:
+        return str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=grammar_texts)
+@example(text='<a> ::= "x" "y\n')  # an odd quote count, not a stray quote
+@example(text='<a> ::= "x\n  y" | "#" # c')  # a terminal across a continuation
+def test_reader_matches_the_scanning_oracle(text):
+    """The one-pass reader gives the grammar, or the error message, that
+    the character-scanning reader kept in grammar_oracle gives."""
+    assert grammar_outcome(parse_grammar, text) == grammar_outcome(oracle_grammar, text)
+
+
+def test_default_grammar_reads_as_the_oracle_reads_it(grammar):
+    assert grammar == oracle_grammar(DEFAULT_GRAMMAR_TEXT)
 
 
 def test_render_parse_round_trip():

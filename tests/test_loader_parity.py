@@ -416,13 +416,26 @@ def test_chunked_reading_matches_the_whole_document(text, data, defect):
     assert chunked == (defect in (None, "bad cost", "duplicate id"))
 
 
+def test_a_saved_cache_in_one_chunk_is_read_on_the_chunked_path():
+    """Every file in dumps_cache's layout takes the chunked path, one
+    whose records fit in a single chunk too."""
+    saved = dumps_cache(synth_cache(8, 600, 120, seed=1))
+    assert len(saved) < cache_module.CHUNK_CHARS
+    sections = cache_module._chunked_sections(saved)
+    assert sections is not None
+    assert cache_module._checked_cache(*sections, malformed=None) == whole_document(saved)
+
+
 # ===== the kill-matrix import =====
 
 MATRIX_COLUMNS = ("mutant_id", "operator_id", "exec_cost", "killed_by")
 NAMES = st.text(alphabet='ab_é,"\n', min_size=1, max_size=3)
-GOOD_COST_TEXTS = st.one_of(st.sampled_from(["1", "0.5", " 7", "1_0", "1e-3", "3.14159265358979"]),
+GOOD_COST_TEXTS = st.one_of(st.sampled_from(["1", "0.5", "1e-3", "2E+2", "3.14159265358979"]),
                             COSTS.map(repr))
-BAD_COST_TEXTS = ["x", "", "nan", "inf", "-1", "0", "-0.0", "1e400", "1" * 400]
+# The first eleven are not JSON numbers, though float() reads all but "x"
+# and ""; the rest are, and fail the cost check.
+BAD_COST_TEXTS = ["x", "", "nan", "inf", " 7", "1_0", "\u0663", "+3", ".5", "5.", "01",
+                  "-1", "0", "-0.0", "1e400", "1" * 400]
 # What can be wrong with one row, and with the file as a whole. A row is
 # often sound; the two faults whose order the import decides itself (a
 # missing cell before a bad cost) come twice as often as the rest.

@@ -98,9 +98,13 @@ def test_front_csv_reports_bad_line(tmp_path):
     (" 7,,x,0.5,0.5", "bad seed ' 7'"),
     ("+5,,x,0.5,0.5", "bad seed '+5'"),
     ("007,,x,0.5,0.5", "bad seed '007'"),
+    ("9" * 21 + ",,x,0.5,0.5", "seed must be below 2**64, got a 21-digit number"),
+    ("9" * 4301 + ",,x,0.5,0.5", "seed must be below 2**64, got a 4301-digit number"),
+    ("-" + "9" * 4301 + ",,x,0.5,0.5", "seed must be non-negative, got a 4301-digit number"),
 ], ids=["negative seed", "sixth cell", "missing cell", "empty gene", "not a number",
         "seed past uint64", "underscore in seed", "non-ASCII seed digit", "space in seed",
-        "sign on seed", "leading zero in seed"])
+        "sign on seed", "leading zero in seed", "21-digit seed",
+        "seed past int's digit limit", "negative seed past int's digit limit"])
 def test_front_csv_rejects_bad_rows(tmp_path, line, reason):
     path = tmp_path / "front.csv"
     path.write_text(",".join(FRONT_COLUMNS) + "\n1,,ok,0.5,0.5\n" + line + "\n")

@@ -154,11 +154,19 @@ def test_parse_rejects_malformed_text():
     "Discard Operators highest-yield 07",
     "Execute Operators 100% → Group Mutants by Operator → "
     "Retain Groups first ٢ → Sample Each Group random 10%",
+    # Past int()'s digit limit of 4,300.
+    pytest.param("Execute Operators " + "9" * 5000 + "%", id="5000-digit percentage"),
+    pytest.param("Retain Mutants random " + "9" * 5000, id="5000-digit quantity"),
+    pytest.param("Discard Operators highest-yield " + "9" * 5000, id="5000-digit operator count"),
+    pytest.param("Execute Operators 100% → Group Mutants by Operator → Retain Groups first "
+                 + "9" * 5000 + " → Sample Each Group random 10%", id="5000-digit group count"),
 ])
 def test_numbers_are_exactly_the_ones_render_writes(text):
-    """A count is ASCII digits with no leading zero, as render writes it."""
-    with pytest.raises(StrategyParseError, match="bad"):
+    """A count is ASCII digits with no leading zero, as render writes it,
+    and a bad one is named in a short message."""
+    with pytest.raises(StrategyParseError, match="^bad") as excinfo:
         parse_strategy(text)
+    assert len(str(excinfo.value)) < 80
 
 
 def test_zero_is_a_number_render_writes():
