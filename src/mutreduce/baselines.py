@@ -30,10 +30,11 @@ from typing import Sequence
 
 from .cache import MutationCache
 from .index import build_index
+from .numerals import COUNT, shown
 from .objectives import evaluate_indexed
 from .pareto import nondominated
 from .search import EvaluatedStrategy, Front
-from .strategy import _COUNT, Strategy, parse_strategy
+from .strategy import Strategy, parse_strategy
 from .streams import derive_seeds, row_generators
 
 # kind -> (front-row text, strategy text, swept parameters).
@@ -63,12 +64,12 @@ def baseline_strategy(text: str) -> Strategy:
     for row_text, strategy_text, _ in BASELINES.values():
         prefix, suffix = row_text.split("{}")
         parameter = text[len(prefix):len(text) - len(suffix)]
-        if _COUNT.fullmatch(parameter) and text == prefix + parameter + suffix:
+        if COUNT.fullmatch(parameter) and text == prefix + parameter + suffix:
             try:
                 return parse_strategy(strategy_text.format(parameter))
             except ValueError as exc:
-                raise ValueError(f"baseline text {text!r}: {exc}") from None
-    raise ValueError(f"unparseable baseline text {text!r}")
+                raise ValueError(f"baseline text {shown(text)}: {exc}") from None
+    raise ValueError(f"unparseable baseline text {shown(text)}")
 
 
 def baseline_front(kind: str, cache: MutationCache, seeds: Sequence[int],

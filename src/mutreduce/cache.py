@@ -59,7 +59,6 @@ import dataclasses
 import gc
 import json
 import math
-import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -69,6 +68,8 @@ from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
+
+from .numerals import read_json, read_real
 
 
 class CacheError(ValueError):
@@ -308,14 +309,7 @@ class MutationCache:
     @classmethod
     def from_records(cls, operators, tests, mutants) -> MutationCache:
         """Check record objects and build their columns, as loads_cache does."""
-        return _from_document({
-            "operators": [{"id": o.id, "generation_cost": o.generation_cost}
-                          for o in operators],
-            "tests": [{"id": t.id, "priority_rank": t.priority_rank} for t in tests],
-            "mutants": [{"id": m.id, "operator_id": m.operator_id,
-                         "exec_cost": m.exec_cost, "killers": m.killers}
-                        for m in mutants],
-        })
+        return _from_document(_document(operators, tests, mutants))
 
     def _columns(self) -> tuple:
         return tuple(getattr(self, f.name) for f in dataclasses.fields(self) if f.init)
@@ -331,12 +325,6 @@ class MutationCache:
         # with __eq__: equal caches have equal operators and totals.
         return hash((self.operator_ids, self.total_cost, self.killable_count))
 
-    def _killer_rows(self) -> list[tuple[str, ...]]:
-        """Each mutant's killer test ids, first killer first."""
-        names = list(map(self.test_ids.__getitem__, self.killer_tests.tolist()))
-        bounds = self.killer_indptr.tolist()
-        return [tuple(names[a:b]) for a, b in zip(bounds, bounds[1:])]
-
     @property
     def operators(self) -> tuple[OperatorRecord, ...]:
         return tuple(map(OperatorRecord, self.operator_ids, self.generation_cost.tolist()))
@@ -347,9 +335,12 @@ class MutationCache:
 
     @property
     def mutants(self) -> tuple[MutantRecord, ...]:
+        """The mutant records, each one's killer test ids first killer first."""
         owners = map(self.operator_ids.__getitem__, self.mutant_operator.tolist())
-        return tuple(map(MutantRecord, self.mutant_ids, owners,
-                         self.exec_cost.tolist(), self._killer_rows()))
+        names = list(map(self.test_ids.__getitem__, self.killer_tests.tolist()))
+        bounds = self.killer_indptr.tolist()
+        killers = [tuple(names[a:b]) for a, b in zip(bounds, bounds[1:])]
+        return tuple(map(MutantRecord, self.mutant_ids, owners, self.exec_cost.tolist(), killers))
 
 
 def global_score(cache: MutationCache) -> float:
@@ -373,23 +364,11 @@ def operator_yields(cache: MutationCache) -> list[tuple[str, int]]:
 
 # ===== JSON serialization =====
 
-def _cache_to_document(cache: MutationCache) -> dict:
-    ops = cache.operator_ids
-    return {
-        "operators": [
-            {"id": op_id, "generation_cost": cost}
-            for op_id, cost in zip(ops, cache.generation_cost.tolist())
-        ],
-        "tests": [
-            {"id": test_id, "priority_rank": rank}
-            for test_id, rank in zip(cache.test_ids, cache.priority_rank.tolist())
-        ],
-        "mutants": [
-            {"id": m_id, "operator_id": ops[op], "exec_cost": cost, "killers": list(killers)}
-            for m_id, op, cost, killers in zip(cache.mutant_ids, cache.mutant_operator.tolist(),
-                                               cache.exec_cost.tolist(), cache._killer_rows())
-        ],
-    }
+def _document(operators, tests, mutants) -> dict:
+    """The cache document of record objects: a record's attributes are its
+    JSON fields."""
+    return {"operators": list(map(vars, operators)), "tests": list(map(vars, tests)),
+            "mutants": list(map(vars, mutants))}
 
 
 def dumps_cache(cache: MutationCache) -> str:
@@ -401,7 +380,8 @@ def dumps_cache(cache: MutationCache) -> str:
     formatting never exceeds that precision and repeated saves of the same
     cache are byte-identical.
     """
-    return json.dumps(_cache_to_document(cache), sort_keys=True, indent=1) + "\n"
+    document = _document(cache.operators, cache.tests, cache.mutants)
+    return json.dumps(document, sort_keys=True, indent=1) + "\n"
 
 
 def save_cache(cache: MutationCache, path: str | Path) -> None:
@@ -441,8 +421,8 @@ def load_cache(path: str | Path) -> MutationCache:
 
 def _parse_json(text: str) -> dict:
     try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # nested too deeply
+        doc = read_json(text)
+    except ValueError as exc:
         raise CacheError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise CacheError("top level must be an object")
@@ -465,7 +445,10 @@ def _check_string(value, where: str) -> str:
 def _check_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"{where} must be a number, not {type(value).__name__}")
-    return float(value)  # OverflowError for an int past the float range
+    try:
+        return float(value)
+    except OverflowError:  # an int past the float range
+        raise OverflowError(f"{where} is past the float range") from None
 
 
 def _check_rank(value, where: str) -> int:
@@ -902,10 +885,6 @@ def _pieces(text: str, start: int, end: int) -> Iterator[str]:
 # ===== CSV kill-matrix import =====
 
 _MATRIX_COLUMNS = ("mutant_id", "operator_id", "exec_cost", "killed_by")
-# An exec_cost cell is a JSON number (RFC 8259), as a cache file spells
-# it: no sign but "-", no space, underscore, non-ASCII digit, bare ".5",
-# nan or inf.
-_JSON_NUMBER = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
 
 
 def unreadable_line(reader, exc: csv.Error | UnicodeDecodeError) -> str:
@@ -923,7 +902,8 @@ def read_kill_matrix_csv(path: str | Path) -> MutationCache:
     """Import a kill-matrix CSV into a cache.
 
     Expected columns: mutant_id, operator_id, exec_cost, killed_by, where
-    exec_cost is a JSON number and killed_by lists the killing test ids
+    exec_cost is a real (``numerals.read_real``: a JSON number inside the
+    float range) and killed_by lists the killing test ids
     separated by ';' (empty for surviving mutants). A UTF-8 byte-order
     mark may open the file. Operators and tests are inferred: operators
     get generation cost 0 (the CSV carries none), and tests are ranked by
@@ -961,9 +941,9 @@ def read_kill_matrix_csv(path: str | Path) -> MutationCache:
                 mutant, operator, cost, killed_by = map(row.__getitem__, at)
                 ids.append(mutant)
                 operator_codes.append(operators.setdefault(operator, len(operators)))
-                if _JSON_NUMBER.fullmatch(cost):
-                    exec_cost.append(float(cost))
-                else:
+                try:
+                    exec_cost.append(read_real(cost, "exec_cost"))
+                except ValueError:
                     exec_cost.append(math.nan)
                     bad_cost = mutant if bad_cost is None else bad_cost
                 names = [name for name in killed_by.split(";") if name]

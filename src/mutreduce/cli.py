@@ -34,6 +34,7 @@ from .baselines import BASELINE_KINDS, baseline_front
 from .cache import (MutationCache, dumps_cache, global_score, load_cache,
                     operator_yields, read_kill_matrix_csv, synth_cache)
 from .grammar import DEFAULT_GRAMMAR_TEXT, Grammar, parse_grammar
+from .numerals import read_count
 from .objectives import MAX_REPETITIONS
 from .search import MAX_POPULATION_SIZE, SearchConfig, run_evolution, run_random_search
 
@@ -426,9 +427,10 @@ def _utf8_argument(flag: str, text: str) -> str:
 
 
 def _front_sort_key(path: Path) -> tuple:
+    """front_<seed>.csv files by seed, a count, then the rest by name."""
     suffix = path.stem[len("front_"):]
     try:
-        return (0, int(suffix), "")
+        return (0, read_count(suffix, "seed"), "")
     except ValueError:
         return (1, 0, suffix)
 

@@ -25,6 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .grammar import Grammar
+from .numerals import read_count, shown
 
 GENE_LOW = 0
 GENE_HIGH = 179
@@ -113,17 +114,17 @@ class Chromosome:
     def deserialize(cls, text: str) -> "Chromosome":
         """The chromosome whose serialize() text is exactly ``text``."""
         cls.check_text(text)
-        return cls._of_ints(tuple(map(int, text.split(","))))
+        return cls._of_ints(tuple(read_count(gene, "gene") for gene in text.split(",")))
 
     @staticmethod
     def check_text(text: str) -> None:
         """Raise ValueError unless ``text`` is serialize() text. No genes are
         built, but one past 640 digits, the lowest limit Python lets a
-        process set for int(), goes through int() and may raise its error."""
+        process set for int(), is read, and may be past int()'s limit."""
         if _GENE_CHARACTERS.fullmatch(text) is None or _BAD_GENE.search(f",{text},"):
-            raise ValueError(f"bad chromosome text {text!r}")
+            raise ValueError(f"bad chromosome text {shown(text)}")
         for gene in _LONG_GENE.findall(text):
-            int(gene)
+            read_count(gene, "gene")
 
 
 class MappingStatus(Enum):

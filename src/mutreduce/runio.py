@@ -26,7 +26,6 @@ import hashlib
 import io
 import itertools
 import json
-import math
 import os
 from dataclasses import fields, replace
 from pathlib import Path
@@ -38,8 +37,9 @@ from . import objectives
 from .baselines import baseline_strategy
 from .cache import MutationCache, unreadable_line
 from .genome import Chromosome
+from .numerals import COUNT, read_count, read_json, read_real
 from .search import EvaluatedStrategy, Front, GenerationStat, SearchConfig
-from .strategy import _COUNT, parse_strategy
+from .strategy import parse_strategy
 from .streams import row_generators
 
 FRONT_COLUMNS = ("seed", "chromosome", "strategy_text", "time", "score")
@@ -124,22 +124,11 @@ def _front_rows(path: str | Path, chromosome_of: Callable[[str], object]) -> Ite
                     if len(row) != len(FRONT_COLUMNS):
                         raise ValueError(f"expected {len(FRONT_COLUMNS)} cells, got {len(row)}")
                     seed, chromosome, text, time, score = row
-                    time, score = float(time), float(score)
-                    # As front_csv_text writes a seed; a negative one is refused below.
-                    digits = seed.removeprefix("-")
-                    if not _COUNT.fullmatch(digits) or seed == "-0":
-                        raise ValueError(f"bad seed {seed!r}")
+                    if seed.startswith("-") and seed != "-0" and COUNT.fullmatch(seed, 1):
+                        raise ValueError("seed must be non-negative")
+                    seed = read_count(seed, "seed", below=2**64)
                     chromosome = chromosome_of(chromosome) if chromosome else None
-                    # Past 20 digits a seed is at least 2**64, and is not read.
-                    got = seed if len(digits) <= 20 else f"a {len(digits)}-digit number"
-                    if digits != seed:
-                        raise ValueError(f"seed must be non-negative, got {got}")
-                    if len(digits) > 20 or int(seed) >= 2**64:
-                        raise ValueError(f"seed must be below 2**64, got {got}")
-                    seed = int(seed)
-                    if not (math.isfinite(time) and math.isfinite(score)):
-                        raise ValueError(f"time and score must be finite, got "
-                                         f"{time!r} and {score!r}")
+                    time, score = read_real(time, "time"), read_real(score, "score")
                 except ValueError as exc:
                     raise ValueError(f"front file {path}, line {reader.line_num}: {exc}") from exc
                 yield seed, chromosome, text, time, score
@@ -200,13 +189,14 @@ def runlog_csv_text(stats: Sequence[GenerationStat]) -> str:
 
 # ===== Config files =====
 
-# Probabilities are floats, every other setting an integer.
-_CONFIG_TYPES = {f.name: float if f.name.endswith("_probability") else int
-                 for f in fields(SearchConfig)}
+# Probabilities are reals, every other setting a count.
+_CONFIG_READERS = {f.name: read_real if f.name.endswith("_probability") else read_count
+                   for f in fields(SearchConfig)}
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse flat ``key = value`` lines (# starts a comment)."""
+    """Parse flat ``key = value`` lines (# starts a comment); each value is
+    a count, or a real for a ``*_probability`` key (see ``numerals``)."""
     values: dict = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -214,15 +204,13 @@ def parse_config_text(text: str) -> dict:
             continue
         if "=" not in line:
             raise ValueError(f"config line {line_no}: expected key = value, got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in _CONFIG_TYPES:
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _CONFIG_READERS:
             raise ValueError(f"config line {line_no}: unknown key {key!r}")
         try:
-            values[key] = _CONFIG_TYPES[key](value)
+            values[key] = _CONFIG_READERS[key](value, f"value for {key}")
         except ValueError as exc:
-            raise ValueError(f"config line {line_no}: bad value for {key}: {value!r}") from exc
+            raise ValueError(f"config line {line_no}: {exc}") from None
     return values
 
 
@@ -238,8 +226,8 @@ def write_manifest(path: str | Path, manifest: dict) -> None:
 
 def read_manifest(path: str | Path) -> dict:
     try:
-        manifest = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, RecursionError) as exc:  # nested too deeply
+        manifest = read_json(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
         raise ValueError(f"manifest {path} is not valid JSON: {exc}") from exc
     if not isinstance(manifest, dict):
         raise ValueError(f"manifest {path} must be a JSON object")

@@ -63,6 +63,7 @@ import numpy as np
 from . import genome
 from .cache import MutationCache
 from .index import build_index
+from .numerals import read_count
 
 
 class StrategyParseError(ValueError):
@@ -402,19 +403,12 @@ def _next(stream: Iterator[str], context: str) -> str:
     return token
 
 
-# A count as render writes it: ASCII digits with no leading zero. A front
-# file's seed cell (runio) and a baseline row's parameter are spelled the
-# same way.
-_COUNT = re.compile(r"0|[1-9][0-9]*")
-
-
 def _count(token: str, what: str) -> int:
-    if not _COUNT.fullmatch(token):
-        raise StrategyParseError(f"bad {what} {token!r}")
+    """A count as render writes it (numerals.COUNT)."""
     try:
-        return int(token)
-    except ValueError:  # past int()'s digit limit
-        raise StrategyParseError(f"bad {what}: {len(token)} digits") from None
+        return read_count(token, what)
+    except ValueError as exc:
+        raise StrategyParseError(*exc.args) from None
 
 
 def _selection(method: str, amount: str, context: str) -> Selection:

@@ -3,8 +3,10 @@
 Before the cache became columnar, ``loads_cache`` built one frozen record
 per operator, test and mutant, each validated in ``__post_init__``, and
 ``build_index`` copied the records into the index's arrays one mutant at a
-time. That code is kept here, unchanged but for its names and one rule
-added since (an id must be text UTF-8 can encode), so the columnar
+time. That code is kept here, unchanged but for its names and the rules
+added since (an id must be text UTF-8 can encode; an integer past int()'s
+digit limit, or a cost past the float range, is named without Python's
+own message), so the columnar
 loader can be checked against it: ``oracle_loads`` gives the
 same errors in the same order, and ``oracle_index`` the index-order
 columns and views of the loaded cache. The kill classes are compared as
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -128,19 +131,30 @@ def _require(condition: bool, message: str) -> None:
         raise CacheError(message)
 
 
+def _float(record: dict, key: str, where: str) -> float:
+    try:
+        return float(record[key])
+    except OverflowError:  # an int past the float range
+        raise CacheError(f"malformed record: {where}.{key} is past the float range") from None
+
+
 def oracle_loads(text: str) -> OracleCache:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CacheError(f"not valid JSON: {exc}") from exc
+    except ValueError:  # an integer past int()'s digit limit
+        raise CacheError(f"not valid JSON: an integer has more than "
+                         f"{sys.get_int_max_str_digits()} digits") from None
     _require(isinstance(doc, dict), "top level must be an object")
     for key in ("operators", "tests", "mutants"):
         _require(key in doc, f"missing top-level key {key!r}")
         _require(isinstance(doc[key], list), f"{key!r} must be an array")
     try:
         operators = tuple(
-            OperatorRecord(id=str(o["id"]), generation_cost=float(o["generation_cost"]))
-            for o in doc["operators"]
+            OperatorRecord(id=str(o["id"]),
+                           generation_cost=_float(o, "generation_cost", f"operators[{i}]"))
+            for i, o in enumerate(doc["operators"])
         )
         tests = tuple(
             TestRecord(id=str(t["id"]), priority_rank=int(t["priority_rank"]))
@@ -150,10 +164,10 @@ def oracle_loads(text: str) -> OracleCache:
             MutantRecord(
                 id=str(m["id"]),
                 operator_id=str(m["operator_id"]),
-                exec_cost=float(m["exec_cost"]),
+                exec_cost=_float(m, "exec_cost", f"mutants[{i}]"),
                 killers=tuple(str(k) for k in m["killers"]),
             )
-            for m in doc["mutants"]
+            for i, m in enumerate(doc["mutants"])
         )
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, CacheError):

@@ -3,8 +3,9 @@
 ``read_kill_matrix_csv`` once held every row as a ``csv.DictReader`` dict,
 then every mutant as a record dict, and handed that document to the JSON
 loader's checks. That code is kept here, unchanged but for its name and
-two rules added since (the file may open with a UTF-8 byte-order mark,
-and an exec_cost cell must be spelled as a JSON number), so the
+three rules added since (the file may open with a UTF-8 byte-order
+mark, an exec_cost cell must be spelled as a JSON number, and that
+number must lie inside the float range), so the
 column-building import can be checked against it: ``oracle_matrix``
 gives the same cache or raises the same message.
 """
@@ -12,6 +13,7 @@ gives the same cache or raises the same message.
 from __future__ import annotations
 
 import csv
+import math
 import re
 from pathlib import Path
 
@@ -51,9 +53,9 @@ def oracle_matrix(path: str | Path) -> MutationCache:
         raise CacheError("kill-matrix CSV defines no killing tests")
     mutants = []
     for row in rows:
-        if not _JSON_NUMBER.fullmatch(row["exec_cost"]):
+        if not (_JSON_NUMBER.fullmatch(row["exec_cost"])
+                and math.isfinite(cost := float(row["exec_cost"]))):
             raise CacheError(f"mutant {row['mutant_id']!r}: bad exec_cost")
-        cost = float(row["exec_cost"])
         mutants.append({"id": row["mutant_id"], "operator_id": row["operator_id"],
                         "exec_cost": cost,
                         "killers": [k for k in row["killed_by"].split(";") if k]})

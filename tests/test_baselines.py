@@ -101,9 +101,11 @@ def test_parse_rejects_garbage():
 
 
 def test_a_parameter_past_ints_digit_limit_is_a_bad_count():
-    """Named as any bad count is, not with int()'s message."""
-    with pytest.raises(ValueError, match=r"bad operator count: 5000 digits$"):
+    """Named as any bad count is, not with int()'s message, in a message
+    that names the row text by its length."""
+    with pytest.raises(ValueError, match=r"bad operator count: 5000 digits$") as excinfo:
         baseline_strategy("Baseline SM exclude " + "9" * 5000)
+    assert len(str(excinfo.value)) < 150
 
 
 # ===== reduction semantics =====

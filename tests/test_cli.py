@@ -674,7 +674,7 @@ def test_evaluate_on_other_cache_changes_objectives(cache_file, tmp_path):
 
 
 @pytest.mark.parametrize("row,reason", [
-    ("-3,,Execute Operators 100%,0.5,0.5", "seed must be non-negative, got -3"),
+    ("-3,,Execute Operators 100%,0.5,0.5", "seed must be non-negative"),
     ("3,1;2,Execute Operators 100%,0.5,0.5", "bad chromosome text '1;2'"),
     ('3,"+3,04",Execute Operators 100%,0.5,0.5', "bad chromosome text '+3,04'"),
     ("1_0,,Execute Operators 100%,0.5,0.5", "bad seed '1_0'"),
@@ -928,12 +928,18 @@ GOOD_CELLS = (
     _VALUES, _VALUES,
 )
 BAD_CELLS = (("-1", str(2**64), "1.5"), ("7," + "1" * 4301, "4,x", "04"),
-             ("no strategy", "Execute Operators 101%"), ("nan", "1e309"), ("-inf", "x"))
+             ("no strategy", "Execute Operators 101%"), ("nan", "1e309", "1_0"), ("-inf", "x"))
 # train config files with values at their limits.
 CONFIGS = ("", "min_length = 2\nmax_length = 2\n", "min_length = 10000\nmax_length = 10000\n",
            "max_length = 1000000000000\n", "gene_high = 18446744073709551616\n",
            "gene_low = 9223372036854775807\ngene_high = 9223372036854775807\n",
-           "max_wraps = 0\nmutation_probability = 5e-324\n")
+           "max_wraps = 0\nmutation_probability = 5e-324\n", "seed = 1_0\n")
+# Stands for an exec_cost of 5,000 digits, past int()'s digit limit, which
+# json.dumps cannot write: the cache text gets the digits in its place.
+LONG_COST = "a 5,000-digit cost"
+# train --manifest files, each with a number past int()'s digit limit.
+MANIFESTS = ('{"config": {"crossover_probability": ' + "9" * 5000 + '}}',
+             '{"seeds": [' + "9" * 5000 + "]}")
 
 
 @st.composite
@@ -963,7 +969,7 @@ def edge_caches(draw):
                       for op in operators],
         "tests": [{"id": test, "priority_rank": rank} for test, rank in zip(tests, ranks)],
         "mutants": [{"id": mutant, "operator_id": draw(st.sampled_from(operators)),
-                     "exec_cost": draw(COSTS),
+                     "exec_cost": draw(COSTS | st.just(LONG_COST)),
                      "killers": draw(st.permutations(tests))[:draw(st.integers(0, len(tests)))]}
                     for mutant in mutants],
     }
@@ -988,23 +994,28 @@ def write_front_rows(path, rows):
        algorithm=st.sampled_from(("ge", "random")), runs=st.sampled_from((1, MAX_RUNS + 1)),
        population=st.sampled_from((2, 4, MAX_POPULATION_SIZE, MAX_POPULATION_SIZE + 2, 2**64)),
        config=st.sampled_from(CONFIGS), label=st.sampled_from(LABELS),
-       methods=st.lists(NAMES.filter(str.strip), min_size=2, max_size=2, unique_by=str.strip))
+       methods=st.lists(NAMES.filter(str.strip), min_size=2, max_size=2, unique_by=str.strip),
+       manifest=st.sampled_from(MANIFESTS))
 # The inputs that once reached exit 3, or exit 2 after writing.
 @example(document=SMALL_DOCUMENT, rows_a=[POINT_ROW[:3] + ("0.0", "1.7976931348623157e+308")],
          rows_b=[POINT_ROW[:3] + ("0.0", "-1.7976931348623157e+308")], seed=0, repetitions=1,
-         algorithm="ge", runs=1, population=2, config="", label="x", methods=["a", "b"])
+         algorithm="ge", runs=1, population=2, config="", label="x", methods=["a", "b"],
+         manifest=MANIFESTS[0])
 @example(document=SMALL_DOCUMENT, rows_a=[POINT_ROW], rows_b=[POINT_ROW], seed=0, repetitions=1,
          algorithm="ge", runs=1, population=2, config="max_length = 1000000000000\n",
-         label="x\udcff", methods=["a", "b"])
+         label="x\udcff", methods=["a", "b"], manifest=MANIFESTS[1])
 def test_no_input_reaches_exit_three(document, rows_a, rows_b, seed, repetitions, algorithm,
-                                     runs, population, config, label, methods):
+                                     runs, population, config, label, methods, manifest):
     """cache inspect, train, baselines, evaluate and report return 0 or 2
-    on caches, front files and flag values at the edges of their formats,
-    and a command that returns 2 writes nothing."""
+    on caches, front files, config files, manifests and flag values at the
+    edges of their formats, a command that returns 2 writes nothing, and no
+    message points at int()'s digit limit setting."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         cache = tmp / "cache.json"
-        cache.write_text(json.dumps(document), encoding="utf-8")
+        cache.write_text(json.dumps(document).replace(f'"{LONG_COST}"', "9" * 5000),
+                         encoding="utf-8")
+        (tmp / "manifest.json").write_text(manifest, encoding="utf-8")
         for name, rows in (("a", rows_a), ("b", rows_b)):
             (tmp / name).mkdir()
             write_front_rows(tmp / name / "front_1.csv", rows)
@@ -1015,6 +1026,8 @@ def test_no_input_reaches_exit_three(document, rows_a, rows_b, seed, repetitions
         small = ["--repetitions", str(min(repetitions, 2))]
         commands = [
             (["cache", "inspect", str(cache)], None),
+            (["train", "--manifest", str(tmp / "manifest.json"),
+              "--out", str(tmp / "retrain")], tmp / "retrain"),
             (["train", "--cache", str(cache), "--config", str(tmp / "train.cfg"),
               "--algorithm", algorithm, "--runs", str(runs), "--seed", str(seed),
               "--population-size", str(population), "--max-evaluations", "8",
@@ -1033,6 +1046,7 @@ def test_no_input_reaches_exit_three(document, rows_a, rows_b, seed, repetitions
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = main(argv)
             assert code in (0, 2), f"{argv[0]} exited {code}: {err.getvalue()}"
+            assert "set_int_max_str_digits" not in err.getvalue()
             if code == 2 and out is not None:
                 assert not out.exists(), f"{argv[0]} wrote {out} and exited 2"
 

@@ -185,6 +185,12 @@ BAD_DOCUMENTS = {
     "mutant negative cost": document(mutants=[mutant(exec_cost=-0.5)]),
     "mutant infinite cost": document(mutants=[mutant(exec_cost=float("inf"))]),
     "mutant tiny cost stays positive": document(mutants=[mutant(exec_cost=5e-324)]),
+    "operator cost past the float range": document(
+        operators=[{"id": "op", "generation_cost": 10**400}]),
+    "mutant cost past the float range": document(mutants=[mutant(id="m0"),
+                                                          mutant(exec_cost=10**400)]),
+    "integer past int's digit limit": document(mutants=[mutant(exec_cost=2.5)]).replace(
+        "2.5", "1" * 5000),
     "duplicate killer": document(mutants=[mutant(killers=("t2", "t1", "t2"))]),
     "duplicate unknown killer": document(mutants=[mutant(killers=("x", "x"))]),
     "two unknown killers": document(mutants=[mutant(killers=("x", "y"))]),
@@ -328,7 +334,7 @@ def outcome(load, text):
     """The cache load(text) builds, or the type and message of its error."""
     try:
         return load(text)
-    except ValueError as exc:  # CacheError, or int's digit limit in a JSON number
+    except ValueError as exc:  # CacheError
         return type(exc), str(exc)
 
 
@@ -433,7 +439,7 @@ NAMES = st.text(alphabet='ab_é,"\n', min_size=1, max_size=3)
 GOOD_COST_TEXTS = st.one_of(st.sampled_from(["1", "0.5", "1e-3", "2E+2", "3.14159265358979"]),
                             COSTS.map(repr))
 # The first eleven are not JSON numbers, though float() reads all but "x"
-# and ""; the rest are, and fail the cost check.
+# and ""; the rest are, and lie past the float range or fail the cost check.
 BAD_COST_TEXTS = ["x", "", "nan", "inf", " 7", "1_0", "\u0663", "+3", ".5", "5.", "01",
                   "-1", "0", "-0.0", "1e400", "1" * 400]
 # What can be wrong with one row, and with the file as a whole. A row is
