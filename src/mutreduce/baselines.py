@@ -35,7 +35,7 @@ from .objectives import evaluate_indexed
 from .pareto import nondominated
 from .search import EvaluatedStrategy, Front
 from .strategy import Strategy, parse_strategy
-from .streams import derive_seeds, row_generators
+from .streams import derive_seeds
 
 # kind -> (front-row text, strategy text, swept parameters).
 BASELINES = {
@@ -46,14 +46,6 @@ BASELINES = {
            "Discard Operators highest-yield {} → Execute Operators 100%", tuple(range(1, 7))),
 }
 BASELINE_KINDS = tuple(BASELINES)
-
-# Most rows x mutants one batch of a sweep's runs may hold, since the VM's
-# pools and masks grow with that product; a batch holds at least one run.
-# Whole sweeps of 30 runs, medians of 15: 0.42 s at 2**18 against 0.45 s
-# at 2**20 on a 20 x 5,000 x 300 cache, 0.093 against 0.094 s on an
-# 8 x 600 x 120 one (a single batch either way); 2.99 against 2.90 s on a
-# 30 x 100,000 x 1,000 one (medians of 3), one run per batch against two.
-BATCH_MAX_CELLS = 2**18
 
 
 def baseline_strategy(text: str) -> Strategy:
@@ -80,16 +72,15 @@ def baseline_front(kind: str, cache: MutationCache, seeds: Sequence[int],
     Each swept parameter gets its own evaluation seed derived from
     (seed, parameter), recorded on the returned entries so rows can be
     re-evaluated independently later; the whole sweep's evaluation seeds
-    are derived in one pass. A parameter's runs over all seeds are seeded
-    in one pass and run as the rows of as few VM batches as
-    ``BATCH_MAX_CELLS`` allows; every run scores as it would alone.
+    are derived in one pass. A parameter's runs over all seeds are one
+    evaluation call, whose runs share VM batches as
+    ``objectives.evaluate_indexed`` cuts them; every run scores as it
+    would alone.
     """
     if kind not in BASELINES:
         raise ValueError(f"unknown baseline kind {kind!r}")
     row_text, strategy_text, parameters = BASELINES[kind]
     cache = build_index(cache)
-    runs_per_batch = max(1, BATCH_MAX_CELLS // (repetitions * cache.n_mutants))
-    rows_per_batch = runs_per_batch * repetitions
     entries: list[list[EvaluatedStrategy]] = [[] for _ in seeds]
     sweep_seeds = derive_seeds([(int(seed), 3, parameter)
                                 for parameter in parameters for seed in seeds])
@@ -97,10 +88,7 @@ def baseline_front(kind: str, cache: MutationCache, seeds: Sequence[int],
         strategy = parse_strategy(strategy_text.format(parameter))
         text = row_text.format(parameter)
         eval_seeds = sweep_seeds[i * len(seeds):(i + 1) * len(seeds)]
-        rows = row_generators(eval_seeds, repetitions)
-        pairs = [pair for lo in range(0, len(rows), rows_per_batch)
-                 for pair in evaluate_indexed(strategy, cache, repetitions,
-                                              rows[lo:lo + rows_per_batch])]
+        pairs = evaluate_indexed([(strategy, eval_seeds)], cache, repetitions)
         for run, eval_seed, pair in zip(entries, eval_seeds, pairs):
             run.append(EvaluatedStrategy(time=pair.time, score=pair.score,
                                          eval_seed=eval_seed, text=text))

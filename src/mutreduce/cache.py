@@ -416,7 +416,11 @@ def loads_cache(text: str) -> MutationCache:
 
 
 def load_cache(path: str | Path) -> MutationCache:
-    return loads_cache(Path(path).read_text(encoding="utf-8"))
+    """loads_cache of a file's text; its errors name the file."""
+    try:
+        return loads_cache(Path(path).read_text(encoding="utf-8"))
+    except (CacheError, UnicodeDecodeError) as exc:
+        raise CacheError(f"cache file {path}: {exc}") from exc
 
 
 def _parse_json(text: str) -> dict:

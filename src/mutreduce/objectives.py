@@ -26,6 +26,13 @@ several runs of one strategy, n rows each (a baseline's runs over many
 seeds); each run's objectives are read from its own rows, so a run in a
 batch scores exactly as it does alone. select_tests reads a single
 mutant set as a batch of one row; score_objective is its kill count.
+
+evaluate_indexed is the one evaluation entry point of search (a
+generation a call), baselines (a swept parameter a call) and replays (a
+front a call). It takes (strategy, evaluation seeds) entries, builds
+every seed's repetition streams in one pass (streams.row_generators) and
+cuts each entry's runs into VM batches of at most BATCH_MAX_CELLS rows x
+mutants; two entries never share a batch, even of equal strategies.
 """
 
 from __future__ import annotations
@@ -40,12 +47,21 @@ from . import _kernels
 from .cache import MutationCache
 from .index import build_index
 from .strategy import ReductionRun, Strategy, execute_indexed
+from .streams import row_generators
 
 # The most repetitions `train`, `baselines`, `evaluate` and SearchConfig
 # accept. Each row of a batch holds its own generator (about 850 bytes)
 # and mutant pool, and a generation's rows are built at once, so a
 # population of 100 at this bound already holds about 85 MB of generators.
 MAX_REPETITIONS = 1000
+
+# Most rows x mutants one VM batch may hold, since the VM's pools and masks
+# grow with that product; a batch holds at least one run. Whole baseline
+# sweeps of 30 runs, medians of 15: 0.42 s at 2**18 against 0.45 s at 2**20
+# on a 20 x 5,000 x 300 cache, 0.093 against 0.094 s on an 8 x 600 x 120
+# one (a single batch either way); 2.99 against 2.90 s on a
+# 30 x 100,000 x 1,000 one (medians of 3), one run per batch against two.
+BATCH_MAX_CELLS = 2**18
 
 
 @dataclass(frozen=True)
@@ -108,16 +124,21 @@ def score_objective(run: ReductionRun, cache: MutationCache) -> float:
     return select_tests(run.mutant_ids, cache).killed_mutants / cache.killable_count
 
 
-def evaluate_indexed(
+def _repetitions(n: int) -> int:
+    """n, if it is a repetition count (at least 1)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return n
+
+
+def _evaluate_batch(
     strategy: Strategy,
     cache: MutationCache,
     n: int,
     rows: Sequence[np.random.Generator],
 ) -> list[ObjectivePair]:
-    """Hot path used by the search loop and the baselines; see evaluate for
-    the contract. ``rows`` holds the generators of one or more runs of n
-    repetitions, run by run; returns one pair per run. Every row is one
-    row of a single VM batch and kernel call."""
+    """The objectives of the runs of n rows each that ``rows`` holds, run
+    by run; every row is one row of a single VM batch and kernel call."""
     _, mutant_pools, bounds, costs = execute_indexed(strategy, cache, rows)
     _, kills = _kernels.select_and_count(cache, mutant_pools, bounds)
     try:
@@ -125,14 +146,34 @@ def evaluate_indexed(
     except OverflowError:
         raise ValueError(f"{n} repetitions of the cache's total cost "
                          f"{cache.total_cost!r} overflow the float range") from None
-    pairs = []
-    for lo in range(0, len(rows), n):
-        time = math.fsum(costs[lo:lo + n]) / full_cost
-        if cache.killable_count == 0:
-            score = 0.0
-        else:
-            score = sum(kills[lo:lo + n]) / (n * cache.killable_count)
-        pairs.append(ObjectivePair(time=time, score=score))
+    killable = n * cache.killable_count
+    return [ObjectivePair(time=math.fsum(costs[lo:lo + n]) / full_cost,
+                          score=sum(kills[lo:lo + n]) / killable if killable else 0.0)
+            for lo in range(0, len(rows), n)]
+
+
+def evaluate_indexed(
+    runs: Sequence[tuple[Strategy, Sequence[int]]],
+    cache: MutationCache,
+    n: int,
+) -> list[ObjectivePair]:
+    """The evaluation of search, baselines and replays. ``runs`` holds
+    (strategy, evaluation seeds) entries; returns one pair per entry and
+    seed, in order, the pair ``evaluate(strategy, cache, n,
+    rng=np.random.default_rng(seed))`` returns.
+
+    One seeding pass builds the n rows of every seed. The runs of an
+    entry's seeds share VM batches of at most ``BATCH_MAX_CELLS`` rows x
+    mutants, at least one run a batch; two entries never share one.
+    """
+    rows = row_generators([seed for _, seeds in runs for seed in seeds], _repetitions(n))
+    batch_rows = n * max(1, BATCH_MAX_CELLS // (n * cache.n_mutants))
+    pairs: list[ObjectivePair] = []
+    end = 0
+    for strategy, seeds in runs:
+        start, end = end, end + n * len(seeds)
+        for lo in range(start, end, batch_rows):
+            pairs += _evaluate_batch(strategy, cache, n, rows[lo:min(lo + batch_rows, end)])
     return pairs
 
 
@@ -151,6 +192,4 @@ def evaluate(
     summed costs; SCORE is the mean of per-repetition relative scores,
     which reduces to total kills / (n * killable).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return evaluate_indexed(strategy, build_index(cache), n, rng.spawn(n))[0]
+    return _evaluate_batch(strategy, build_index(cache), n, rng.spawn(_repetitions(n)))[0]

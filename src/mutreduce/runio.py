@@ -40,7 +40,6 @@ from .genome import Chromosome
 from .numerals import COUNT, read_count, read_json, read_real
 from .search import EvaluatedStrategy, Front, GenerationStat, SearchConfig
 from .strategy import parse_strategy
-from .streams import row_generators
 
 FRONT_COLUMNS = ("seed", "chromosome", "strategy_text", "time", "score")
 RUNLOG_COLUMNS = ("generation", "evaluations", "front_size", "front_hypervolume")
@@ -157,26 +156,17 @@ def read_front_points(path: str | Path) -> np.ndarray:
 
 def reevaluated_front(front: Front, cache: MutationCache,
                       repetitions: int = 5) -> Front:
-    """Re-run each front row against a cache with the row's own seed; one
-    seeding pass builds the repetition rows of all of them.
+    """Re-run each front row against a cache with the row's own seed, all
+    rows in one evaluation call.
 
     On the cache a row was trained on this reproduces its recorded
     objectives exactly (same seed, same repetition streams); on another
     cache it measures how the strategy transfers.
     """
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
-    rows = row_generators([row.eval_seed for row in front], repetitions)
-    replayed: Front = []
-    for i, row in enumerate(front):
-        if row.text.startswith("Baseline "):
-            strategy = baseline_strategy(row.text)
-        else:
-            strategy = parse_strategy(row.text)
-        [pair] = objectives.evaluate_indexed(strategy, cache, repetitions,
-                                             rows[i * repetitions:(i + 1) * repetitions])
-        replayed.append(replace(row, time=pair.time, score=pair.score))
-    return replayed
+    runs = [(baseline_strategy(row.text) if row.text.startswith("Baseline ")
+             else parse_strategy(row.text), [row.eval_seed]) for row in front]
+    pairs = objectives.evaluate_indexed(runs, cache, repetitions)
+    return [replace(row, time=pair.time, score=pair.score) for row, pair in zip(front, pairs)]
 
 
 # ===== Run logs =====

@@ -33,7 +33,7 @@ from .index import build_index
 from .objectives import MAX_REPETITIONS, evaluate_indexed
 from .pareto import nondominated, sort_fronts
 from .strategy import render, strategy_from_chromosome
-from .streams import derive_seeds, row_generators
+from .streams import derive_seeds
 
 # The longest chromosome a config may ask for, a hundred times the default.
 # A population of 100 at this length holds about 8 MB of genes; a length
@@ -184,14 +184,12 @@ class _Individual:
 
 def _evaluate_population(individuals: list[_Individual], cache: MutationCache,
                          repetitions: int) -> None:
-    """Evaluate the individuals that mapped; one seeding pass builds every
-    one's repetition rows."""
+    """Evaluate the individuals that mapped, in one evaluation call."""
     live = [ind for ind in individuals if not ind.failed]
     # Failed individuals keep the penalty objectives set at construction.
-    rows = row_generators([ind.eval_seed for ind in live], repetitions)
-    for i, ind in enumerate(live):
-        [pair] = evaluate_indexed(ind.strategy, cache, repetitions,
-                                  rows[i * repetitions:(i + 1) * repetitions])
+    pairs = evaluate_indexed([(ind.strategy, [ind.eval_seed]) for ind in live],
+                             cache, repetitions)
+    for ind, pair in zip(live, pairs):
         ind.time = pair.time
         ind.score = pair.score
 

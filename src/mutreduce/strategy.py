@@ -63,7 +63,7 @@ import numpy as np
 from . import genome
 from .cache import MutationCache
 from .index import build_index
-from .numerals import read_count
+from .numerals import read_count, shown
 
 
 class StrategyParseError(ValueError):
@@ -413,11 +413,11 @@ def _count(token: str, what: str) -> int:
 
 def _selection(method: str, amount: str, context: str) -> Selection:
     if method != "Random":
-        raise StrategyParseError(f"expected 'Random' in {context}, got {method!r}")
+        raise StrategyParseError(f"expected 'Random' in {context}, got {shown(method)}")
     if amount.endswith("%"):
         percent = _count(amount[:-1], f"{context} percentage")
         if percent > 100:
-            raise StrategyParseError(f"{context} percentage {amount!r} is above 100%")
+            raise StrategyParseError(f"{context} percentage {shown(amount)} is above 100%")
         return Selection("percentage", percent)
     return Selection("quantity", _count(amount, f"{context} quantity"))
 
@@ -440,23 +440,23 @@ def strategy_from_tokens(tokens: Iterable[str]) -> Strategy:
                 if token == "Order Groups by Size":
                     direction = _next(stream, token)
                     if direction not in ("Ascending", "Descending"):
-                        raise StrategyParseError(f"bad direction {direction!r}")
+                        raise StrategyParseError(f"bad direction {shown(direction)}")
                     operations.append(OrderGroupsBySize(descending=direction == "Descending"))
                 elif token in ("Retain Groups", "Discard Groups"):
                     edge = _next(stream, token)
                     if edge not in ("First", "Last"):
-                        raise StrategyParseError(f"bad edge {edge!r}")
+                        raise StrategyParseError(f"bad edge {shown(edge)}")
                     operations.append(TakeGroups(
                         edge=edge.lower(),  # type: ignore[arg-type]
                         count=_count(_next(stream, token), "group count"),
                         keep=token == "Retain Groups",
                     ))
                 else:
-                    raise StrategyParseError(f"unexpected token {token!r} in group pipeline")
+                    raise StrategyParseError(f"unexpected token {shown(token)} in group pipeline")
             sample = _selection(_next(stream, token), _next(stream, token), token)
             nodes.append(GroupPipeline(operations=tuple(operations), sample=sample))
         else:
-            raise StrategyParseError(f"unexpected token {head!r}")
+            raise StrategyParseError(f"unexpected token {shown(head)}")
     return Strategy(nodes=tuple(nodes))
 
 
@@ -470,10 +470,10 @@ def _phrase_tokens(phrase: str) -> list[str]:
         if head in _HEADS:
             break
     else:
-        raise StrategyParseError(f"unparseable strategy phrase {phrase!r}")
+        raise StrategyParseError(f"unparseable strategy phrase {shown(phrase)}")
     args = words[n:]
     if any(word != word.lower() for word in args):
-        raise StrategyParseError(f"argument words are lower case in {phrase!r}")
+        raise StrategyParseError(f"argument words are lower case in {shown(phrase)}")
     tokens = [head, "Random"] if head == "Execute Operators" else [head]
     tokens.extend(_GRAMMAR_SPELLING.get(word, word) for word in args)
     return tokens

@@ -4,12 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from mutreduce import baselines
-from mutreduce.baselines import (BASELINE_KINDS, BASELINES, BATCH_MAX_CELLS, baseline_front,
-                                 baseline_strategy)
+from mutreduce import baselines, objectives
+from mutreduce.baselines import BASELINE_KINDS, BASELINES, baseline_front, baseline_strategy
 from mutreduce.cache import (MutantRecord, MutationCache, OperatorRecord,
                              TestRecord, synth_cache)
-from mutreduce.objectives import ObjectivePair, evaluate, evaluate_indexed, select_tests
+from mutreduce.objectives import BATCH_MAX_CELLS, ObjectivePair, evaluate, select_tests
 from mutreduce.runio import front_csv_text
 from mutreduce.strategy import execute, render
 
@@ -227,12 +226,13 @@ def test_runs_of_many_seeds_equal_single_seed_calls(monkeypatch):
     take batches of 10 and 5 rows; each run scores as it does alone."""
     cache = synth_cache(6, BATCH_MAX_CELLS // 10, 40, seed=11, kill_density=0.8)
     batch_rows = []
+    evaluate_batch = objectives._evaluate_batch
 
     def spy(strategy, cache, n, rows):
         batch_rows.append(len(rows))
-        return evaluate_indexed(strategy, cache, n, rows)
+        return evaluate_batch(strategy, cache, n, rows)
 
-    monkeypatch.setattr(baselines, "evaluate_indexed", spy)
+    monkeypatch.setattr(objectives, "_evaluate_batch", spy)
     for kind in BASELINE_KINDS:
         batch_rows.clear()
         together = baseline_front(kind, cache, [3, 4, 5])

@@ -169,7 +169,7 @@ def test_deeply_nested_json_is_input_error(tmp_path, capsys):
     manifest = tmp_path / "manifest.json"
     manifest.write_text(deep)
     assert main(["cache", "inspect", str(cache)]) == 2
-    assert "error: not valid JSON: " in capsys.readouterr().err
+    assert f"error: cache file {cache}: not valid JSON: " in capsys.readouterr().err
     assert main(["train", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert f"error: manifest {manifest} is not valid JSON: " in err
@@ -185,7 +185,7 @@ def test_ids_that_are_not_utf8_are_input_errors(tmp_path, capsys):
         "tests": [{"id": "t1", "priority_rank": 0}],
         "mutants": [{"id": "m\ud800", "operator_id": "op", "exec_cost": 1.0,
                      "killers": ["t1"]}]}))
-    message = "error: mutant 'm\\ud800': id must be UTF-8 text\n"
+    message = f"error: cache file {cache}: mutant 'm\\ud800': id must be UTF-8 text\n"
     for argv in (["cache", "inspect", str(cache)],
                  ["train", "--cache", str(cache), "--runs", "1", "--population-size", "2",
                   "--max-evaluations", "2", "--out", str(tmp_path / "ge")],
@@ -193,6 +193,26 @@ def test_ids_that_are_not_utf8_are_input_errors(tmp_path, capsys):
         assert main(argv) == 2, argv[0]
         assert capsys.readouterr() == ("", message), argv[0]
     assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
+
+
+@pytest.mark.parametrize("content", [b"{oops", b"\xff{}", b'{"operators": []}'],
+                         ids=["not JSON", "not UTF-8", "no tests"])
+def test_a_bad_cache_is_named_by_every_command_that_loads_it(tmp_path, capsys, content):
+    cache = tmp_path / "bad cache.json"
+    cache.write_bytes(content)
+    front = tmp_path / "front.csv"
+    front.write_text("seed,chromosome,strategy_text,time,score\n"
+                     "1,,Baseline SM exclude 1,0.5,0.5\n")
+    for argv in (["cache", "inspect", str(cache)],
+                 ["train", "--cache", str(cache), "--runs", "1", "--population-size", "2",
+                  "--max-evaluations", "2", "--out", str(tmp_path / "ge")],
+                 ["baselines", "--cache", str(cache), "--out", str(tmp_path / "base")],
+                 ["evaluate", "--front", str(front), "--cache", str(cache),
+                  "--out", str(tmp_path / "replay.csv")]):
+        assert main(argv) == 2, argv[0]
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: cache file {cache}: "), argv[0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad cache.json", "front.csv"]
 
 
 def test_costs_summing_past_the_float_range_are_input_error(tmp_path, capsys):
@@ -203,7 +223,7 @@ def test_costs_summing_past_the_float_range_are_input_error(tmp_path, capsys):
         "mutants": [{"id": m, "operator_id": "op", "exec_cost": 1e308, "killers": []}
                     for m in ("m1", "m2")]}))
     assert main(["cache", "inspect", str(cache)]) == 2
-    assert "error: costs overflow" in capsys.readouterr().err
+    assert f"error: cache file {cache}: costs overflow" in capsys.readouterr().err
     matrix = tmp_path / "matrix.csv"
     matrix.write_text("mutant_id,operator_id,exec_cost,killed_by\n"
                       "m1,opA,1e308,t1\n"

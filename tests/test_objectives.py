@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from mutreduce import objectives
+from mutreduce.baselines import baseline_front
 from mutreduce.cache import (MutantRecord, MutationCache, OperatorRecord,
                              TestRecord, synth_cache)
 from mutreduce.genome import random_chromosome
@@ -11,7 +13,6 @@ from mutreduce.objectives import (evaluate, evaluate_indexed, score_objective,
 from mutreduce.strategy import (SPANS_MIN_MUTANTS, ExecuteOperators, ReductionRun,
                                 Select, Selection, Strategy, execute,
                                 parse_strategy, render, strategy_from_chromosome)
-from mutreduce.streams import row_generators
 
 
 def pct(value):
@@ -239,18 +240,38 @@ def test_objectives_stay_in_unit_interval(grammar):
     # unselected-side count.
     synth_cache(6, SPANS_MIN_MUTANTS + 1000, 200, seed=3, kill_density=0.8),
 ], ids=["small", "large"])
-def test_a_batch_of_runs_scores_each_run_as_it_scores_alone(grammar, cache):
+def test_a_batch_of_runs_scores_each_run_as_it_scores_alone(grammar, cache, monkeypatch):
+    """One call holds the runs of 25 strategies, three seeds each. A batch
+    holds at most two seeds' rows, so each run is cut in two; every
+    (run, seed) scores as evaluate scores it alone."""
     rng = np.random.default_rng(2024)
-    checked = 0
-    while checked < 25:
+    runs = []
+    while len(runs) < 25:
         strategy = strategy_from_chromosome(random_chromosome(rng), grammar)
-        if strategy is None:
-            continue
-        seeds = [int(s) for s in rng.integers(0, 2**63, size=3)]
-        for n in (1, 4):
-            alone = [evaluate_indexed(strategy, cache, n,
-                                      np.random.default_rng(s).spawn(n))[0]
-                     for s in seeds]
-            assert evaluate_indexed(strategy, cache, n, row_generators(seeds, n)) == alone, \
-                render(strategy)
-        checked += 1
+        if strategy is not None:
+            runs.append((strategy, [int(s) for s in rng.integers(0, 2**63, size=3)]))
+    batch_rows = []
+    evaluate_batch = objectives._evaluate_batch
+
+    def spy(strategy, cache, n, rows):
+        batch_rows.append(len(rows))
+        return evaluate_batch(strategy, cache, n, rows)
+
+    for n in (1, 4):
+        monkeypatch.setattr(objectives, "_evaluate_batch", spy)
+        monkeypatch.setattr(objectives, "BATCH_MAX_CELLS", 3 * n * cache.n_mutants - 1)
+        batch_rows.clear()
+        pairs = evaluate_indexed(runs, cache, n)
+        assert batch_rows == [2 * n, n] * len(runs)
+        monkeypatch.undo()
+        assert len(pairs) == 3 * len(runs)
+        together = iter(pairs)
+        for strategy, seeds in runs:
+            for seed in seeds:
+                assert next(together) == evaluate(strategy, cache, n,
+                                                  rng=np.random.default_rng(seed)), \
+                    f"{render(strategy)} at seed {seed}"
+    with pytest.raises(ValueError):
+        evaluate_indexed(runs, cache, 0)
+    with pytest.raises(ValueError):
+        baseline_front("RMS", cache, [1], repetitions=0)

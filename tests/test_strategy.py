@@ -10,7 +10,7 @@ from mutreduce.cache import (MutantRecord, MutationCache, OperatorRecord,
 from mutreduce.genome import Chromosome, random_chromosome
 from mutreduce.grammar import DEFAULT_GRAMMAR_TEXT, default_grammar
 from mutreduce.index import build_index
-from mutreduce.objectives import ObjectivePair, evaluate_indexed
+from mutreduce.objectives import ObjectivePair, evaluate
 from mutreduce.strategy import (SPANS_MIN_MUTANTS, DiscardHighestYield,
                                 ExecuteOperators, GroupPipeline,
                                 OrderGroupsBySize, Select, Selection, Strategy,
@@ -145,6 +145,29 @@ def test_parse_rejects_malformed_text():
         parse_strategy("Execute Operators 250% → Retain Mutants random 100%")
     with pytest.raises(StrategyParseError):
         parse_strategy("Execute Operators 100% → Retain Mutants random 999%")
+
+
+@pytest.mark.parametrize("text", [
+    "x" * 5000,
+    "Execute Operators 10% junk" + "y" * 5000,
+    "Retain Mutants Random 10%" + "z" * 3000,
+    "Execute Operators 100% → Group Mutants by Operator → Order Groups by Size "
+    + "a" * 4000 + " → Sample Each Group random 10%",
+    "Execute Operators 100% → Group Mutants by Operator → Retain Groups " + "b" * 4000
+    + " 2 → Sample Each Group random 10%",
+    "Execute Operators 100% → Group Mutants by Operator → Sample Each Group "
+    + "c" * 4000 + " 10%",
+    "Execute Operators 100% → Group Mutants by Operator → Retain Groups first 2 "
+    + "d" * 4000 + " → Sample Each Group random 10%",
+    "Execute Operators " + "9" * 4000 + "%",
+], ids=["phrase", "token", "lower case", "direction", "edge", "method", "pipeline token",
+        "percentage"])
+def test_parse_errors_show_long_text_short(text):
+    """A phrase or token that a parse error repeats is shown by its first
+    characters and its length, however long it is."""
+    with pytest.raises(StrategyParseError) as excinfo:
+        parse_strategy(text)
+    assert len(str(excinfo.value)) < 120
 
 
 @pytest.mark.parametrize("text", [
@@ -951,7 +974,7 @@ def test_evaluate_equals_a_per_repetition_loop_over_the_reference(grammar, oracl
         for index in oracle_caches:
             for n in (1, 5):
                 seed = 1000 * checked + n
-                assert (evaluate_indexed(strategy, index, n, np.random.default_rng(seed).spawn(n))[0]
+                assert (evaluate(strategy, index, n, rng=np.random.default_rng(seed))
                         == _ref_evaluate(strategy, index, n, np.random.default_rng(seed))), \
                     f"{render(strategy)!r} at seed {seed}"
         checked += 1
