@@ -28,10 +28,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from . import objectives
 from .cache import MutationCache
 from .index import build_index
 from .numerals import COUNT, shown
-from .objectives import evaluate_indexed
 from .pareto import nondominated
 from .search import EvaluatedStrategy, Front
 from .strategy import Strategy, parse_strategy
@@ -88,7 +88,7 @@ def baseline_front(kind: str, cache: MutationCache, seeds: Sequence[int],
         strategy = parse_strategy(strategy_text.format(parameter))
         text = row_text.format(parameter)
         eval_seeds = sweep_seeds[i * len(seeds):(i + 1) * len(seeds)]
-        pairs = evaluate_indexed([(strategy, eval_seeds)], cache, repetitions)
+        pairs = objectives.evaluate_indexed([(strategy, eval_seeds)], cache, repetitions)
         for run, eval_seed, pair in zip(entries, eval_seeds, pairs):
             run.append(EvaluatedStrategy(time=pair.time, score=pair.score,
                                          eval_seed=eval_seed, text=text))

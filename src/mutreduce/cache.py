@@ -977,6 +977,20 @@ def read_kill_matrix_csv(path: str | Path) -> MutationCache:
 
 # ===== Synthetic caches =====
 
+# Upper bounds on synth_cache's sizes. A cache holds positions as int32,
+# and n_tests itself as the int32 first-killer sentinel, so no count may
+# pass 2**31 - 1; each bound below is tighter, where a build still fits in
+# memory and time (measured on 2 vCPUs).
+# Each operator takes a Python-level pass over every mutant's owner, so
+# the time grows with operators x mutants: 1,000 x 10**6 took 12 s.
+MAX_SYNTH_OPERATORS = 1_000
+# Ten times kill-large's cache: 30 x 10**6 x 1,000 took 10 s and held
+# 275 MB, and saving it peaked at 1.5 GB for a 123 MB file.
+MAX_SYNTH_MUTANTS = 1_000_000
+# Each test holds an id string: 10**6 tests held 72 MB and a 56 MB file.
+MAX_SYNTH_TESTS = 1_000_000
+
+
 def synth_cache(
     n_operators: int,
     n_mutants: int,
@@ -1021,6 +1035,11 @@ def synth_cache(
     """
     if n_operators < 1 or n_mutants < 1 or n_tests < 1:
         raise ValueError("n_operators, n_mutants and n_tests must all be >= 1")
+    for name, count, bound in (("n_operators", n_operators, MAX_SYNTH_OPERATORS),
+                               ("n_mutants", n_mutants, MAX_SYNTH_MUTANTS),
+                               ("n_tests", n_tests, MAX_SYNTH_TESTS)):
+        if count > bound:
+            raise ValueError(f"{name} must be <= {bound}")
     if not 0 < kill_density <= 1:
         raise ValueError("kill_density must be in (0, 1]")
     if not (math.isfinite(cost_skew) and cost_skew >= 1):

@@ -3,7 +3,11 @@
 run_evolution is a grammatical-evolution hyper-heuristic on top of a
 standard elitist non-dominated sorting loop: binary tournaments on
 (rank, crowding), single-point crossover, per-gene integer mutation,
-then prune and duplicate applied to each child. Offspring only are
+then prune and duplicate applied to each child. Survival is NSGA-II's
+(Deb et al., IEEE TEC 2002): whole fronts by rank, then the last front
+by crowding distance. No member of a front dominates another, so its
+distinct points rise in time and score together, and one sort by time
+orders a front along both objectives at once. Offspring only are
 evaluated, so the evaluation counter advances by the population size per
 generation (e.g. 100 initial + 99 generations of 100 = exactly 10,000).
 run_random_search spends the same evaluation budget on uniformly random
@@ -83,6 +87,8 @@ class SearchConfig:
             raise ValueError(f"repetitions must be in [1, {MAX_REPETITIONS}]")
         if self.min_length < 2:
             raise ValueError("min_length must be >= 2")
+        if self.max_wraps < 0:
+            raise ValueError("max_wraps must be >= 0")
         if self.max_length > MAX_CHROMOSOME_LENGTH:
             raise ValueError(f"max_length must be <= {MAX_CHROMOSOME_LENGTH}")
         if self.gene_high > genome.MAX_GENE:
@@ -138,32 +144,6 @@ class SearchResult:
     evaluations: int
 
 
-# ===== Ranking and crowding =====
-
-def _crowding(times: np.ndarray, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(crowding distance, pair id) per point. The distance is
-    permutation-invariant: identical objective pairs share one id and one
-    distance, boundary pairs per objective get infinity."""
-    pairs = np.stack([times, scores], axis=1)
-    unique, inverse = np.unique(pairs, axis=0, return_inverse=True)
-    k = unique.shape[0]
-    dist = np.zeros(k)
-    if k <= 2:
-        dist[:] = np.inf
-    else:
-        for column in (0, 1):
-            other = 1 - column
-            order = np.lexsort((unique[:, other], unique[:, column]))
-            ordered = unique[order, column]
-            span = ordered[-1] - ordered[0]
-            dist[order[0]] = dist[order[-1]] = np.inf
-            if span > 0:
-                gaps = (ordered[2:] - ordered[:-2]) / span
-                dist[order[1:-1]] += gaps
-    inverse = inverse.ravel()
-    return dist[inverse], inverse
-
-
 # ===== Individuals =====
 
 class _Individual:
@@ -197,31 +177,38 @@ def _evaluate_population(individuals: list[_Individual], cache: MutationCache,
 def _assign_fronts(individuals: list[_Individual]) -> list[np.ndarray]:
     """Set rank and crowding on every individual; returns the fronts.
 
-    Crowding starts from the shared per-unique-pair distances, but only
-    one canonical copy of each duplicated objective pair keeps its
-    distance; the other copies get 0. Sharing the raw value would hand
-    every clone of a boundary point infinite crowding, letting clone
-    floods evict the interior of the front during truncation and
-    stalling the search on degenerate strategies.
+    No member of a front dominates another, so a front's distinct points
+    rise in time and score together: one stable sort by time orders it
+    along both objectives, with equal points next to each other. The two
+    end points get infinite crowding (every point does in a front of at
+    most two distinct points), and an interior point the time gap of its
+    neighbours over the front's time span plus their score gap over its
+    score span. Only one copy of a repeated point keeps its distance, the
+    one with the smallest (chromosome text, eval seed); the other copies
+    get 0. Sharing the distance would hand every clone of a boundary
+    point infinite crowding, letting clone floods evict the interior of
+    the front during truncation and stalling the search on degenerate
+    strategies.
     """
     times = np.array([ind.time for ind in individuals])
     scores = np.array([ind.score for ind in individuals])
     fronts = sort_fronts(times, scores)
     for rank, front in enumerate(fronts):
-        crowd, pair_ids = _crowding(times[front], scores[front])
-        keeps_distance = np.bincount(pair_ids)[pair_ids] == 1
-        duplicated: dict[int, list[int]] = {}
-        for position in np.flatnonzero(~keeps_distance).tolist():
-            duplicated.setdefault(pair_ids[position], []).append(position)
-        for positions in duplicated.values():
-            # Only a duplicated pair needs the (serialized) tie-break key.
-            keeps_distance[min(positions, key=lambda p: (
-                individuals[front[p]].chromosome.serialize(),
-                individuals[front[p]].eval_seed))] = True
-        for position, member in enumerate(front.tolist()):
-            individuals[member].rank = rank
-            individuals[member].crowding = (
-                float(crowd[position]) if keeps_distance[position] else 0.0)
+        ordered = front[np.argsort(times[front], kind="stable")]
+        t = times[ordered]
+        heads = np.flatnonzero(np.concatenate(([True], t[1:] != t[:-1])))
+        crowd = np.full(heads.size, np.inf)
+        if heads.size > 2:
+            t, s = t[heads], scores[ordered[heads]]
+            crowd[1:-1] = (t[2:] - t[:-2]) / (t[-1] - t[0]) + (s[2:] - s[:-2]) / (s[-1] - s[0])
+        for distance, copies in zip(crowd.tolist(), np.split(ordered, heads[1:])):
+            members = [individuals[i] for i in copies.tolist()]
+            for member in members:
+                member.rank, member.crowding = rank, 0.0
+            # Only a repeated point needs the (serialized) tie-break key.
+            keeper = members[0] if len(members) == 1 else min(
+                members, key=lambda m: (m.chromosome.serialize(), m.eval_seed))
+            keeper.crowding = distance
     return fronts
 
 
@@ -286,6 +273,18 @@ def _evaluation_seeds(config: SearchConfig, generation: int) -> list[int]:
                          for slot in range(config.population_size)])
 
 
+def _random_block(config: SearchConfig, grammar: Grammar, cache: MutationCache,
+                  rng: np.random.Generator, block: int) -> list[_Individual]:
+    """A population of uniformly random chromosomes, drawn from rng and
+    evaluated with the evaluation seeds of the given generation (or block)."""
+    bounds, limits = config.bounds(), config.limits()
+    individuals = [_Individual(genome.random_chromosome(rng, bounds, limits),
+                               grammar, config.max_wraps, eval_seed)
+                   for eval_seed in _evaluation_seeds(config, block)]
+    _evaluate_population(individuals, cache, config.repetitions)
+    return individuals
+
+
 def run_evolution(config: SearchConfig, grammar: Grammar,
                   cache: MutationCache) -> SearchResult:
     """Evolve reduction strategies; returns the final non-dominated front
@@ -295,12 +294,7 @@ def run_evolution(config: SearchConfig, grammar: Grammar,
     init_rng = np.random.default_rng(np.random.SeedSequence((config.seed, 1)))
     var_rng = np.random.default_rng(np.random.SeedSequence((config.seed, 2)))
 
-    population = [
-        _Individual(genome.random_chromosome(init_rng, bounds, limits),
-                    grammar, config.max_wraps, eval_seed)
-        for eval_seed in _evaluation_seeds(config, 0)
-    ]
-    _evaluate_population(population, cache, config.repetitions)
+    population = _random_block(config, grammar, cache, init_rng, 0)
     evaluations = config.population_size
     _assign_fronts(population)
     stats = [_population_stat(0, evaluations, population)]
@@ -350,7 +344,6 @@ def run_random_search(config: SearchConfig, grammar: Grammar,
     s), so per-sample evaluations are reproducible row by row. Returns
     the non-dominated archive over every sample."""
     cache = build_index(cache)
-    bounds, limits = config.bounds(), config.limits()
     init_rng = np.random.default_rng(np.random.SeedSequence((config.seed, 1)))
 
     archive: list[_Individual] = []
@@ -358,12 +351,7 @@ def run_random_search(config: SearchConfig, grammar: Grammar,
     evaluations = 0
     block = 0
     while evaluations + config.population_size <= config.max_evaluations:
-        individuals = [
-            _Individual(genome.random_chromosome(init_rng, bounds, limits),
-                        grammar, config.max_wraps, eval_seed)
-            for eval_seed in _evaluation_seeds(config, block)
-        ]
-        _evaluate_population(individuals, cache, config.repetitions)
+        individuals = _random_block(config, grammar, cache, init_rng, block)
         evaluations += config.population_size
         candidates = archive + [ind for ind in individuals if not ind.failed]
         archive = nondominated(candidates, key=_chromosome_key)

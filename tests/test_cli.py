@@ -8,6 +8,7 @@ import platform
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from mutreduce.cache import dumps_cache, load_cache, synth_cache
+from mutreduce.cache import (MAX_SYNTH_MUTANTS, MAX_SYNTH_OPERATORS, MAX_SYNTH_TESTS,
+                             dumps_cache, load_cache, synth_cache)
 from mutreduce.cli import MAX_RUNS, main
 from mutreduce.objectives import MAX_REPETITIONS
 from mutreduce.runio import FRONT_COLUMNS, read_front_csv, read_manifest
@@ -69,6 +71,25 @@ def test_cache_synth_non_finite_cost_skew_exits_two(tmp_path, capsys, skew):
     assert main(["cache", "synth", "--operators", "2", "--mutants", "5",
                  "--tests", "3", "--cost-skew", skew, "--out", str(out)]) == 2
     assert "error: cost_skew must be finite and >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,name,bound", [
+    ("--operators", "n_operators", MAX_SYNTH_OPERATORS),
+    ("--mutants", "n_mutants", MAX_SYNTH_MUTANTS),
+    ("--tests", "n_tests", MAX_SYNTH_TESTS),
+])
+def test_cache_synth_past_a_size_bound_exits_two_at_once(tmp_path, capsys, flag, name, bound):
+    """A size past its bound is an input error found before any draw, not
+    a MemoryError (exit 3) or a build that runs for hours."""
+    out = tmp_path / "c.json"
+    argv = ["cache", "synth", "--out", str(out)]
+    for option, size in {"--operators": 2, "--mutants": 5, "--tests": 3, flag: 10**12}.items():
+        argv += [option, str(size)]
+    started = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - started < 5
+    assert f"error: {name} must be <= {bound}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -465,10 +486,11 @@ def test_train_manifest_rejects_unknown_algorithm(cache_file, tmp_path, capsys):
      f"manifest.json: at most {MAX_RUNS} seeds, got {MAX_RUNS + 1}"),
     (lambda m: m["config"].update(population_size=MAX_POPULATION_SIZE + 2),
      f"population_size must be even and in [2, {MAX_POPULATION_SIZE}]"),
+    (lambda m: m["config"].update(max_wraps=-1), "max_wraps must be >= 0"),
 ], ids=["config-not-object", "seeds-not-list", "seeds-empty",
         "population-size-string", "crossover-probability-string",
         "seeds-repeated", "seeds-nested", "seed-negative-later",
-        "seeds-past-the-bound", "population-size-past-the-bound"])
+        "seeds-past-the-bound", "population-size-past-the-bound", "max-wraps-negative"])
 def test_train_manifest_malformed_shape_is_bad_input(cache_file, tmp_path, capsys,
                                                      monkeypatch, edit, reason):
     """Every run is checked before the first starts: no replay run trains."""

@@ -51,6 +51,26 @@ def test_strategy_building_and_prune_map_through_the_genome_attribute(monkeypatc
     assert calls == [chromosome, chromosome]
 
 
+def test_baselines_evaluate_through_the_objectives_module(monkeypatch):
+    """The trace counts objectives.evaluate_calls by patching
+    mutreduce.objectives' evaluate_indexed; baseline_front must look it
+    up there, once per swept parameter, not hold its own reference."""
+    from mutreduce import objectives
+    from mutreduce.baselines import BASELINES, baseline_front
+    from mutreduce.cache import synth_cache
+
+    calls = []
+    original = objectives.evaluate_indexed
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(objectives, "evaluate_indexed", counted)
+    baseline_front("SM", synth_cache(3, 40, 10, seed=21), seeds=[1, 2], repetitions=1)
+    assert len(calls) == len(BASELINES["SM"][2])
+
+
 def test_report_calls_the_indicators_through_the_analysis_module(monkeypatch):
     """The trace times analysis.reference_front, igd and hypervolume by
     patching mutreduce.analysis; compare_experiment must look all three up

@@ -1,15 +1,19 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
+from crowding_oracle import oracle_assign_fronts
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mutreduce.cache import synth_cache
-from mutreduce.genome import random_chromosome
+from mutreduce.genome import Chromosome, random_chromosome
 from mutreduce.objectives import MAX_REPETITIONS, ObjectivePair, evaluate
 from mutreduce.pareto import point, sort_fronts
 from mutreduce.runio import front_csv_text, runlog_csv_text
 from mutreduce.search import (MAX_CHROMOSOME_LENGTH, MAX_POPULATION_SIZE, SearchConfig,
-                              _crowding, run_evolution, run_random_search)
+                              _assign_fronts, run_evolution, run_random_search)
 from mutreduce.strategy import parse_strategy, strategy_from_chromosome
 
 
@@ -62,10 +66,6 @@ def objective_arrays(items):
 
 def fast_nondominated_sort(items):
     return [front.tolist() for front in sort_fronts(*objective_arrays(items))]
-
-
-def crowding_distance(items):
-    return _crowding(*objective_arrays(items))[0].tolist()
 
 
 def brute_force_peel(points):
@@ -121,21 +121,41 @@ def test_sort_accepts_objective_pairs():
 
 # ===== crowding =====
 
+class Member:
+    """The attributes _assign_fronts reads and sets on an individual."""
+
+    __slots__ = ("time", "score", "chromosome", "eval_seed", "rank", "crowding")
+
+    def __init__(self, time, score, gene=0, eval_seed=0):
+        self.time, self.score = time, score
+        self.chromosome = Chromosome((gene,) * 2)
+        self.eval_seed = eval_seed
+        self.rank, self.crowding = -1, -1.0
+
+
+def crowding_distance(points, genes=None):
+    """Crowding per point, after requiring that the points form one front."""
+    members = [Member(t, s, gene) for (t, s), gene in zip(points, genes or [0] * len(points))]
+    _assign_fronts(members)
+    assert [m.rank for m in members] == [0] * len(points)
+    return [m.crowding for m in members]
+
+
 def test_two_member_front_is_all_infinite():
-    assert crowding_distance([(0.0, 1.0), (1.0, 0.0)]) == [np.inf, np.inf]
+    assert crowding_distance([(0.0, 0.0), (1.0, 1.0)]) == [np.inf, np.inf]
 
 
 def test_collinear_middle_point_distance():
     # Equally spaced on both axes: the middle point's normalized span is
     # a full gap per objective, 1.0 + 1.0.
-    dist = crowding_distance([(0.0, 1.0), (0.5, 0.5), (1.0, 0.0)])
+    dist = crowding_distance([(0.0, 0.0), (0.5, 0.5), (1.0, 1.0)])
     assert dist[0] == np.inf
     assert dist[2] == np.inf
     assert dist[1] == 2.0
 
 
 def test_crowding_is_permutation_invariant():
-    points = [(0.0, 1.0), (0.2, 0.55), (0.5, 0.5), (0.9, 0.1), (1.0, 0.0)]
+    points = [(0.0, 0.0), (0.2, 0.45), (0.5, 0.5), (0.9, 0.9), (1.0, 1.0)]
     base = crowding_distance(points)
     rng = np.random.default_rng(4)
     for _ in range(10):
@@ -145,9 +165,54 @@ def test_crowding_is_permutation_invariant():
             assert shuffled[position] == base[original]
 
 
-def test_duplicate_pairs_share_one_distance():
-    dist = crowding_distance([(0.0, 1.0), (0.5, 0.5), (0.5, 0.5), (1.0, 0.0)])
-    assert dist[1] == dist[2] == 2.0
+def test_one_copy_of_a_repeated_point_keeps_the_distance():
+    """The copy with the smallest chromosome text keeps the distance the
+    point has, wherever it stands; the other copy gets 0."""
+    points = [(0.0, 0.0), (0.5, 0.5), (0.5, 0.5), (1.0, 1.0)]
+    assert crowding_distance(points, genes=[0, 2, 1, 0]) == [np.inf, 0.0, 2.0, np.inf]
+    assert crowding_distance(points, genes=[0, 1, 2, 0]) == [np.inf, 2.0, 0.0, np.inf]
+
+
+# A time or score: grid values (signed zeros among them), values in the
+# unit square, or any float; sort_fronts refuses a NaN, and a -inf score.
+UNIT_OBJECTIVES = st.sampled_from((-0.0, 0.0, 0.25, 0.5, 1.0)) | st.floats(0.0, 1.0)
+FRONT_TIMES = UNIT_OBJECTIVES | st.floats(allow_nan=False)
+FRONT_SCORES = UNIT_OBJECTIVES | st.floats(allow_nan=False).filter(lambda s: s > -math.inf)
+
+
+@st.composite
+def populations(draw):
+    """Members drawn from a few points, so that points repeat, with genes
+    and eval seeds from small sets, so that tie-break keys repeat too."""
+    points = draw(st.lists(st.tuples(FRONT_TIMES, FRONT_SCORES),
+                           min_size=1, max_size=12))
+    return [Member(*draw(st.sampled_from(points)), gene=draw(st.integers(0, 2)),
+                   eval_seed=draw(st.integers(0, 2)))
+            for _ in range(draw(st.integers(1, 40)))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(populations())
+@example([Member(0.0, 0.5), Member(-0.0, 0.5, gene=1), Member(0.5, 1.0), Member(-0.0, -0.0)])
+@example([Member(-math.inf, 0.0), Member(0.5, 0.5), Member(math.inf, math.inf),
+          Member(math.inf, math.inf, eval_seed=1)])
+@example([Member(-1e308, 0.0), Member(0.0, 0.5), Member(1e308, 1.0)])
+def test_crowding_equals_the_pair_deduplicating_oracle(members):
+    """One sort by time per front gives the same ranks and crowding bits as
+    the per-objective sorts of distinct pairs kept in crowding_oracle; and
+    the distinct points of every front rise in time and score together."""
+    copies = [Member(m.time, m.score, m.chromosome.genes[0], m.eval_seed) for m in members]
+    # Spans past the float range overflow to inf and inf / inf is NaN, in
+    # both; the warnings would hide the bits compared here.
+    with np.errstate(over="ignore", invalid="ignore"):
+        fronts = _assign_fronts(members)
+        assert [f.tolist() for f in fronts] == [f.tolist() for f in oracle_assign_fronts(copies)]
+    assert [m.rank for m in members] == [m.rank for m in copies]
+    assert (np.array([m.crowding for m in members]).tobytes()
+            == np.array([m.crowding for m in copies]).tobytes())
+    for front in fronts:
+        ordered = sorted({(members[i].time, members[i].score) for i in front.tolist()})
+        assert all(a[0] < b[0] and a[1] < b[1] for a, b in zip(ordered, ordered[1:]))
 
 
 # ===== configuration =====
@@ -163,6 +228,11 @@ def test_config_validation():
         SearchConfig(seed=1, mutation_probability=1.5)
     with pytest.raises(ValueError):
         SearchConfig(seed=-1)
+    # With -1 no chromosome maps and a search returns an empty front; 0
+    # reads the genes once.
+    assert SearchConfig(seed=1, max_wraps=0).max_wraps == 0
+    with pytest.raises(ValueError, match=r"^max_wraps must be >= 0$"):
+        SearchConfig(seed=1, population_size=10, max_evaluations=20, max_wraps=-1)
 
 
 @pytest.mark.parametrize("field,value", [
